@@ -289,6 +289,8 @@ def read_instance(fh: IO[str], source: str = "<instance>") -> Instance:
                 props[int(p)] = float(v)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{source}:{lineno}: malformed item record ({exc})") from exc
+        if len(props) != len(prop_pairs):
+            raise InputError(f"{source}:{lineno}: item record lists a property more than once")
         if not isinstance(item_id, int):
             raise InputError(f"{source}:{lineno}: item id must be an integer")
         if item_id != len(items):

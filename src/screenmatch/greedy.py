@@ -5,12 +5,19 @@ Because the offline solver's tie order is total and consistent across
 prefixes, deciding against the kept-items-plus-newcomer set is equivalent
 to deciding against the full prefix; the test suite checks this prefix
 consistency explicitly on small instances.
+
+The pass keeps, per property, a min-heap of the top k (value, id) pairs
+among kept items.  By the solver's pool lemma, an arrival that ranks
+below the k-th best kept item in every property it possesses is outside
+the optimum, so it is rejected without a solve; at d = 1 this gate is the
+whole decision.  Any other arrival is decided by solving over the
+items still in some heap plus the newcomer, which has the same optimum as
+all kept items plus the newcomer.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,64 +60,6 @@ def warmup_length(n: int, k: int, delta: float) -> int:
     return (num * n) // (den * k)
 
 
-def _screen_single_property(
-    entries: Sequence[tuple[int, Item]],
-    spec: ConstraintSpec,
-    warmup: int,
-    trace: bool,
-) -> tuple[list[Item], list[TraceStep] | None]:
-    # Keep a min-heap of the current top-k (value, id) pairs; an arrival is
-    # in the optimum over kept-plus-self iff it beats the k-th best kept.
-    k = spec.k
-    heap: list[tuple[float, int]] = []
-    kept: list[Item] = []
-    steps: list[TraceStep] | None = [] if trace else None
-    for pos, item in entries:
-        if pos < warmup:
-            if steps is not None:
-                steps.append(TraceStep(pos, item.id, False, math.fsum(v for v, _ in heap)))
-            continue
-        entry = (item.props[0], item.id)
-        if len(heap) < k:
-            heapq.heappush(heap, entry)
-            retained = True
-        elif entry > heap[0]:
-            heapq.heapreplace(heap, entry)
-            retained = True
-        else:
-            retained = False
-        if retained:
-            kept.append(item)
-        if steps is not None:
-            steps.append(TraceStep(pos, item.id, retained, math.fsum(v for v, _ in heap)))
-    return kept, steps
-
-
-def _screen_general(
-    entries: Sequence[tuple[int, Item]],
-    spec: ConstraintSpec,
-    warmup: int,
-    trace: bool,
-) -> tuple[list[Item], list[TraceStep] | None]:
-    kept: list[Item] = []
-    steps: list[TraceStep] | None = [] if trace else None
-    running = 0.0
-    for pos, item in entries:
-        if pos < warmup:
-            if steps is not None:
-                steps.append(TraceStep(pos, item.id, False, running))
-            continue
-        sol = optimal_matching(kept + [item], spec)
-        retained = item.id in sol.real_ids()
-        if retained:
-            kept.append(item)
-        # rejected items never displace anyone, so the optimum is unchanged
-        running = sol.value
-        if steps is not None:
-            steps.append(TraceStep(pos, item.id, retained, running))
-    return kept, steps
-
-
 def screen_entries(
     entries: Sequence[tuple[int, Item]],
     spec: ConstraintSpec,
@@ -121,11 +70,41 @@ def screen_entries(
 
     Positions are compared against ``warmup``, so a filtered subsequence
     keeps its original stream geometry.  Used by both ``greedy_screen``
-    and the combined pipeline.
+    and the combined pipeline.  A step's ``running_value`` is the optimum
+    value over the items kept so far.
     """
-    if spec.d == 1:
-        return _screen_single_property(entries, spec, warmup, trace)
-    return _screen_general(entries, spec, warmup, trace)
+    k = spec.k
+    heaps: list[list[tuple[float, int, Item]]] = [[] for _ in range(spec.d)]
+    kept: list[Item] = []
+    steps: list[TraceStep] | None = [] if trace else None
+    running = 0.0
+    for pos, item in entries:
+        retained = False
+        if pos >= warmup:
+            # a plain loop, not any(): this gate runs once per arrival
+            contender = False
+            for p, v in item.props.items():
+                heap = heaps[p]
+                if len(heap) < k or (v, item.id) > heap[0]:
+                    contender = True
+                    break
+            if contender:
+                pool = {e[1]: e[2] for heap in heaps for e in heap}
+                sol = optimal_matching([*pool.values(), item], spec)
+                # rejected items never displace anyone, so the optimum is unchanged
+                running = sol.value
+                retained = item.id in sol.real_ids()
+            if retained:
+                kept.append(item)
+                for p, v in item.props.items():
+                    heap = heaps[p]
+                    if len(heap) < k:
+                        heapq.heappush(heap, (v, item.id, item))
+                    elif (v, item.id) > heap[0]:
+                        heapq.heapreplace(heap, (v, item.id, item))
+        if steps is not None:
+            steps.append(TraceStep(pos, item.id, retained, running))
+    return kept, steps
 
 
 def greedy_screen(

@@ -13,10 +13,20 @@ strict priority order:
    differing id to the smallest property index.
 
 This order is total: the optimum is unique, so the result is deterministic
-and independent of input order.  All four layers are folded into one exact
-integer weight per edge (values are scaled by a power of two, which is
-lossless for binary floats), and a successive-shortest-path min-cost flow
-finds the argmax.  No floating-point comparison ever decides a tie.
+and independent of input order.
+
+Pool lemma: with k slots in all, an item outside the top k of every
+property it possesses, ranked by (value, id), is never in the optimum.
+Among the k items above it in the property it would fill, at most k - 1
+are assigned, so a free one can take its slot and wins under layers 1-2.
+The solver therefore works on the pool of per-property top-k items only.
+When every pooled item possesses a single property, the properties do not
+compete and the optimum is the top ``caps[p]`` of each property, with the
+lowest dummies filling shortfalls from the lowest property up.  Otherwise
+all four layers are folded into one exact integer weight per edge (values
+are scaled by a power of two, which is lossless for binary floats), and a
+successive-shortest-path min-cost flow over the pool finds the argmax.  No
+floating-point comparison ever decides a tie.
 
 ``brute_force_matching`` re-derives the same optimum by enumeration and is
 the oracle the solver is tested against.
@@ -83,12 +93,15 @@ class Solution:
 
 
 def _check_items(items: Sequence[Item], spec: ConstraintSpec) -> None:
+    d = spec.d
     for item in items:
         if is_dummy_id(item.id):
             raise InputError(f"item {item.id} lies in the reserved dummy id range")
-        for p in item.props:
-            if p < 0 or p >= spec.d:
-                raise InputError(f"item {item.id} references property {p} outside 0..{spec.d - 1}")
+        for p, v in item.props.items():
+            if p < 0 or p >= d:
+                raise InputError(f"item {item.id} references property {p} outside 0..{d - 1}")
+            if not 0.0 <= v <= 1.0:
+                raise InputError(f"item {item.id} has value {v!r} outside [0, 1] for property {p}")
 
 
 def _finish(chosen: Iterable[tuple[Item, int]]) -> Solution:
@@ -97,18 +110,6 @@ def _finish(chosen: Iterable[tuple[Item, int]]) -> Solution:
         item.props[prop] for item, prop in chosen if not is_dummy_id(item.id)
     )
     return Solution(tuple(pairs), value)
-
-
-def _solve_single_property(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
-    # With one property the optimum is the top-k by (value, id); every real
-    # item beats a dummy under layers 1-3, so dummies only fill the shortfall.
-    k = spec.k
-    ranked = sorted(items, key=lambda it: (it.props[0], it.id), reverse=True)
-    chosen = [(it, 0) for it in ranked[:k]]
-    fillers = dummy_items(spec)
-    for i in range(k - len(chosen)):
-        chosen.append((fillers[i], 0))
-    return _finish(chosen)
 
 
 def _scaled_weights(pool: Sequence[Item], spec: ConstraintSpec) -> list[dict[int, int]]:
@@ -232,13 +233,30 @@ def optimal_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
     """The unique optimal saturated assignment of real items plus dummies.
 
     ``items`` are the real candidates (any order; the result depends only
-    on the set).  Items referencing properties outside the spec raise
-    ``InputError``.
+    on the set).  Items referencing properties outside the spec, or with a
+    value outside [0, 1], raise ``InputError``.
     """
     _check_items(items, spec)
-    if spec.d == 1:
-        return _solve_single_property(items, spec)
-    return _solve_flow(items, spec)
+    k = spec.k
+    tops = [
+        heapq.nlargest(
+            k, [it for it in items if p in it.props], key=lambda it, p=p: (it.props[p], it.id)
+        )
+        for p in range(spec.d)
+    ]
+    # keyed by identity, not by item id, so no input item is ever merged away
+    pool = list({id(it): it for top in tops for it in top}.values())
+    if any(len(it.props) > 1 for it in pool):
+        return _solve_flow(pool, spec)
+    chosen: list[tuple[Item, int]] = []
+    shortfall: list[int] = []
+    for p, (cap, top) in enumerate(zip(spec.caps, tops)):
+        chosen += [(it, p) for it in top[:cap]]
+        shortfall += [p] * (cap - len(top))
+    if shortfall:
+        # the lowest dummies go to the lowest properties
+        chosen += zip(dummy_items(spec), shortfall)
+    return _finish(chosen)
 
 
 def _enumeration_key(chosen: list[tuple[Item, int]]):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from screenmatch import ConstraintSpec, Instance, Item
+from screenmatch import ConstraintSpec, Instance, Item, optimal_matching
 
 
 def rand_spec(rng: np.random.Generator, d_max: int = 3, k_max: int = 4) -> ConstraintSpec:
@@ -18,12 +18,14 @@ def rand_items(
     n: int,
     d: int,
     value_grid=None,
+    max_props: int | None = None,
 ) -> list[Item]:
-    """n items with random nonempty property subsets; values uniform, or
-    drawn from value_grid to force ties."""
+    """n items with random nonempty property subsets of at most max_props
+    (default d) properties; values uniform, or drawn from value_grid to
+    force ties.  max_props=1 gives the disjoint shape."""
     items = []
     for i in range(n):
-        size = int(rng.integers(1, d + 1))
+        size = int(rng.integers(1, (max_props or d) + 1))
         props = rng.choice(d, size=size, replace=False)
         out = {}
         for p in props.tolist():
@@ -40,3 +42,13 @@ def rand_instance(rng: np.random.Generator, n: int, d: int, value_grid=None) -> 
 
 
 TIE_GRID = (0.0, 0.25, 0.5, 0.5, 1.0)
+
+
+def reference_screen(entries, spec: ConstraintSpec, warmup: int) -> list[Item]:
+    """The greedy rule without the gate or the pool: after the warmup, keep
+    an arrival iff it is in optimal_matching(kept + [item])."""
+    kept: list[Item] = []
+    for pos, item in entries:
+        if pos >= warmup and item.id in optimal_matching(kept + [item], spec).real_ids():
+            kept.append(item)
+    return kept

@@ -201,6 +201,25 @@ class TestExitCodes:
         assert run(["solve", "--in", str(bad), "--spec", spec]) == 1
         assert ":2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1.7", "-3.0"])
+    def test_solve_rejects_value_outside_unit_interval(self, tmp_path, capsys, value):
+        spec = tmp_path / "spec2.json"
+        spec.write_text('{"caps": [1, 1]}\n')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f'{{"id": 0, "props": [[0, 0.5]]}}\n{{"id": 1, "props": [[1, {value}]]}}\n')
+        assert run(["solve", "--in", str(bad), "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert "outside [0, 1]" in err
+        assert "Traceback" not in err
+
+    def test_duplicate_property_is_one_with_line(self, files, tmp_path, capsys):
+        _, _, spec = files
+        bad = tmp_path / "dup.jsonl"
+        bad.write_text('{"id": 0, "props": [[0, 0.5]]}\n{"id": 1, "props": [[0, 0.2], [0, 0.9]]}\n')
+        assert run(["solve", "--in", str(bad), "--spec", spec]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err and "more than once" in err
+
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(["frobnicate"]) == 2
 

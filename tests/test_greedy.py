@@ -13,9 +13,9 @@ from screenmatch import (
     warmup_length,
     DistributionSpec,
 )
-from screenmatch.greedy import _screen_general, screen_entries
+from screenmatch.greedy import screen_entries
 
-from helpers import TIE_GRID, rand_instance
+from helpers import TIE_GRID, rand_instance, rand_items, reference_screen
 
 
 def stream_of(values):
@@ -75,6 +75,20 @@ class TestTrace:
         assert [s.retained for s in res.trace] == [False, True, False]
         assert res.trace[2].running_value == 0.5
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_running_value_is_optimum_over_kept(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(30):
+            n = int(rng.integers(1, 25))
+            inst = rand_instance(rng, n, d, value_grid=TIE_GRID if rng.random() < 0.5 else None)
+            spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 3, size=d)))
+            res = greedy_screen(inst, spec, int(rng.integers(0, n + 1)), trace=True)
+            kept = []
+            for step in res.trace:
+                if step.retained:
+                    kept.append(inst.items[step.item_id])
+                assert step.running_value == optimal_matching(kept, spec).value
+
     def test_trace_off_by_default(self):
         res = greedy_screen(stream_of([0.2]), ConstraintSpec((1,)), 0)
         assert res.trace is None
@@ -92,16 +106,18 @@ class TestErrors:
 
 
 class TestInvariants:
-    def test_single_property_kernel_matches_general_path(self):
-        rng = np.random.default_rng(21)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gated_pass_matches_ungated_reference(self, d):
+        rng = np.random.default_rng(20 + d)
         for _ in range(40):
-            n = int(rng.integers(0, 12))
-            inst = rand_instance(rng, n, 1, value_grid=TIE_GRID if rng.random() < 0.5 else None)
-            spec = ConstraintSpec((int(rng.integers(1, 4)),))
+            n = int(rng.integers(0, 30))
+            max_props = 1 if rng.random() < 0.5 else d
+            items = rand_items(rng, n, d, value_grid=TIE_GRID, max_props=max_props)
+            spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 4, size=d)))
             warmup = int(rng.integers(0, n + 1))
-            entries = [(item.id, item) for item in inst]
+            entries = [(item.id, item) for item in items]
             fast, _ = screen_entries(entries, spec, warmup)
-            slow, _ = _screen_general(entries, spec, warmup, False)
+            slow = reference_screen(entries, spec, warmup)
             assert [i.id for i in fast] == [i.id for i in slow]
 
     def test_prefix_consistency(self):

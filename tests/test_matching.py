@@ -103,14 +103,17 @@ class TestOracleEquivalence:
             items = rand_items(rng, n, spec.d, value_grid=TIE_GRID)
             assert optimal_matching(items, spec) == brute_force_matching(items, spec)
 
-    def test_single_property_fast_path_matches_flow(self):
-        rng = np.random.default_rng(5)
-        for _ in range(120):
-            k = int(rng.integers(1, 5))
-            spec = ConstraintSpec((k,))
-            n = int(rng.integers(0, 9))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pooled_solver_matches_unpruned_flow(self, d):
+        # the pool lemma: solving over the per-property top-k gives the
+        # same optimum as the flow over every item
+        rng = np.random.default_rng(5 + d)
+        for _ in range(40):
+            spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 4, size=d)))
+            n = int(rng.integers(0, 201))
             grid = TIE_GRID if rng.random() < 0.5 else None
-            items = rand_items(rng, n, 1, value_grid=grid)
+            max_props = 1 if rng.random() < 0.5 else d
+            items = rand_items(rng, n, d, value_grid=grid, max_props=max_props)
             assert optimal_matching(items, spec) == _solve_flow(items, spec)
 
 
