@@ -20,8 +20,10 @@ from .core import (
     read_constraint_spec,
     read_distribution_spec,
     read_instance,
+    require_valid,
     sample_instance,
     derive_seed,
+    validate_items,
     write_instance,
 )
 from .greedy import greedy_screen, warmup_length
@@ -163,6 +165,8 @@ def _cmd_screen(args) -> int:
     inst = _load_instance(args.in_path)
     policy = _read_file(args.policy, read_policy)
     spec = _load_spec(args.spec) if args.spec else None
+    rules = spec or ConstraintSpec((1,) * policy.d)
+    require_valid(validate_items(inst.items, rules), args.in_path)
     retained, stats = screen_with_policy(policy, inst, spec)
     obj = {
         "retained_ids": [item.id for item in retained],
@@ -195,18 +199,30 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+_JSON_KINDS = {str: "a string", int: "an integer", float: "a number"}
+
+
 def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
     file_cfg: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"{args.config}: malformed config ({exc})") from exc
         if not isinstance(file_cfg, dict):
             raise InputError(f"{args.config}: config must be a JSON object")
 
-    def pick(flag_value, key: str, default=None):
+    def pick(flag_value, key: str, default=None, kind: type = str):
+        """The flag, else the config value of the flag's JSON type, else the default."""
         if flag_value is not None:
             return flag_value
-        return file_cfg.get(key, default)
+        value = file_cfg.get(key)
+        if value is None:
+            return default
+        if type(value) is not kind and not (kind is float and type(value) is int):
+            raise InputError(f"{args.config}: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
+        return value
 
     dist_path = pick(args.dist, "dist")
     spec_path = pick(args.spec, "spec")
@@ -214,25 +230,25 @@ def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
         raise ConfigError("trials needs --dist and --spec (flags or config file)")
     policy_path = pick(args.policy, "policy")
     policy = _read_file(policy_path, read_policy) if policy_path else None
-    n = pick(args.n, "n")
-    trials = pick(args.trials, "trials")
+    n = pick(args.n, "n", kind=int)
+    trials = pick(args.trials, "trials", kind=int)
     if n is None or trials is None:
         raise ConfigError("trials needs --n and --trials (flags or config file)")
     cfg = exp.ExperimentConfig(
         scenario=pick(args.scenario, "scenario", "adhoc"),
         dist=_read_file(dist_path, read_distribution_spec),
         spec=_load_spec(spec_path),
-        n=int(n),
-        delta=float(pick(args.delta, "delta", 0.1)),
-        trials=int(trials),
-        seed=int(pick(args.seed, "seed", DEFAULT_SEED)),
+        n=n,
+        delta=float(pick(args.delta, "delta", 0.1, float)),
+        trials=trials,
+        seed=pick(args.seed, "seed", DEFAULT_SEED, int),
         algorithm=pick(args.algorithm, "algorithm", "greedy"),
-        c0=float(pick(args.c0, "c0", 1.0)),
+        c0=float(pick(args.c0, "c0", 1.0, float)),
         policy=policy,
         out=pick(args.out, "out"),
     )
     records = pick(args.records, "records")
-    workers = int(pick(args.workers, "workers", 1))
+    workers = pick(args.workers, "workers", 1, int)
     return cfg, records, workers
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "dummy_items",
     "validate_items",
     "validate_instance",
+    "require_valid",
     "read_instance",
     "write_instance",
     "read_constraint_spec",
@@ -223,40 +224,51 @@ class Violation:
 
 
 def validate_items(items: Sequence[Item], spec: ConstraintSpec) -> tuple[Violation, ...]:
-    """Check a bag of items against a spec; empty result means valid.
+    """Check a bag of real items against a spec; empty result means valid.
 
-    Reported kinds: value-out-of-range, unknown-property, duplicate-id,
-    empty-props.
+    This is the one item rule set; every entry point that reads items runs
+    it (through ``require_valid``).  Reported kinds: duplicate-id, dummy-id,
+    empty-props, unknown-property (a non-int index or one outside
+    0..d-1) and value-out-of-range (NaN and infinities included).  Dummies
+    are not real items, so a dummy passed here is reported as dummy-id.
     """
+    d = spec.d
     out: list[Violation] = []
     seen: set[int] = set()
     for item in items:
-        if item.id in seen:
-            out.append(Violation("duplicate-id", item.id, f"id {item.id} appears more than once"))
-        seen.add(item.id)
+        i = item.id
+        if i in seen:
+            out.append(Violation("duplicate-id", i, f"id {i} appears more than once"))
+        seen.add(i)
+        if i >= DUMMY_ID_BASE:
+            out.append(Violation("dummy-id", i, f"id {i} lies in the reserved dummy range"))
         if not item.props:
-            out.append(Violation("empty-props", item.id, "item possesses no property"))
+            out.append(Violation("empty-props", i, "item possesses no property"))
         for p, v in item.props.items():
-            if not isinstance(p, int) or p < 0 or p >= spec.d:
-                out.append(
-                    Violation("unknown-property", item.id, f"property {p} outside 0..{spec.d - 1}")
-                )
-            if not (0.0 <= v <= 1.0) or v != v:
-                out.append(
-                    Violation("value-out-of-range", item.id, f"value {v!r} outside [0, 1]")
-                )
+            if not isinstance(p, int) or not 0 <= p < d:
+                out.append(Violation("unknown-property", i, f"property {p!r} outside 0..{d - 1}"))
+            if not 0.0 <= v <= 1.0:
+                out.append(Violation("value-out-of-range", i, f"value {v!r} outside [0, 1]"))
     return tuple(out)
 
 
 def validate_instance(inst: Instance, spec: ConstraintSpec) -> tuple[Violation, ...]:
-    """``validate_items`` plus the stream invariants (positional ids, no dummies)."""
+    """``validate_items`` plus the stream rule that ids equal positions."""
     out = list(validate_items(inst.items, spec))
     for pos, item in enumerate(inst.items):
-        if is_dummy_id(item.id):
-            out.append(Violation("dummy-id", item.id, f"id {item.id} lies in the reserved dummy range"))
-        elif item.id != pos:
+        if item.id != pos:
             out.append(Violation("id-position-mismatch", item.id, f"id {item.id} at position {pos}"))
     return tuple(out)
+
+
+def require_valid(violations: Sequence[Violation], what: str) -> None:
+    """Raise ``InputError`` naming the count and the first of nonempty ``violations``."""
+    if violations:
+        first = violations[0]
+        raise InputError(
+            f"invalid {what}: {len(violations)} violation(s), first is {first.kind}"
+            f" at item {first.item_id} ({first.detail})"
+        )
 
 
 def format_value(v: float) -> str:
@@ -286,12 +298,17 @@ def read_instance(fh: IO[str], source: str = "<instance>") -> Instance:
             prop_pairs = obj["props"]
             props = {}
             for p, v in prop_pairs:
-                props[int(p)] = float(v)
+                # JSON numbers are taken as they are: no bool, string or rounding
+                if type(p) is not int:
+                    raise TypeError(f"property {p!r} is not an integer")
+                if type(v) is not float and type(v) is not int:
+                    raise TypeError(f"value {v!r} is not a number")
+                props[p] = float(v)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{source}:{lineno}: malformed item record ({exc})") from exc
         if len(props) != len(prop_pairs):
             raise InputError(f"{source}:{lineno}: item record lists a property more than once")
-        if not isinstance(item_id, int):
+        if type(item_id) is not int:
             raise InputError(f"{source}:{lineno}: item id must be an integer")
         if item_id != len(items):
             raise InputError(
@@ -309,7 +326,9 @@ def write_constraint_spec(spec: ConstraintSpec, fh: IO[str]) -> None:
 def read_constraint_spec(fh: IO[str], source: str = "<spec>") -> ConstraintSpec:
     try:
         obj = json.load(fh)
-        caps = tuple(int(c) for c in obj["caps"])
+        caps = tuple(obj["caps"])
+        if any(type(c) is not int for c in caps):
+            raise TypeError(f"caps must be integers, got {obj['caps']!r}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{source}: malformed constraint spec ({exc})") from exc
     try:
@@ -330,9 +349,13 @@ def read_distribution_spec(fh: IO[str], source: str = "<dist>") -> DistributionS
     try:
         obj = json.load(fh)
         kind = obj["kind"]
-        d = int(obj["d"])
+        d = obj["d"]
+        if type(d) is not int:
+            raise TypeError(f"d must be an integer, got {d!r}")
         membership = obj.get("membership")
         if membership is not None:
+            if any(type(q) is not float and type(q) is not int for q in membership):
+                raise TypeError(f"membership must be numbers, got {membership!r}")
             membership = tuple(float(q) for q in membership)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{source}: malformed distribution spec ({exc})") from exc

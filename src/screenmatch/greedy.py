@@ -21,7 +21,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ConfigError, ConstraintSpec, InputError, Instance, Item, validate_instance
+from .core import (
+    ConfigError, ConstraintSpec, InputError, Instance, Item, require_valid, validate_instance
+)
 from .matching import Solution, optimal_matching
 
 __all__ = ["TraceStep", "GreedyResult", "warmup_length", "greedy_screen"]
@@ -118,12 +120,7 @@ def greedy_screen(
     Raises ``InputError`` when the stream fails validation or the warmup
     exceeds the stream length.
     """
-    violations = validate_instance(stream, spec)
-    if violations:
-        first = violations[0]
-        raise InputError(
-            f"invalid stream: {len(violations)} violation(s), first is {first.kind} ({first.detail})"
-        )
+    require_valid(validate_instance(stream, spec), "stream")
     if not isinstance(warmup, int) or warmup < 0 or warmup > stream.n:
         raise InputError(f"warmup must lie in 0..{stream.n}, got {warmup!r}")
     entries = [(item.id, item) for item in stream.items]

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ConstraintSpec, InputError, Item, dummy_items, is_dummy_id
+from .core import ConstraintSpec, Item, dummy_items, is_dummy_id, require_valid, validate_items
 
 __all__ = [
     "Solution",
@@ -90,18 +90,6 @@ class Solution:
             tuple((int(i), int(p)) for i, p in obj["assignment"]),
             float(obj["value"]),
         )
-
-
-def _check_items(items: Sequence[Item], spec: ConstraintSpec) -> None:
-    d = spec.d
-    for item in items:
-        if is_dummy_id(item.id):
-            raise InputError(f"item {item.id} lies in the reserved dummy id range")
-        for p, v in item.props.items():
-            if p < 0 or p >= d:
-                raise InputError(f"item {item.id} references property {p} outside 0..{d - 1}")
-            if not 0.0 <= v <= 1.0:
-                raise InputError(f"item {item.id} has value {v!r} outside [0, 1] for property {p}")
 
 
 def _finish(chosen: Iterable[tuple[Item, int]]) -> Solution:
@@ -233,10 +221,11 @@ def optimal_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
     """The unique optimal saturated assignment of real items plus dummies.
 
     ``items`` are the real candidates (any order; the result depends only
-    on the set).  Items referencing properties outside the spec, or with a
-    value outside [0, 1], raise ``InputError``.
+    on the set).  They are checked with ``validate_items``: duplicate or
+    dummy-range ids, an item with no property, a property outside the spec
+    or a value outside [0, 1] raise ``InputError``.
     """
-    _check_items(items, spec)
+    require_valid(validate_items(items, spec), "items")
     k = spec.k
     tops = [
         heapq.nlargest(
@@ -244,8 +233,7 @@ def optimal_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
         )
         for p in range(spec.d)
     ]
-    # keyed by identity, not by item id, so no input item is ever merged away
-    pool = list({id(it): it for top in tops for it in top}.values())
+    pool = list({it.id: it for top in tops for it in top}.values())
     if any(len(it.props) > 1 for it in pool):
         return _solve_flow(pool, spec)
     chosen: list[tuple[Item, int]] = []
@@ -282,7 +270,7 @@ def brute_force_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solutio
             f"brute force limited to {BRUTE_FORCE_MAX_ITEMS} items and "
             f"{BRUTE_FORCE_MAX_SLOTS} slots, got {len(items)} items, {spec.k} slots"
         )
-    _check_items(items, spec)
+    require_valid(validate_items(items, spec), "items")
     pool = sorted(items, key=lambda it: it.id) + list(dummy_items(spec))
     eligible = [
         [idx for idx, item in enumerate(pool) if p in item.props] for p in range(spec.d)

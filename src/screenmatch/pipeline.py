@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ConfigError, ConstraintSpec, InputError, Instance, validate_instance
+from .core import ConfigError, ConstraintSpec, Instance, require_valid, validate_instance
 from .greedy import screen_entries, warmup_length
 from .matching import Solution, exact_solution_value, optimal_matching
 from .thresholds import (
@@ -88,15 +88,12 @@ def run_pipeline(
     cfg: PipelineConfig,
 ) -> PipelineResult:
     """Learn on ``train``, screen ``stream``, and compare against the
-    full-stream optimum (diagnostic, computed offline)."""
-    for name, inst in (("train", train), ("stream", stream)):
-        violations = validate_instance(inst, spec)
-        if violations:
-            first = violations[0]
-            raise InputError(
-                f"invalid {name}: {len(violations)} violation(s), first is "
-                f"{first.kind} ({first.detail})"
-            )
+    full-stream optimum (diagnostic, computed offline).
+
+    ``stream`` is checked here; ``train`` is checked by the learner the
+    mode calls, so no trial checks ``train`` twice.
+    """
+    require_valid(validate_instance(stream, spec), "stream")
 
     n, k = stream.n, spec.k
     w_cover, w_conv, w_warm = cfg.delta_split

@@ -17,7 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from .core import ConfigError, ConstraintSpec, InputError, Instance, Item
+from .core import (
+    ConfigError, ConstraintSpec, InputError, Instance, Item, require_valid, validate_items
+)
 from .matching import optimal_matching
 
 __all__ = [
@@ -97,6 +99,10 @@ def screen_with_policy(
     The per-property count for property p counts items that possess p and
     clear t[p] (one item can count toward several properties); the total
     counts distinct retained items.
+
+    Like ``apply_policy`` it trusts ``inst`` unchecked: the convergence
+    experiment screens each stream once per net policy, and a check costs
+    as much as the screen.  The ``screen`` command checks its file first.
     """
     if spec is not None and policy.d != spec.d:
         raise ConfigError(f"policy has {policy.d} thresholds but spec has {spec.d} properties")
@@ -122,7 +128,8 @@ def learn_optimal_thresholds(train: Instance, spec: ConstraintSpec) -> Threshold
 
     For each property the threshold is the smallest value among the real
     items the optimum assigns to it; properties filled only by dummies
-    (or an empty training sample) get threshold 0.
+    (or an empty training sample) get threshold 0.  The solver checks
+    ``train``.
     """
     solution = optimal_matching(train.items, spec)
     by_id = {item.id: item for item in train.items}
@@ -144,6 +151,7 @@ def learn_topm_thresholds(
         raise ConfigError(f"m must have {spec.d} entries, got {len(m)}")
     if any((not isinstance(x, int)) or x < 1 for x in m):
         raise ConfigError(f"m entries must be positive integers, got {tuple(m)}")
+    require_valid(validate_items(train.items, spec), "train")
     out = []
     for p in range(spec.d):
         vals = sorted(
@@ -201,6 +209,7 @@ def quantile_policy_net(
         raise ConfigError(f"n must be a positive integer, got {n!r}")
     if not isinstance(k, int) or k < 1:
         raise ConfigError(f"k must be a positive integer, got {k!r}")
+    require_valid(validate_items(train.items, spec), "train")
     d = spec.d
     if train.n == 0:
         return (ThresholdsPolicy((0.0,) * d),)
@@ -237,8 +246,10 @@ def write_policy(policy: ThresholdsPolicy, fh: IO[str]) -> None:
 def read_policy(fh: IO[str], source: str = "<policy>") -> ThresholdsPolicy:
     try:
         obj = json.load(fh)
-        raw = obj["t"]
-        t = tuple(ABOVE if x == "ABOVE" else float(x) for x in raw)
+        t = tuple(ABOVE if x == "ABOVE" else x for x in obj["t"])
+        if any(type(x) is not float and type(x) is not int for x in t):
+            raise TypeError(f'thresholds must be numbers or "ABOVE", got {obj["t"]!r}')
+        t = tuple(float(x) for x in t)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{source}: malformed policy ({exc})") from exc
     try:

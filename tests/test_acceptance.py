@@ -260,3 +260,30 @@ def test_c9_determinism_suite(tmp_path):
         checked.append("converge")
 
         out["note"] = "identical digests for " + ", ".join(checked)
+
+
+def test_c10_greedy_success_at_d_above_one():
+    with criterion("C10", "greedy success clears the C2 union bound at d = 2 and d = 3") as out:
+        delta, seed = 0.1, 10010
+        shapes = (
+            ("disjoint", DistributionSpec("disjoint-properties-uniform", 2), (2, 1), 500, 400),
+            (
+                "overlap",
+                DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3)),
+                (1, 1, 1),
+                200,
+                200,
+            ),
+        )
+        notes = []
+        start = time.perf_counter()
+        for name, dist, caps, n, trials in shapes:
+            cfg = ExperimentConfig(
+                scenario=f"c10-{name}", dist=dist, spec=ConstraintSpec(caps), n=n,
+                delta=delta, trials=trials, seed=seed,
+            )
+            rate = run_trials(cfg).aggregates.success_rate
+            floor = 1 - delta - 3 * math.sqrt(delta * (1 - delta) / trials)
+            assert rate >= floor
+            notes.append(f"{name} {rate:.3f} >= {floor:.3f}")
+        out["note"] = ", ".join(notes) + f", {time.perf_counter() - start:.0f}s"

@@ -151,6 +151,30 @@ class TestExperimentCommands:
         header, row = csv_out.read_text().splitlines()
         assert row.split(",")[1] == "80"  # flag beats config file
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '{"n": "abc"}',
+            '{"n": 50.9}',
+            '{"trials": "3"}',
+            '{"seed": true}',
+            '{"workers": 1.0}',
+            '{"delta": "0.1"}',
+            '{"c0": false}',
+        ],
+    )
+    def test_trials_config_errors_name_the_config(self, files, capsys, text):
+        tmp, dist, spec = files
+        cfg = tmp / "bad_cfg.json"
+        base = {"dist": dist, "spec": spec, "n": 50, "trials": 3}
+        if text.startswith("{not"):
+            cfg.write_text(text)
+        else:
+            cfg.write_text(json.dumps({**base, **json.loads(text)}))
+        assert run(["trials", "--config", str(cfg), "--out", str(tmp / "agg.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
     def test_trials_records_file(self, files):
         tmp, dist, spec = files
         rec = tmp / "rec.jsonl"
@@ -220,6 +244,58 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{bad}:2:" in err and "more than once" in err
 
+    @pytest.mark.parametrize(
+        "pair", ['[0.9, 0.5]', '["0", 0.5]', '[true, 0.5]', '[0, "0.5"]', '[0, true]', '[0, null]']
+    )
+    def test_instance_reader_takes_json_numbers_as_they_are(self, files, tmp_path, capsys, pair):
+        _, _, spec = files
+        bad = tmp_path / "typed.jsonl"
+        bad.write_text(f'{{"id": 0, "props": [[0, 0.5]]}}\n{{"id": 1, "props": [{pair}]}}\n')
+        assert run(["solve", "--in", str(bad), "--spec", spec]) == 1
+        assert f"{bad}:2: malformed item record" in capsys.readouterr().err
+
+    def test_integer_values_stay_valid(self, files, tmp_path, capsys):
+        _, _, spec = files
+        ok = tmp_path / "ints.jsonl"
+        ok.write_text('{"id": 0, "props": [[0, 1]]}\n{"id": 1, "props": [[0, 0]]}\n')
+        assert run(["solve", "--in", str(ok), "--spec", spec]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 1.0
+
+    @pytest.mark.parametrize("caps", ["[1.5]", "[true]", '["2"]'])
+    def test_spec_reader_takes_json_integers_as_they_are(self, files, tmp_path, capsys, caps):
+        tmp, dist, _ = files
+        inst = tmp / "c.jsonl"
+        run(["gen", "--dist", dist, "--n", "5", "--out", str(inst)])
+        spec = tmp_path / "typed_spec.json"
+        spec.write_text(f'{{"caps": {caps}}}\n')
+        assert run(["solve", "--in", str(inst), "--spec", str(spec)]) == 1
+        assert f"{spec}: malformed constraint spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '"kind": "disjoint-properties-uniform", "d": 2.9',
+            '"kind": "disjoint-properties-uniform", "d": true',
+            '"kind": "disjoint-properties-uniform", "d": "2"',
+            '"kind": "overlap-bernoulli", "d": 1, "membership": ["0.5"]',
+        ],
+    )
+    def test_dist_reader_takes_json_numbers_as_they_are(self, tmp_path, capsys, body):
+        dist = tmp_path / "typed_dist.json"
+        dist.write_text(f"{{{body}}}\n")
+        assert run(["gen", "--dist", str(dist), "--n", "5", "--out", str(tmp_path / "o")]) == 1
+        assert f"{dist}: malformed distribution spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", ['["0.5"]', "[true]", '["Infinity"]'])
+    def test_policy_reader_takes_json_numbers_as_they_are(self, files, tmp_path, capsys, t):
+        tmp, dist, _ = files
+        inst = tmp / "c.jsonl"
+        run(["gen", "--dist", dist, "--n", "5", "--out", str(inst)])
+        policy = tmp_path / "typed_policy.json"
+        policy.write_text(f'{{"t": {t}}}\n')
+        assert run(["screen", "--in", str(inst), "--policy", str(policy)]) == 1
+        assert f"{policy}: malformed policy" in capsys.readouterr().err
+
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -232,3 +308,46 @@ class TestExitCodes:
         out = tmp / "c.jsonl"
         run(["gen", "--dist", dist, "--n", "10", "--out", str(out)])
         assert run(["greedy", "--in", str(out), "--spec", spec, "--delta", "7"]) == 1
+
+
+BAD_RECORDS = {
+    "nan": "[[0, NaN]]",
+    "property-beyond-d": "[[1, 0.5]]",
+    "property-minus-one": "[[-1, 0.5]]",
+    "empty-props": "[]",
+    "value-1.7": "[[0, 1.7]]",
+}
+
+COMMANDS = {
+    "screen": ["screen", "--policy", "{policy}"],
+    "screen-spec": ["screen", "--policy", "{policy}", "--spec", "{spec}"],
+    "learn-optimal": ["learn", "--spec", "{spec}", "--method", "optimal"],
+    "learn-topm": ["learn", "--spec", "{spec}", "--method", "topm", "--m", "2"],
+    "learn-net": ["learn", "--spec", "{spec}", "--method", "net"],
+    "solve": ["solve", "--spec", "{spec}"],
+    "greedy": ["greedy", "--spec", "{spec}"],
+    "pipeline": ["pipeline", "--train", "{good}", "--spec", "{spec}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("record", sorted(BAD_RECORDS))
+def test_every_command_checks_the_items_it_reads(tmp_path, capsys, record, command):
+    """A file whose item 2 breaks an item rule exits 1, on every command
+    that reads items, with the rule set's error naming item 2."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"caps": [2]}\n')
+    policy = tmp_path / "policy.json"
+    policy.write_text('{"t": [0.4]}\n')
+    records = ["[[0, 0.5]]", "[[0, 0.9]]", BAD_RECORDS[record], "[[0, 0.3]]", "[[0, 0.7]]"]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(f'{{"id": {i}, "props": {r}}}\n' for i, r in enumerate(records)))
+    good = tmp_path / "good.jsonl"
+    good.write_text("".join(f'{{"id": {i}, "props": [[0, 0.5]]}}\n' for i in range(5)))
+    paths = {"spec": str(spec), "policy": str(policy), "good": str(good)}
+    argv = [part.format(**paths) for part in COMMANDS[command]] + ["--in", str(bad)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid ") and "at item 2 " in captured.err
+    assert "Traceback" not in captured.err

@@ -27,7 +27,7 @@ from screenmatch import (
     write_distribution_spec,
     write_instance,
 )
-from screenmatch.core import DUMMY_ID_BASE, format_value
+from screenmatch.core import DUMMY_ID_BASE, format_value, require_valid
 
 
 class TestConstraintSpec:
@@ -151,8 +151,11 @@ class TestDummies:
             assert item.props == {p: 0.0 for p in range(spec.d)}
 
     def test_pass_relaxed_validation(self):
+        # dummies are not real items: the item rules report each one once
         spec = ConstraintSpec((2, 1))
-        assert validate_items(dummy_items(spec), spec) == ()
+        ds = dummy_items(spec)
+        report = validate_items(ds, spec)
+        assert [(v.kind, v.item_id) for v in report] == [("dummy-id", d.id) for d in ds]
 
 
 class TestValidation:
@@ -181,6 +184,27 @@ class TestValidation:
     def test_empty_props(self):
         report = validate_items([Item(0, {})], self.SPEC)
         assert "empty-props" in {v.kind for v in report}
+
+    @pytest.mark.parametrize("p", [-1, 0.0, "0"])
+    def test_property_must_be_an_index_of_the_spec(self, p):
+        report = validate_items([Item(0, {p: 0.5})], self.SPEC)
+        assert [v.kind for v in report] == ["unknown-property"]
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), -0.1])
+    def test_infinite_and_negative_values(self, value):
+        report = validate_items([Item(0, {0: value})], self.SPEC)
+        assert [v.kind for v in report] == ["value-out-of-range"]
+
+    def test_require_valid_names_count_kind_and_item(self):
+        require_valid((), "stream")
+        items = [Item(0, {0: 0.5}), Item(1, {0: 1.7}), Item(2, {5: 0.1})]
+        report = validate_items(items, self.SPEC)
+        with pytest.raises(InputError) as info:
+            require_valid(report, "stream")
+        assert str(info.value) == (
+            "invalid stream: 2 violation(s), first is value-out-of-range at item 1"
+            " (value 1.7 outside [0, 1])"
+        )
 
     def test_instance_rejects_dummy_and_misplaced_ids(self):
         inst = Instance((Item(5, {0: 0.3}), Item(DUMMY_ID_BASE, {0: 0.0, 1: 0.0})))

@@ -7,6 +7,8 @@ from screenmatch import (
     InputError,
     Instance,
     Item,
+    derive_seed,
+    exact_solution_value,
     greedy_screen,
     optimal_matching,
     sample_instance,
@@ -170,3 +172,31 @@ class TestInvariants:
         a = greedy_screen(inst, spec, 10)
         b = greedy_screen(inst, spec, 10)
         assert a == b
+
+
+WARMUP_SHAPES = {
+    "single": (DistributionSpec("single-property-uniform", 1), (5,)),
+    "disjoint": (DistributionSpec("disjoint-properties-uniform", 2), (2, 1)),
+    "overlap": (DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3)), (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WARMUP_SHAPES))
+def test_trial_fails_exactly_when_an_optimal_item_arrives_in_the_warmup(shape):
+    # with continuous values the optimum is unique, and warmup is the
+    # greedy pass's only failure source
+    dist, caps = WARMUP_SHAPES[shape]
+    spec = ConstraintSpec(caps)
+    n, delta = 300, 0.1
+    warmup = warmup_length(n, spec.k, delta)
+    failures = 0
+    for t in range(100):
+        inst = sample_instance(dist, n, derive_seed(404, shape, t))
+        res = greedy_screen(inst, spec, warmup)
+        full = optimal_matching(inst.items, spec)
+        success = exact_solution_value(inst.items, res.final_solution) == exact_solution_value(
+            inst.items, full
+        )
+        assert success == all(i >= warmup for i in full.real_ids())
+        failures += not success
+    assert failures > 0

@@ -170,6 +170,18 @@ class TestGuards:
         with pytest.raises(InputError):
             optimal_matching([bad], ConstraintSpec((1,)))
 
+    @pytest.mark.parametrize("solver", [optimal_matching, brute_force_matching])
+    @pytest.mark.parametrize(
+        "items,kind",
+        [
+            ([Item(0, {0: 0.5}), Item(0, {0: 0.9})], "duplicate-id"),
+            ([Item(0, {0: 0.5}), Item(1, {})], "empty-props"),
+        ],
+    )
+    def test_item_rules_hold_for_library_callers(self, solver, items, kind):
+        with pytest.raises(InputError, match=f"invalid items: 1 violation\\(s\\), first is {kind}"):
+            solver(items, ConstraintSpec((2,)))
+
 
 class TestSolutionObject:
     def test_json_round_trip(self):
