@@ -234,7 +234,7 @@ def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
     trials = pick(args.trials, "trials", kind=int)
     if n is None or trials is None:
         raise ConfigError("trials needs --n and --trials (flags or config file)")
-    cfg = exp.ExperimentConfig(
+    fields = dict(
         scenario=pick(args.scenario, "scenario", "adhoc"),
         dist=_read_file(dist_path, read_distribution_spec),
         spec=_load_spec(spec_path),
@@ -247,9 +247,15 @@ def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
         policy=policy,
         out=pick(args.out, "out"),
     )
-    records = pick(args.records, "records")
     workers = pick(args.workers, "workers", 1, int)
-    return cfg, records, workers
+    try:
+        cfg = exp.ExperimentConfig(**fields)
+        exp._check_workers(workers)
+    except ConfigError as exc:
+        if args.config:
+            raise ConfigError(f"{args.config}: {exc}") from exc
+        raise
+    return cfg, pick(args.records, "records"), workers
 
 
 def _cmd_trials(args) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from numbers import Real
 from typing import IO, Iterator, Sequence
 
 import numpy as np
@@ -189,23 +190,20 @@ def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
     rng = np.random.default_rng(seed)
     if dist.kind in ("single-property-uniform", "disjoint-properties-uniform"):
         classes, values = _draw_single_class(dist, n, rng)
-        items = tuple(
-            Item(i, {int(c): float(v)})
-            for i, (c, v) in enumerate(zip(classes.tolist(), values.tolist()))
-        )
-        return Instance(items)
+        # tolist() yields Python ints and floats already
+        props = [{c: v} for c, v in zip(classes.tolist(), values.tolist())]
+        return Instance(tuple(map(Item, range(n), props)))
 
     q = np.asarray(dist.membership, dtype=float)
-    items = []
-    for i in range(n):
+    props = []
+    for _ in range(n):
         while True:
             mask = rng.random(dist.d) < q
-            props = np.flatnonzero(mask)
-            if props.size:
+            owned = np.flatnonzero(mask)
+            if owned.size:
                 break
-        vals = rng.random(props.size)
-        items.append(Item(i, {int(p): float(v) for p, v in zip(props.tolist(), vals.tolist())}))
-    return Instance(tuple(items))
+        props.append(dict(zip(owned.tolist(), rng.random(owned.size).tolist())))
+    return Instance(tuple(map(Item, range(n), props)))
 
 
 def dummy_items(spec: ConstraintSpec) -> tuple[Item, ...]:
@@ -228,9 +226,10 @@ def validate_items(items: Sequence[Item], spec: ConstraintSpec) -> tuple[Violati
 
     This is the one item rule set; every entry point that reads items runs
     it (through ``require_valid``).  Reported kinds: duplicate-id, dummy-id,
-    empty-props, unknown-property (a non-int index or one outside
-    0..d-1) and value-out-of-range (NaN and infinities included).  Dummies
-    are not real items, so a dummy passed here is reported as dummy-id.
+    empty-props, unknown-property (an index that is not an int, a bool, or
+    one outside 0..d-1) and value-out-of-range (NaN and infinities
+    included, and a value that is not a number or is a bool).  Dummies are
+    not real items, so a dummy passed here is reported as dummy-id.
     """
     d = spec.d
     out: list[Violation] = []
@@ -245,9 +244,12 @@ def validate_items(items: Sequence[Item], spec: ConstraintSpec) -> tuple[Violati
         if not item.props:
             out.append(Violation("empty-props", i, "item possesses no property"))
         for p, v in item.props.items():
-            if not isinstance(p, int) or not 0 <= p < d:
+            if type(p) is not int or not 0 <= p < d:
                 out.append(Violation("unknown-property", i, f"property {p!r} outside 0..{d - 1}"))
-            if not 0.0 <= v <= 1.0:
+            # sampled and read values are floats, so they pass on the first test
+            if type(v) is not float and (type(v) is bool or not isinstance(v, Real)):
+                out.append(Violation("value-out-of-range", i, f"value {v!r} is not a number"))
+            elif not 0.0 <= v <= 1.0:
                 out.append(Violation("value-out-of-range", i, f"value {v!r} outside [0, 1]"))
     return tuple(out)
 

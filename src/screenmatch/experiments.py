@@ -3,8 +3,11 @@ uniform convergence of policy statistics over a policy net.
 
 Every trial derives its own sub-seed from (root seed, purpose label, trial
 index), so results are reproducible bit-for-bit and independent of the
-worker count: trials are dispatched in fixed blocks and merged in index
-order regardless of how many processes run them.
+worker count.  ``run_trials`` and ``concentration_experiment`` deal their
+trials out as one contiguous block per worker and merge the per-trial
+results in index order, so block boundaries never show in the output.
+``convergence_experiment`` sums its calibration statistics per block, so
+it keeps blocks of a fixed size.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .core import (
     _draw_single_class,
 )
 from .greedy import greedy_screen, warmup_length
-from .matching import exact_solution_value, optimal_matching
+from .matching import _solve, exact_solution_value, optimal_matching
 from .pipeline import PipelineConfig, run_pipeline
 from .thresholds import ThresholdsPolicy, screen_with_policy
 
@@ -69,7 +72,8 @@ CSV_COLUMNS = (
 
 DELTA_PRIME_GRID = (0.2, 0.1, 0.05, 0.01)
 
-# trials are grouped into fixed blocks so results never depend on the pool size
+# convergence sums its statistics per block, so its floats depend on the
+# block boundaries: they stay fixed whatever the pool size
 _BLOCK = 256
 
 
@@ -162,7 +166,8 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
         inst = sample_instance(cfg.dist, cfg.n, stream_seed)
         warmup = warmup_length(cfg.n, cfg.spec.k, cfg.delta)
         res = greedy_screen(inst, cfg.spec, warmup)
-        full = optimal_matching(inst.items, cfg.spec)
+        # greedy_screen has checked the stream
+        full = _solve(inst.items, cfg.spec)
         success = exact_solution_value(inst.items, res.final_solution) == exact_solution_value(
             inst.items, full
         )
@@ -196,24 +201,36 @@ def _trial_block(args: tuple[ExperimentConfig, int, int]) -> list[TrialRecord]:
     return [_one_trial(cfg, t) for t in range(start, stop)]
 
 
-def _blocks(total: int) -> list[tuple[int, int]]:
-    return [(s, min(s + _BLOCK, total)) for s in range(0, total, _BLOCK)]
+def _check_workers(workers: int) -> None:
+    if not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+
+
+def _blocks(total: int, size: int) -> list[tuple[int, int]]:
+    return [(s, min(s + size, total)) for s in range(0, total, size)]
+
+
+def _split(total: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous blocks of ceil(total / workers) trials, one per worker."""
+    return _blocks(total, -(-total // workers))
 
 
 def _map_blocks(fn, args_list: list, workers: int) -> list:
-    if workers <= 1 or len(args_list) <= 1:
+    if workers == 1 or len(args_list) == 1:
         return [fn(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # fork starts every worker at once, so never ask for more than there are blocks
+    with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
         return list(pool.map(fn, args_list))
 
 
 def run_trials(cfg: ExperimentConfig, workers: int = 1) -> TrialStats:
     """Run ``cfg.trials`` independent trials and aggregate.
 
-    ``workers`` only controls process parallelism; records and aggregates
-    are identical for any worker count.
+    ``workers`` (at least 1) only controls process parallelism; records
+    and aggregates are identical for any worker count.
     """
-    args = [(cfg, s, e) for s, e in _blocks(cfg.trials)]
+    _check_workers(workers)
+    args = [(cfg, s, e) for s, e in _split(cfg.trials, workers)]
     records: list[TrialRecord] = []
     for block in _map_blocks(_trial_block, args, workers):
         records.extend(block)
@@ -291,7 +308,8 @@ def concentration_experiment(
     bound 2 exp(-alpha^2 / 2k)."""
     if not isinstance(trials, int) or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
-    args = [(dist, spec, n, seed, s, e) for s, e in _blocks(trials)]
+    _check_workers(workers)
+    args = [(dist, spec, n, seed, s, e) for s, e in _split(trials, workers)]
     opts = np.concatenate(_map_blocks(_opt_block, args, workers))
     k = spec.k
     mean = float(opts.mean())
@@ -442,6 +460,7 @@ def convergence_experiment(
     """
     if not isinstance(trials, int) or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    _check_workers(workers)
     if len(net) == 0:
         raise ConfigError("policy net is empty")
     for policy in net:
@@ -452,7 +471,9 @@ def convergence_experiment(
         thr_1d = _net_thresholds_1d(net)
 
     cal_trials = calibration_factor * trials
-    cal_args = [(dist, spec, n, seed, tuple(net), thr_1d, s, e) for s, e in _blocks(cal_trials)]
+    cal_args = [
+        (dist, spec, n, seed, tuple(net), thr_1d, s, e) for s, e in _blocks(cal_trials, _BLOCK)
+    ]
     sum_counts = sum_prop = sum_vals = None
     for c, pp, v in _map_blocks(_conv_cal_block, cal_args, workers):
         if sum_counts is None:
@@ -473,7 +494,7 @@ def convergence_experiment(
 
     eval_args = [
         (dist, spec, n, seed, tuple(net), thr_1d, rho, rho_prop, nu, zero_idx, s, e)
-        for s, e in _blocks(trials)
+        for s, e in _blocks(trials, _BLOCK)
     ]
     parts = _map_blocks(_conv_eval_block, eval_args, workers)
     dev_count = np.concatenate([p[0] for p in parts])

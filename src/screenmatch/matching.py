@@ -226,6 +226,12 @@ def optimal_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
     or a value outside [0, 1] raise ``InputError``.
     """
     require_valid(validate_items(items, spec), "items")
+    return _solve(items, spec)
+
+
+def _solve(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
+    """``optimal_matching`` without the item check, for items an entry point
+    has already checked."""
     k = spec.k
     tops = [
         heapq.nlargest(

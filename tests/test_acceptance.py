@@ -40,6 +40,10 @@ from helpers import TIE_GRID, rand_items, rand_spec
 
 D1 = DistributionSpec("single-property-uniform", 1)
 
+# Monte Carlo gates use two processes; their results do not depend on the
+# worker count (C9 and test_experiments assert it)
+WORKERS = 2
+
 
 @contextlib.contextmanager
 def criterion(cid: str, desc: str):
@@ -76,7 +80,7 @@ def test_c2_greedy_success_probability():
         cfg = ExperimentConfig(
             scenario="c2", dist=D1, spec=spec, n=n, delta=delta, trials=trials, seed=2002
         )
-        stats = run_trials(cfg)
+        stats = run_trials(cfg, workers=WORKERS)
         elapsed = time.perf_counter() - start
         floor = 0.90 - 3 * math.sqrt(0.1 * 0.9 / trials)
         assert stats.aggregates.success_rate >= floor
@@ -91,14 +95,14 @@ def test_c3_greedy_expected_retention():
             scenario="c3a", dist=D1, spec=ConstraintSpec((1,)), n=1000,
             delta=0.0, trials=1000, seed=3003,
         )
-        mean1 = run_trials(cfg1).aggregates.mean_retained
+        mean1 = run_trials(cfg1, workers=WORKERS).aggregates.mean_retained
         assert abs(mean1 - h(1000)) <= 0.3
 
         cfg10 = ExperimentConfig(
             scenario="c3b", dist=D1, spec=ConstraintSpec((10,)), n=1000,
             delta=0.0, trials=1000, seed=3003,
         )
-        mean10 = run_trials(cfg10).aggregates.mean_retained
+        mean10 = run_trials(cfg10, workers=WORKERS).aggregates.mean_retained
         target = 10 * (h(1000) - h(10)) + 10
         assert abs(mean10 - target) <= 0.15 * target
         out["note"] = f"k=1 mean {mean1:.3f} vs {h(1000):.3f}; k=10 mean {mean10:.2f} vs {target:.2f}"
@@ -115,11 +119,14 @@ def test_c4_pipeline_beats_greedy():
         # far inside the 0.98 bar
         c0 = 1.5
         shared = dict(dist=D1, spec=spec, n=n, delta=delta, trials=trials, seed=seed)
-        g = run_trials(ExperimentConfig(scenario="c4-greedy", algorithm="greedy", **shared))
+        g = run_trials(
+            ExperimentConfig(scenario="c4-greedy", algorithm="greedy", **shared), workers=WORKERS
+        )
         p = run_trials(
             ExperimentConfig(
                 scenario="c4-pipe", algorithm="pipeline-exact-opt", c0=c0, **shared
-            )
+            ),
+            workers=WORKERS,
         )
         ratio = p.aggregates.mean_retained / g.aggregates.mean_retained
         assert ratio < 0.8
@@ -282,7 +289,7 @@ def test_c10_greedy_success_at_d_above_one():
                 scenario=f"c10-{name}", dist=dist, spec=ConstraintSpec(caps), n=n,
                 delta=delta, trials=trials, seed=seed,
             )
-            rate = run_trials(cfg).aggregates.success_rate
+            rate = run_trials(cfg, workers=WORKERS).aggregates.success_rate
             floor = 1 - delta - 3 * math.sqrt(delta * (1 - delta) / trials)
             assert rate >= floor
             notes.append(f"{name} {rate:.3f} >= {floor:.3f}")

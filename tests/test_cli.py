@@ -162,6 +162,11 @@ class TestExperimentCommands:
             '{"workers": 1.0}',
             '{"delta": "0.1"}',
             '{"c0": false}',
+            '{"n": -5}',
+            '{"trials": 0}',
+            '{"delta": 1.5}',
+            '{"algorithm": "magic"}',
+            '{"workers": 0}',
         ],
     )
     def test_trials_config_errors_name_the_config(self, files, capsys, text):
@@ -174,6 +179,14 @@ class TestExperimentCommands:
             cfg.write_text(json.dumps({**base, **json.loads(text)}))
         assert run(["trials", "--config", str(cfg), "--out", str(tmp / "agg.csv")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
+    @pytest.mark.parametrize("command", ["trials", "concentration", "converge"])
+    def test_workers_below_one_is_one(self, files, capsys, command):
+        tmp, dist, spec = files
+        argv = [command, "--dist", dist, "--spec", spec, "--n", "20", "--trials", "3"]
+        assert run(argv + ["--workers", "0", "--out", str(tmp / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: workers must be a positive integer, got 0\n"
 
     def test_trials_records_file(self, files):
         tmp, dist, spec = files

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from screenmatch import (
     derive_seed,
     dummy_items,
     is_dummy_id,
+    optimal_matching,
     read_constraint_spec,
     read_distribution_spec,
     read_instance,
@@ -137,6 +139,39 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample_instance(DistributionSpec("single-property-uniform", 1), -1, 0)
 
+    @pytest.mark.parametrize(
+        "dist, seed, digest",
+        [
+            (
+                DistributionSpec("single-property-uniform", 1),
+                11,
+                "17794e688fb71f9a64b416a5d311f99577859f42287480ee2abea8866d0ce8bc",
+            ),
+            (
+                DistributionSpec("disjoint-properties-uniform", 3),
+                12,
+                "6ba5f5a5c15b12214bc82f91589b98baca0707bd7ce118471eebbdf58cac2e66",
+            ),
+            (
+                DistributionSpec("overlap-bernoulli", 3, membership=(0.5, 0.4, 0.3)),
+                13,
+                "6e6b1f8777a68610686fc467968d92c4379f38d8318dc46f72e34eead206c8a3",
+            ),
+        ],
+        ids=["single", "disjoint", "overlap"],
+    )
+    def test_golden_streams(self, dist, seed, digest):
+        # ids, property order and every value bit, with exact Python types
+        h = hashlib.sha256()
+        for item in sample_instance(dist, 500, seed):
+            assert type(item.id) is int
+            h.update(repr(item.id).encode())
+            for p, v in item.props.items():
+                assert type(p) is int and type(v) is float
+                h.update(f"|{p}:{v.hex()}".encode())
+            h.update(b"\n")
+        assert h.hexdigest() == digest
+
 
 class TestDummies:
     @pytest.mark.parametrize(
@@ -194,6 +229,26 @@ class TestValidation:
     def test_infinite_and_negative_values(self, value):
         report = validate_items([Item(0, {0: value})], self.SPEC)
         assert [v.kind for v in report] == ["value-out-of-range"]
+
+    @pytest.mark.parametrize("value", ["0.5", None, True, False, np.True_])
+    def test_value_that_is_not_a_number(self, value):
+        report = validate_items([Item(0, {0: value})], self.SPEC)
+        assert [(v.kind, v.detail) for v in report] == [
+            ("value-out-of-range", f"value {value!r} is not a number")
+        ]
+
+    @pytest.mark.parametrize("value", [0, 1, np.float32(0.5), np.int64(1)])
+    def test_other_numbers_in_range_stay_valid(self, value):
+        assert validate_items([Item(0, {0: value})], self.SPEC) == ()
+
+    @pytest.mark.parametrize("p", [True, False])
+    def test_bool_property_is_unknown(self, p):
+        report = validate_items([Item(0, {p: 0.5})], self.SPEC)
+        assert [v.kind for v in report] == ["unknown-property"]
+
+    def test_solver_reports_a_bad_value_instead_of_crashing(self):
+        with pytest.raises(InputError, match="value-out-of-range at item 0"):
+            optimal_matching([Item(0, {0: "0.5"})], self.SPEC)
 
     def test_require_valid_names_count_kind_and_item(self):
         require_valid((), "stream")

@@ -32,6 +32,48 @@ from screenmatch.experiments import (
 D1 = DistributionSpec("single-property-uniform", 1)
 
 
+def fake_pool(monkeypatch):
+    """Run pool work in this process; returns the (max_workers, blocks) of each pool."""
+    import screenmatch.experiments as mod
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args_list):
+            pools.append((self.max_workers, [a[-2:] for a in args_list]))
+            return map(fn, args_list)
+
+    monkeypatch.setattr(mod, "ProcessPoolExecutor", FakePool)
+    return pools
+
+
+def count_validated(monkeypatch):
+    """Record the size of every ``validate_items`` pass a trial makes."""
+    import screenmatch.core as core
+    import screenmatch.matching as matching
+    import screenmatch.thresholds as thresholds
+
+    sizes = []
+    real = core.validate_items
+
+    def counting(items, spec):
+        sizes.append(len(items))
+        return real(items, spec)
+
+    for mod in (core, matching, thresholds):
+        monkeypatch.setattr(mod, "validate_items", counting)
+    return sizes
+
+
 def greedy_cfg(**kw):
     base = dict(
         scenario="unit",
@@ -101,12 +143,48 @@ class TestRunTrials:
         stats = run_trials(greedy_cfg(trials=1))
         assert stats.aggregates.std_retained == 0.0
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        import screenmatch.experiments as mod
+    def test_worker_count_does_not_change_results(self):
+        for trials in (7, 40):
+            cfg = greedy_cfg(n=60, trials=trials)
+            runs = [run_trials(cfg, workers=w) for w in (1, 2, 3)]
+            assert runs[0] == runs[1] == runs[2]
+            opts = [
+                concentration_experiment(D1, ConstraintSpec((2,)), 30, trials, 5, workers=w)
+                for w in (1, 2, 3)
+            ]
+            assert opts[0] == opts[1] == opts[2]
 
-        monkeypatch.setattr(mod, "_BLOCK", 7)
-        cfg = greedy_cfg(trials=40)
-        assert run_trials(cfg, workers=1) == run_trials(cfg, workers=4)
+    def test_blocks_follow_the_worker_count(self, monkeypatch):
+        pools = fake_pool(monkeypatch)
+        cfg = greedy_cfg(n=60, trials=7)
+        assert run_trials(cfg, workers=2) == run_trials(cfg)
+        assert pools == [(2, [(0, 4), (4, 7)])]
+
+    def test_pool_never_outnumbers_the_blocks(self, monkeypatch):
+        pools = fake_pool(monkeypatch)
+        run_trials(greedy_cfg(n=60, trials=3), workers=64)
+        concentration_experiment(D1, ConstraintSpec((1,)), 5, 3, 1, workers=64)
+        assert pools == [(3, [(0, 1), (1, 2), (2, 3)])] * 2
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        net = [ThresholdsPolicy((0.0,))]
+        with pytest.raises(ConfigError, match="workers"):
+            run_trials(greedy_cfg(), workers=workers)
+        with pytest.raises(ConfigError, match="workers"):
+            concentration_experiment(D1, ConstraintSpec((1,)), 5, 3, 1, workers=workers)
+        with pytest.raises(ConfigError, match="workers"):
+            convergence_experiment(D1, ConstraintSpec((1,)), 10, 5, net, 1, workers=workers)
+
+    @pytest.mark.parametrize(
+        "algorithm, passes", [("greedy", 1), ("pipeline-exact-opt", 2), ("pipeline-value-approx", 2)]
+    )
+    def test_each_trial_checks_each_full_stream_once(self, monkeypatch, algorithm, passes):
+        # greedy checks its stream; the pipeline its stream and, in the learner, its train
+        n, trials = 300, 3
+        sizes = count_validated(monkeypatch)
+        run_trials(greedy_cfg(spec=ConstraintSpec((3,)), n=n, trials=trials, algorithm=algorithm))
+        assert sizes.count(n) == passes * trials
 
     def test_greedy_mean_retention_matches_harmonic_sum(self):
         # k=1, warmup 0: expectation is H_n
