@@ -183,12 +183,10 @@ def _cmd_pipeline(args) -> int:
     train = _load_instance(args.train)
     stream = _load_instance(args.in_path)
     spec = _load_spec(args.spec)
-    split = (
-        tuple(_parse_float_list(args.delta_split, "--delta-split"))
-        if args.delta_split
-        else (1 / 3, 1 / 3, 1 / 3)
-    )
-    cfg = PipelineConfig(args.mode, args.delta, args.c0, split)
+    split = {}
+    if args.delta_split:
+        split["delta_split"] = tuple(_parse_float_list(args.delta_split, "--delta-split"))
+    cfg = PipelineConfig(args.mode, args.delta, args.c0, **split)
     result = run_pipeline(train, stream, spec, cfg)
     _emit_json(result.to_json_obj(), args.out)
     _eprint(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .core import (
     _draw_single_class,
 )
 from .greedy import greedy_screen, warmup_length
-from .matching import _solve, exact_solution_value, optimal_matching
+from .matching import _reaches_optimum, _solve, optimal_matching
 from .pipeline import PipelineConfig, run_pipeline
 from .thresholds import ThresholdsPolicy, screen_with_policy
 
@@ -128,15 +128,7 @@ class TrialRecord:
     value_gap: float | None = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "trial": self.trial,
-            "retained": self.retained,
-            "value": self.value,
-            "opt_value": self.opt_value,
-            "success": self.success,
-            "retained_after_policy": self.retained_after_policy,
-            "value_gap": self.value_gap,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,9 +160,7 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
         res = greedy_screen(inst, cfg.spec, warmup)
         # greedy_screen has checked the stream
         full = _solve(inst.items, cfg.spec)
-        success = exact_solution_value(inst.items, res.final_solution) == exact_solution_value(
-            inst.items, full
-        )
+        success = _reaches_optimum(inst.items, res.final_solution, full)
         return TrialRecord(t, len(res.retained_ids), res.final_solution.value, full.value, success)
 
     if cfg.algorithm.startswith("pipeline"):
@@ -190,9 +180,10 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
 
     inst = sample_instance(cfg.dist, cfg.n, stream_seed)
     retained, stats = screen_with_policy(cfg.policy, inst)
-    sol = optimal_matching(retained, cfg.spec)
+    # the full-stream solve checks the stream, and so the retained subset too
     full = optimal_matching(inst.items, cfg.spec)
-    success = exact_solution_value(inst.items, sol) == exact_solution_value(inst.items, full)
+    sol = _solve(retained, cfg.spec)
+    success = _reaches_optimum(inst.items, sol, full)
     return TrialRecord(t, stats.total, sol.value, full.value, success)
 
 
@@ -269,21 +260,7 @@ class ConcentrationStats:
     tail: tuple[TailRow, ...]
 
     def to_json_obj(self) -> dict:
-        return {
-            "trials": self.trials,
-            "k": self.k,
-            "mean": self.mean,
-            "std": self.std,
-            "tail": [
-                {
-                    "delta_prime": row.delta_prime,
-                    "alpha": row.alpha,
-                    "exceed_rate": row.exceed_rate,
-                    "bound": row.bound,
-                }
-                for row in self.tail
-            ],
-        }
+        return asdict(self)
 
 
 def _opt_block(args: tuple[DistributionSpec, ConstraintSpec, int, int, int, int]) -> np.ndarray:
@@ -344,23 +321,7 @@ class ConvergenceStats:
     all_zero_value_std: float | None
 
     def to_json_obj(self) -> dict:
-        return {
-            "net_size": self.net_size,
-            "trials": self.trials,
-            "calibration_trials": self.calibration_trials,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "count_dev": self.count_dev,
-            "prop_count_dev": self.prop_count_dev,
-            "value_dev": self.value_dev,
-            "fitted_c0_count": self.fitted_c0_count,
-            "fitted_c0_value": self.fitted_c0_value,
-            "all_zero_retained_mean": self.all_zero_retained_mean,
-            "all_zero_retained_std": self.all_zero_retained_std,
-            "all_zero_value_mean": self.all_zero_value_mean,
-            "all_zero_value_std": self.all_zero_value_std,
-        }
+        return asdict(self)
 
 
 def _net_thresholds_1d(net: Sequence[ThresholdsPolicy]) -> np.ndarray:

@@ -23,10 +23,10 @@ The solver therefore works on the pool of per-property top-k items only.
 When every pooled item possesses a single property, the properties do not
 compete and the optimum is the top ``caps[p]`` of each property, with the
 lowest dummies filling shortfalls from the lowest property up.  Otherwise
-all four layers are folded into one exact integer weight per edge (values
-are scaled by a power of two, which is lossless for binary floats), and a
-successive-shortest-path min-cost flow over the pool finds the argmax.  No
-floating-point comparison ever decides a tie.
+all four layers are folded into one exact integer weight per (item,
+property) pair (values are scaled by a power of two, which is lossless for
+binary floats), and the Hungarian method on the slot x pool matrix finds
+the argmax.  No floating-point comparison ever decides a tie.
 
 ``brute_force_matching`` re-derives the same optimum by enumeration and is
 the oracle the solver is tested against.
@@ -137,83 +137,59 @@ def _scaled_weights(pool: Sequence[Item], spec: ConstraintSpec) -> list[dict[int
     return weights
 
 
-def _solve_flow(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
-    """Min-cost flow (successive shortest paths, exact integer costs)."""
-    d, caps, k = spec.d, spec.caps, spec.k
+def _solve_assignment(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
+    """Hungarian method (Kuhn 1955) on the slot x item matrix, exact integer costs.
+
+    Rows are the k slots (``caps[p]`` copies of property p), columns the
+    id-sorted items plus the dummies.  A forbidden pair costs more than any
+    k allowed pairs together, so the all-allowed assignment the dummies
+    guarantee always beats one that uses it.
+    """
     pool = sorted(items, key=lambda it: it.id) + list(dummy_items(spec))
     m = len(pool)
     weights = _scaled_weights(pool, spec)
+    forbidden = spec.k * max(w for ws in weights for w in ws.values()) + 1
+    # 1-based columns; column 0 is where each row's augmenting path starts
+    costs = [
+        [0] + [-ws[p] if p in ws else forbidden for ws in weights] for p in range(spec.d)
+    ]
+    slots = [-1] + [p for p, cap in enumerate(spec.caps) for _ in range(cap)]
+    u = [0] * len(slots)  # row and column potentials
+    v = [0] * (m + 1)
+    owner = [0] * (m + 1)  # row holding each column, 0 for none
+    way = [0] * (m + 1)  # previous column on the shortest path to each column
+    for i in range(1, len(slots)):
+        owner[0] = i
+        j0 = 0
+        minv = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
+        # grow shortest paths from row i until one reaches a free column
+        while owner[j0]:
+            used[j0] = True
+            row, ui = costs[slots[owner[j0]]], u[owner[j0]]
+            delta, j1 = math.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = row[j] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        # augment: each column on the path takes the row of the column before it
+        while j0:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
 
-    # nodes: 0..d-1 properties, d..d+m-1 items, then source and sink
-    src = d + m
-    snk = d + m + 1
-    n_nodes = d + m + 2
-    graph: list[list[int]] = [[] for _ in range(n_nodes)]
-    edge_to: list[int] = []
-    edge_cap: list[int] = []
-    edge_cost: list[int] = []
-
-    def add_edge(u: int, v: int, cap: int, cost: int) -> None:
-        graph[u].append(len(edge_to))
-        edge_to.append(v)
-        edge_cap.append(cap)
-        edge_cost.append(cost)
-        graph[v].append(len(edge_to))
-        edge_to.append(u)
-        edge_cap.append(0)
-        edge_cost.append(-cost)
-
-    for p in range(d):
-        add_edge(src, p, caps[p], 0)
-    for rank in range(m):
-        add_edge(d + rank, snk, 1, 0)
-    for rank in range(m):
-        for p, w in sorted(weights[rank].items()):
-            add_edge(p, d + rank, 1, -w)
-
-    # initial potentials = DAG shortest distances from the source
-    pot = [0] * n_nodes
-    for rank in range(m):
-        pot[d + rank] = min(-w for w in weights[rank].values())
-    pot[snk] = min(pot[d + rank] for rank in range(m))
-
-    for _ in range(k):
-        dist: list[int | None] = [None] * n_nodes
-        prev_edge = [-1] * n_nodes
-        dist[src] = 0
-        heap: list[tuple[int, int]] = [(0, src)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if dist[u] is not None and du > dist[u]:
-                continue
-            for eid in graph[u]:
-                if edge_cap[eid] <= 0:
-                    continue
-                v = edge_to[eid]
-                nd = du + edge_cost[eid] + pot[u] - pot[v]
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    prev_edge[v] = eid
-                    heapq.heappush(heap, (nd, v))
-        if dist[snk] is None:
-            raise AssertionError("saturation unreachable despite dummy items")
-        for v in range(n_nodes):
-            if dist[v] is not None:
-                pot[v] += dist[v]
-        v = snk
-        while v != src:
-            eid = prev_edge[v]
-            edge_cap[eid] -= 1
-            edge_cap[eid ^ 1] += 1
-            v = edge_to[eid ^ 1]
-
-    chosen: list[tuple[Item, int]] = []
-    for p in range(d):
-        for eid in graph[p]:
-            if eid % 2 == 0 and edge_to[eid] >= d and edge_to[eid] < d + m and edge_cap[eid] == 0:
-                chosen.append((pool[edge_to[eid] - d], p))
-    if len(chosen) != k:
-        raise AssertionError(f"flow filled {len(chosen)} of {k} slots")
+    chosen = [(pool[j - 1], slots[owner[j]]) for j in range(1, m + 1) if owner[j]]
+    if len(chosen) != spec.k:
+        raise AssertionError(f"assignment filled {len(chosen)} of {spec.k} slots")
     return _finish(chosen)
 
 
@@ -241,7 +217,7 @@ def _solve(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
     ]
     pool = list({it.id: it for top in tops for it in top}.values())
     if any(len(it.props) > 1 for it in pool):
-        return _solve_flow(pool, spec)
+        return _solve_assignment(pool, spec)
     chosen: list[tuple[Item, int]] = []
     shortfall: list[int] = []
     for p, (cap, top) in enumerate(zip(spec.caps, tops)):
@@ -316,3 +292,11 @@ def exact_solution_value(items: Sequence[Item], solution: Solution) -> Fraction:
         if not is_dummy_id(item_id):
             total += Fraction(by_id[item_id].props[prop])
     return total
+
+
+def _reaches_optimum(items: Sequence[Item], final: Solution, full: Solution) -> bool:
+    """True when ``final`` is worth exactly as much as the optimum ``full``
+    over ``items``; identical solutions skip the exact values."""
+    return final == full or exact_solution_value(items, final) == exact_solution_value(
+        items, full
+    )

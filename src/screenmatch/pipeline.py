@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .core import ConfigError, ConstraintSpec, Instance, require_valid, validate_instance
 from .greedy import screen_entries, warmup_length
-from .matching import Solution, _solve, exact_solution_value, optimal_matching
+from .matching import Solution, _reaches_optimum, _solve, optimal_matching
 from .thresholds import (
     ThresholdsPolicy,
     apply_policy,
@@ -110,13 +110,11 @@ def run_pipeline(
     final = optimal_matching(kept, spec)
 
     full = _solve(stream.items, spec)
-    exact_final = exact_solution_value(stream.items, final)
-    exact_full = exact_solution_value(stream.items, full)
     return PipelineResult(
         policy=policy,
         retained_after_policy=len(survivors),
         retained_final=len(kept),
         final_solution=final,
-        optimal_vs_fullstream=(exact_final == exact_full),
+        optimal_vs_fullstream=_reaches_optimum(stream.items, final, full),
         value_gap=full.value - final.value,
     )

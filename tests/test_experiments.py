@@ -177,14 +177,51 @@ class TestRunTrials:
             convergence_experiment(D1, ConstraintSpec((1,)), 10, 5, net, 1, workers=workers)
 
     @pytest.mark.parametrize(
-        "algorithm, passes", [("greedy", 1), ("pipeline-exact-opt", 2), ("pipeline-value-approx", 2)]
+        "algorithm, passes",
+        [
+            ("greedy", 1),
+            ("pipeline-exact-opt", 2),
+            ("pipeline-value-approx", 2),
+            ("policy-fixed", 1),
+        ],
     )
     def test_each_trial_checks_each_full_stream_once(self, monkeypatch, algorithm, passes):
-        # greedy checks its stream; the pipeline its stream and, in the learner, its train
+        # greedy checks its stream; the pipeline its stream and, in the learner,
+        # its train; policy-fixed its stream, even with a policy that keeps it all
         n, trials = 300, 3
+        policy = ThresholdsPolicy((0.0,)) if algorithm == "policy-fixed" else None
         sizes = count_validated(monkeypatch)
-        run_trials(greedy_cfg(spec=ConstraintSpec((3,)), n=n, trials=trials, algorithm=algorithm))
+        cfg = greedy_cfg(
+            spec=ConstraintSpec((3,)), n=n, trials=trials, algorithm=algorithm, policy=policy
+        )
+        run_trials(cfg)
         assert sizes.count(n) == passes * trials
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "pipeline-exact-opt", "policy-fixed"])
+    def test_identical_solutions_skip_the_exact_values(self, monkeypatch, algorithm):
+        # with continuous values a trial succeeds only when its solution is
+        # the full-stream one, so only failed trials need the exact values
+        import screenmatch.experiments as experiments
+        import screenmatch.matching as matching
+        import screenmatch.pipeline as pipeline
+
+        calls = []
+        real = matching.exact_solution_value
+
+        def counting(items, solution):
+            calls.append(solution)
+            return real(items, solution)
+
+        for mod in (matching, experiments, pipeline):
+            monkeypatch.setattr(mod, "exact_solution_value", counting, raising=False)
+        policy = ThresholdsPolicy((0.9,)) if algorithm == "policy-fixed" else None
+        cfg = greedy_cfg(
+            spec=ConstraintSpec((3,)), n=300, trials=8, algorithm=algorithm, policy=policy
+        )
+        records = run_trials(cfg).records
+        failed = sum(not r.success for r in records)
+        assert failed < len(records)
+        assert len(calls) == 2 * failed
 
     def test_greedy_mean_retention_matches_harmonic_sum(self):
         # k=1, warmup 0: expectation is H_n

@@ -1,6 +1,7 @@
 """Solver tests.  brute_force_matching enumerates every feasible assignment
 in exact rational arithmetic and is the oracle everything else is held to."""
 
+import hashlib
 import io
 import json
 import math
@@ -21,7 +22,7 @@ from screenmatch import (
     is_dummy_id,
     optimal_matching,
 )
-from screenmatch.matching import _solve_flow
+from screenmatch.matching import _reaches_optimum, _solve_assignment
 
 from helpers import TIE_GRID, rand_items, rand_spec
 
@@ -104,9 +105,9 @@ class TestOracleEquivalence:
             assert optimal_matching(items, spec) == brute_force_matching(items, spec)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_pooled_solver_matches_unpruned_flow(self, d):
+    def test_pooled_solver_matches_unpruned_assignment(self, d):
         # the pool lemma: solving over the per-property top-k gives the
-        # same optimum as the flow over every item
+        # same optimum as the assignment over every item
         rng = np.random.default_rng(5 + d)
         for _ in range(40):
             spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 4, size=d)))
@@ -114,7 +115,41 @@ class TestOracleEquivalence:
             grid = TIE_GRID if rng.random() < 0.5 else None
             max_props = 1 if rng.random() < 0.5 else d
             items = rand_items(rng, n, d, value_grid=grid, max_props=max_props)
-            assert optimal_matching(items, spec) == _solve_flow(items, spec)
+            assert optimal_matching(items, spec) == _solve_assignment(items, spec)
+
+    def test_solver_golden_digests(self):
+        # assignments and value bits on overlap pools past the brute-force
+        # guard (n up to 60, k up to 9), every other one tie-heavy; the
+        # digest was taken with the earlier min-cost-flow solver
+        rng = np.random.default_rng(2031)
+        h = hashlib.sha256()
+        for i in range(120):
+            d = int(rng.integers(2, 5))
+            caps = tuple(int(c) for c in rng.integers(1, 4, size=d))
+            while sum(caps) > 9:
+                caps = tuple(int(c) for c in rng.integers(1, 4, size=d))
+            n = int(rng.integers(0, 61))
+            items = rand_items(rng, n, d, value_grid=TIE_GRID if i % 2 else None)
+            sol = optimal_matching(items, ConstraintSpec(caps))
+            h.update(f"{sol.assignment}|{sol.value.hex()}\n".encode())
+        assert h.hexdigest() == "4bcbbbefa9da1951cf2b91bbfadcaa66017bc7d7abf2b94b25d17ea71949be1d"
+
+
+class TestReachesOptimum:
+    def test_distinct_solutions_that_tie_reach_the_optimum(self):
+        items = [Item(0, {0: 0.5}), Item(1, {0: 0.5})]
+        spec = ConstraintSpec((1,))
+        full = optimal_matching(items, spec)
+        final = optimal_matching(items[:1], spec)
+        assert final.assignment == ((0, 0),) and full.assignment == ((1, 0),)
+        assert _reaches_optimum(items, final, full)
+
+    def test_a_lower_value_misses_the_optimum(self):
+        items = [Item(0, {0: 0.4}), Item(1, {0: 0.5})]
+        spec = ConstraintSpec((1,))
+        full = optimal_matching(items, spec)
+        assert not _reaches_optimum(items, optimal_matching(items[:1], spec), full)
+        assert _reaches_optimum(items, full, full)
 
 
 class TestSolverProperties:
