@@ -103,7 +103,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.in_path)
     spec = _load_spec(args.spec)
-    sol = optimal_matching(inst.items, spec)
+    sol = optimal_matching(inst, spec)
     _emit_json(sol.to_json_obj(), args.out)
     _eprint(f"solve: value={sol.value!r} over {inst.n} items")
     return 0
@@ -166,10 +166,10 @@ def _cmd_screen(args) -> int:
     policy = _read_file(args.policy, read_policy)
     spec = _load_spec(args.spec) if args.spec else None
     rules = spec or ConstraintSpec((1,) * policy.d)
-    require_valid(validate_items(inst.items, rules), args.in_path)
+    require_valid(validate_items(inst, rules), args.in_path)
     retained, stats = screen_with_policy(policy, inst, spec)
     obj = {
-        "retained_ids": [item.id for item in retained],
+        "retained_ids": retained.ids.tolist(),
         "total": stats.total,
         "per_property": list(stats.per_property),
         "value": stats.value,

@@ -16,7 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from numbers import Real
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,9 +81,6 @@ class Item:
     id: int
     props: dict[int, float]
 
-    def value_for(self, prop: int) -> float | None:
-        return self.props.get(prop)
-
 
 @dataclass(frozen=True, slots=True)
 class ConstraintSpec:
@@ -106,26 +103,172 @@ class ConstraintSpec:
         return sum(self.caps)
 
 
-@dataclass(frozen=True, slots=True)
 class Instance:
-    """An ordered stream of real items.
+    """An ordered stream of real items, held by column.
 
-    Invariants (guaranteed by the sampler and the file loader, reported by
-    ``validate_instance`` for hand-built instances): item ids equal their
-    0-based position, and no ids fall in the dummy range.
+    ``values`` is an (n, d) float64 matrix: row i holds the values of the
+    stream's i-th item, NaN for each property it does not possess.  ``ids``
+    holds the item ids.  Invariants (guaranteed by the sampler and the file
+    loader, reported by ``validate_instance`` for hand-built instances):
+    item ids equal their 0-based position, and no ids fall in the dummy
+    range.
+
+    ``Instance(items)`` builds a stream from ``Item`` objects, and ``items``
+    (or iterating) gives the stream back as ``Item`` objects, built on first
+    use.  A stream read from a file also keeps each item's line number.
+    Until a spec has checked it, an instance holds its (item, property,
+    value) entries as they came, so an out-of-range property index costs
+    one entry, not a column: ``values`` is meant for checked instances.
     """
 
-    items: tuple[Item, ...]
+    __slots__ = ("ids", "lines", "source", "_values", "_entries", "_items")
+
+    def __init__(self, items: Iterable[Item] = ()) -> None:
+        items = tuple(items)
+        self._init(np.array([item.id for item in items], dtype=np.int64), items=items)
+
+    def _init(self, ids, values=None, entries=None, items=None, lines=None, source=None):
+        self.ids = ids
+        self.lines = lines
+        self.source = source
+        self._values = values
+        self._entries = entries
+        self._items = items
+
+    @classmethod
+    def from_values(cls, values: np.ndarray, ids: np.ndarray | None = None) -> "Instance":
+        """An instance over an (n, d) value matrix; ids default to positions."""
+        inst = cls.__new__(cls)
+        inst._init(np.arange(len(values)) if ids is None else ids, values=values)
+        return inst
 
     @property
     def n(self) -> int:
-        return len(self.items)
+        return len(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Item]:
         return iter(self.items)
 
-    def __len__(self) -> int:
-        return len(self.items)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return self.items == other.items
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Instance(n={self.n})"
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            rows, props, vals, _ = self.entries()
+            placed = props >= 0
+            width = int(props.max()) + 1 if placed.any() else 0
+            self._values = np.full((self.n, width), np.nan)
+            self._values[rows[placed], props[placed]] = vals[placed]
+        return self._values
+
+    def columns(self, d: int) -> np.ndarray:
+        """The (n, d) value matrix for a spec with d properties."""
+        values = self.values
+        if values.shape[1] == d:
+            return values
+        out = np.full((self.n, d), np.nan)
+        width = min(d, values.shape[1])
+        out[:, :width] = values[:, :width]
+        return out
+
+    def take(self, rows) -> "Instance":
+        """The sub-stream of the given rows (a mask or indices); ids are kept."""
+        return Instance.from_values(self.values[rows], self.ids[rows])
+
+    def values_at(self, pairs: Sequence[tuple[int, int]]) -> list[float]:
+        """The value of each (item id, property) pair."""
+        rows = np.flatnonzero(np.isin(self.ids, [i for i, _ in pairs]))
+        row_of = dict(zip(self.ids[rows].tolist(), rows.tolist()))
+        values = self.values
+        return [float(values[row_of[i], p]) for i, p in pairs]
+
+    def where(self, row: int) -> str | None:
+        """``file:line`` of a row read from a file, else None."""
+        return None if self.lines is None else f"{self.source}:{self.lines[row]}"
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+        """(rows, props, vals, odd): one entry per possessed property, item by
+        item, in each item's property order.  ``odd`` maps the index of each
+        entry whose property is not an int or whose value is not a float to
+        its original (property, value) pair; its array slots hold -1 for a
+        property that is no int and NaN for a value that is no number."""
+        if self._entries is None:
+            if self._items is not None:
+                self._entries = _item_entries(self._items)
+            else:
+                where = np.flatnonzero(self._values == self._values)
+                width = self._values.shape[1]
+                # a division costs more than the rest of a d=1 check
+                rows, props = np.divmod(where, width) if width > 1 else (where, where * 0)
+                self._entries = (rows, props, self._values.ravel()[where], {})
+        return self._entries
+
+    @property
+    def items(self) -> tuple[Item, ...]:
+        if self._items is None:
+            self._items = self._build_items()
+        return self._items
+
+    def _build_items(self) -> tuple[Item, ...]:
+        rows, props, vals, odd = self.entries()
+        owned: list[dict] = [{} for _ in range(self.n)]
+        for e, (r, p, v) in enumerate(zip(rows.tolist(), props.tolist(), vals.tolist())):
+            if e in odd:
+                p, v = odd[e]
+            owned[r][p] = v
+        return tuple(map(Item, self.ids.tolist(), owned))
+
+
+# property indices beyond this are kept as odd entries, outside the int64 arrays
+_BIG = 1 << 62
+
+
+def _as_number(v) -> float:
+    """A value as a matrix entry: NaN when it is no number."""
+    if type(v) is bool or not isinstance(v, Real):
+        return np.nan
+    try:
+        return float(v)
+    except OverflowError:
+        return np.nan
+
+
+def _odd_entries(rows: list, props: list, vals: list) -> tuple:
+    """Entry arrays for pairs of any type; see ``Instance.entries``."""
+    odd = {}
+    for e, (p, v) in enumerate(zip(props, vals)):
+        if type(p) is not int or type(v) is not float or not -_BIG <= p < _BIG:
+            odd[e] = (p, v)
+            props[e] = p if type(p) is int and 0 <= p < _BIG else -1
+            vals[e] = _as_number(v)
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array(props, dtype=np.int64),
+        np.array(vals, dtype=np.float64),
+        odd,
+    )
+
+
+def _item_entries(items: Sequence[Item]) -> tuple:
+    rows: list[int] = []
+    props: list = []
+    vals: list = []
+    for r, item in enumerate(items):
+        rows += [r] * len(item.props)
+        props += item.props.keys()
+        vals += item.props.values()
+    return _odd_entries(rows, props, vals)
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,37 +316,43 @@ def derive_seed(seed: int, label: str, index: int = 0) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _draw_single_class(dist: DistributionSpec, n: int, rng: np.random.Generator):
-    """Class index and value arrays for the one-property-per-item kinds."""
-    if dist.kind == "single-property-uniform":
-        classes = np.zeros(n, dtype=np.int64)
-    else:
-        classes = rng.integers(0, dist.d, size=n)
-    values = rng.random(n)
-    return classes, values
-
-
 def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
     """Draw an n-item instance.  Bit-identical for identical arguments."""
     if not isinstance(n, int) or n < 0:
         raise ConfigError(f"n must be a nonnegative integer, got {n!r}")
     rng = np.random.default_rng(seed)
-    if dist.kind in ("single-property-uniform", "disjoint-properties-uniform"):
-        classes, values = _draw_single_class(dist, n, rng)
-        # tolist() yields Python ints and floats already
-        props = [{c: v} for c, v in zip(classes.tolist(), values.tolist())]
-        return Instance(tuple(map(Item, range(n), props)))
-
+    if dist.kind == "single-property-uniform":
+        return Instance.from_values(rng.random(n).reshape(n, 1))
+    values = np.full((n, dist.d), np.nan)
+    if dist.kind == "disjoint-properties-uniform":
+        classes = rng.integers(0, dist.d, size=n)
+        values[np.arange(n), classes] = rng.random(n)
+        return Instance.from_values(values)
+    # Each draw takes d uniforms for the membership coins, then one uniform
+    # per owned property; a draw owning none is rejected.  These are one
+    # stream of uniforms, so it is drawn in bulk and cut into draws.
     q = np.asarray(dist.membership, dtype=float)
-    props = []
-    for _ in range(n):
-        while True:
-            mask = rng.random(dist.d) < q
-            owned = np.flatnonzero(mask)
-            if owned.size:
-                break
-        props.append(dict(zip(owned.tolist(), rng.random(owned.size).tolist())))
-    return Instance(tuple(map(Item, range(n), props)))
+    d = dist.d
+    per_draw = (d + q.sum()) / (1.0 - np.prod(1.0 - q))
+    uniforms = rng.random(int(n * per_draw * 1.1) + 4 * d)
+    starts: list[int] = []
+    at = 0
+    while len(starts) < n:
+        owned = np.lib.stride_tricks.sliding_window_view(uniforms, d) < q
+        counts = owned.sum(axis=1).tolist()
+        end = len(uniforms) - d
+        while len(starts) < n and at <= end and at + d + counts[at] <= len(uniforms):
+            if counts[at]:
+                starts.append(at)
+            at += d + counts[at]
+        if len(starts) < n:
+            uniforms = np.concatenate((uniforms, rng.random(len(uniforms))))
+    if n:
+        owned = owned[starts]
+        # the k-th owned property of a draw takes the k-th uniform after its coins
+        taken = np.array(starts)[:, None] + d + np.cumsum(owned, axis=1) - 1
+        values[owned] = uniforms[taken[owned]]
+    return Instance.from_values(values)
 
 
 def dummy_items(spec: ConstraintSpec) -> tuple[Item, ...]:
@@ -214,14 +363,29 @@ def dummy_items(spec: ConstraintSpec) -> tuple[Item, ...]:
 
 @dataclass(frozen=True, slots=True)
 class Violation:
-    """One validation finding.  ``kind`` is a stable machine-readable token."""
+    """One validation finding.  ``kind`` is a stable machine-readable token;
+    ``where`` is ``file:line`` for an item read from a file."""
 
     kind: str
     item_id: int | None
     detail: str
+    where: str | None = None
 
 
-def validate_items(items: Sequence[Item], spec: ConstraintSpec) -> tuple[Violation, ...]:
+def _pair_rules(p, v, d: int) -> list[tuple[str, str]]:
+    """The rules for one (property, value) pair of an item."""
+    out = []
+    if type(p) is not int or not 0 <= p < d:
+        out.append(("unknown-property", f"property {p!r} outside 0..{d - 1}"))
+    # sampled and read values are floats, so they pass on the first test
+    if type(v) is not float and (type(v) is bool or not isinstance(v, Real)):
+        out.append(("value-out-of-range", f"value {v!r} is not a number"))
+    elif not 0.0 <= v <= 1.0:
+        out.append(("value-out-of-range", f"value {v!r} outside [0, 1]"))
+    return out
+
+
+def validate_items(items: Sequence[Item] | Instance, spec: ConstraintSpec) -> tuple[Violation, ...]:
     """Check a bag of real items against a spec; empty result means valid.
 
     This is the one item rule set; every entry point that reads items runs
@@ -230,36 +394,56 @@ def validate_items(items: Sequence[Item], spec: ConstraintSpec) -> tuple[Violati
     one outside 0..d-1) and value-out-of-range (NaN and infinities
     included, and a value that is not a number or is a bool).  Dummies are
     not real items, so a dummy passed here is reported as dummy-id.
+
+    The rules run on the instance's columns: numpy flags the items and
+    entries that may break a rule, and only those are looked at one by
+    one.  Findings come item by item, each item's in the order of the rules
+    above and of its properties.
     """
-    d = spec.d
+    inst = items if isinstance(items, Instance) else Instance(items)
+    d, n, ids = spec.d, inst.n, inst.ids
+    rows, props, vals, odd = inst.entries()
+    duplicate = np.zeros(n, dtype=bool)
+    if not (ids[1:] > ids[:-1]).all():
+        duplicate[:] = True
+        duplicate[np.unique(ids, return_index=True)[1]] = False
+    dummy = ids >= DUMMY_ID_BASE
+    empty = np.ones(n, dtype=bool)
+    empty[rows] = False
+    bad_item = duplicate | dummy | empty
+    suspect = (props < 0) | (props >= d) | ~((vals >= 0.0) & (vals <= 1.0))
+    if odd:
+        suspect[list(odd)] = True
+    if not bad_item.any() and not suspect.any():
+        return ()
+
+    # the flagged entries of each flagged item, in entry order
+    by_row: dict[int, list[int]] = {r: [] for r in np.flatnonzero(bad_item).tolist()}
+    flagged = np.flatnonzero(suspect).tolist()
+    for e, r in zip(flagged, rows[flagged].tolist()):
+        by_row.setdefault(r, []).append(e)
     out: list[Violation] = []
-    seen: set[int] = set()
-    for item in items:
-        i = item.id
-        if i in seen:
-            out.append(Violation("duplicate-id", i, f"id {i} appears more than once"))
-        seen.add(i)
-        if i >= DUMMY_ID_BASE:
-            out.append(Violation("dummy-id", i, f"id {i} lies in the reserved dummy range"))
-        if not item.props:
-            out.append(Violation("empty-props", i, "item possesses no property"))
-        for p, v in item.props.items():
-            if type(p) is not int or not 0 <= p < d:
-                out.append(Violation("unknown-property", i, f"property {p!r} outside 0..{d - 1}"))
-            # sampled and read values are floats, so they pass on the first test
-            if type(v) is not float and (type(v) is bool or not isinstance(v, Real)):
-                out.append(Violation("value-out-of-range", i, f"value {v!r} is not a number"))
-            elif not 0.0 <= v <= 1.0:
-                out.append(Violation("value-out-of-range", i, f"value {v!r} outside [0, 1]"))
+    for r in sorted(by_row):
+        i, where = int(ids[r]), inst.where(r)
+        if duplicate[r]:
+            out.append(Violation("duplicate-id", i, f"id {i} appears more than once", where))
+        if dummy[r]:
+            out.append(Violation("dummy-id", i, f"id {i} lies in the reserved dummy range", where))
+        if empty[r]:
+            out.append(Violation("empty-props", i, "item possesses no property", where))
+        for e in by_row[r]:
+            p, v = odd[e] if e in odd else (int(props[e]), float(vals[e]))
+            out += [Violation(kind, i, detail, where) for kind, detail in _pair_rules(p, v, d)]
     return tuple(out)
 
 
 def validate_instance(inst: Instance, spec: ConstraintSpec) -> tuple[Violation, ...]:
     """``validate_items`` plus the stream rule that ids equal positions."""
-    out = list(validate_items(inst.items, spec))
-    for pos, item in enumerate(inst.items):
-        if item.id != pos:
-            out.append(Violation("id-position-mismatch", item.id, f"id {item.id} at position {pos}"))
+    out = list(validate_items(inst, spec))
+    moved = np.flatnonzero(inst.ids != np.arange(inst.n)).tolist()
+    for pos, i in zip(moved, inst.ids[moved].tolist()):
+        detail = f"id {i} at position {pos}"
+        out.append(Violation("id-position-mismatch", i, detail, inst.where(pos)))
     return tuple(out)
 
 
@@ -267,9 +451,10 @@ def require_valid(violations: Sequence[Violation], what: str) -> None:
     """Raise ``InputError`` naming the count and the first of nonempty ``violations``."""
     if violations:
         first = violations[0]
+        where = f"{first.where}: " if first.where else ""
         raise InputError(
             f"invalid {what}: {len(violations)} violation(s), first is {first.kind}"
-            f" at item {first.item_id} ({first.detail})"
+            f" at item {first.item_id} ({where}{first.detail})"
         )
 
 
@@ -280,44 +465,78 @@ def format_value(v: float) -> str:
 
 def write_instance(inst: Instance, fh: IO[str]) -> None:
     """One JSON object per line: {"id": ..., "props": [[p, v], ...]}."""
-    for item in inst.items:
-        pairs = ", ".join(
-            f"[{p}, {format_value(v)}]" for p, v in sorted(item.props.items())
-        )
-        fh.write(f'{{"id": {item.id}, "props": [{pairs}]}}\n')
+    rows, props, vals, _ = inst.entries()
+    order = np.lexsort((props, rows))
+    pairs = [
+        f"[{p}, {format_value(v)}]" for p, v in zip(props[order].tolist(), vals[order].tolist())
+    ]
+    lines = []
+    at = 0
+    for i, count in zip(inst.ids.tolist(), np.bincount(rows, minlength=inst.n).tolist()):
+        lines.append(f'{{"id": {i}, "props": [{", ".join(pairs[at:at + count])}]}}\n')
+        at += count
+    fh.write("".join(lines))
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_line(line: str):
+    """``json.loads`` of a stripped line, without the per-call checks that
+    cost a third of a read; a line it cannot take goes to ``json.loads``,
+    which raises its own error."""
+    try:
+        obj, end = _raw_decode(line)
+        if end == len(line):
+            return obj
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
 
 
 def read_instance(fh: IO[str], source: str = "<instance>") -> Instance:
     """Parse a JSON Lines instance file; errors name the offending line."""
-    items: list[Item] = []
+    counts: list[int] = []
+    lines: list[int] = []
+    props: list[int] = []
+    vals: list[float] = []
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = _parse_line(line)
             item_id = obj["id"]
             prop_pairs = obj["props"]
-            props = {}
             for p, v in prop_pairs:
                 # JSON numbers are taken as they are: no bool, string or rounding
                 if type(p) is not int:
                     raise TypeError(f"property {p!r} is not an integer")
                 if type(v) is not float and type(v) is not int:
                     raise TypeError(f"value {v!r} is not a number")
-                props[p] = float(v)
+                props.append(p)
+                vals.append(v)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{source}:{lineno}: malformed item record ({exc})") from exc
-        if len(props) != len(prop_pairs):
+        if len(prop_pairs) > 1 and len({p for p, _ in prop_pairs}) != len(prop_pairs):
             raise InputError(f"{source}:{lineno}: item record lists a property more than once")
         if type(item_id) is not int:
             raise InputError(f"{source}:{lineno}: item id must be an integer")
-        if item_id != len(items):
+        if item_id != len(counts):
             raise InputError(
-                f"{source}:{lineno}: item id {item_id} does not equal its position {len(items)}"
+                f"{source}:{lineno}: item id {item_id} does not equal its position {len(counts)}"
             )
-        items.append(Item(item_id, props))
-    return Instance(tuple(items))
+        counts.append(len(prop_pairs))
+        lines.append(lineno)
+    n = len(counts)
+    rows = np.repeat(np.arange(n), counts)
+    try:
+        entries = (rows, np.array(props, dtype=np.int64), np.array(vals, dtype=np.float64), {})
+    except OverflowError:
+        entries = _odd_entries(rows.tolist(), props, vals)
+    inst = Instance.__new__(Instance)
+    inst._init(np.arange(n), entries=entries, lines=np.array(lines), source=source)
+    return inst
 
 
 def write_constraint_spec(spec: ConstraintSpec, fh: IO[str]) -> None:

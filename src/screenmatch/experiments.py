@@ -26,7 +26,6 @@ from .core import (
     DistributionSpec,
     derive_seed,
     sample_instance,
-    _draw_single_class,
 )
 from .greedy import greedy_screen, warmup_length
 from .matching import _reaches_optimum, _solve, optimal_matching
@@ -159,8 +158,8 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
         warmup = warmup_length(cfg.n, cfg.spec.k, cfg.delta)
         res = greedy_screen(inst, cfg.spec, warmup)
         # greedy_screen has checked the stream
-        full = _solve(inst.items, cfg.spec)
-        success = _reaches_optimum(inst.items, res.final_solution, full)
+        full = _solve(inst, cfg.spec)
+        success = _reaches_optimum(inst, res.final_solution, full)
         return TrialRecord(t, len(res.retained_ids), res.final_solution.value, full.value, success)
 
     if cfg.algorithm.startswith("pipeline"):
@@ -181,9 +180,9 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
     inst = sample_instance(cfg.dist, cfg.n, stream_seed)
     retained, stats = screen_with_policy(cfg.policy, inst)
     # the full-stream solve checks the stream, and so the retained subset too
-    full = optimal_matching(inst.items, cfg.spec)
+    full = optimal_matching(inst, cfg.spec)
     sol = _solve(retained, cfg.spec)
-    success = _reaches_optimum(inst.items, sol, full)
+    success = _reaches_optimum(inst, sol, full)
     return TrialRecord(t, stats.total, sol.value, full.value, success)
 
 
@@ -268,7 +267,7 @@ def _opt_block(args: tuple[DistributionSpec, ConstraintSpec, int, int, int, int]
     out = np.empty(stop - start, dtype=float)
     for i, t in enumerate(range(start, stop)):
         inst = sample_instance(dist, n, derive_seed(seed, "opt", t))
-        out[i] = optimal_matching(inst.items, spec).value
+        out[i] = optimal_matching(inst, spec).value
     return out
 
 
@@ -351,7 +350,7 @@ def _conv_trial_stats(
     """(total counts, per-property counts flattened, values) for one trial."""
     sub = derive_seed(seed, label, t)
     if thr_1d is not None:
-        _, values = _draw_single_class(dist, n, np.random.default_rng(sub))
+        values = sample_instance(dist, n, sub).values[:, 0]
         counts, vals = _counts_values_1d(values, thr_1d, spec.k)
         return counts, counts.copy(), vals
     inst = sample_instance(dist, n, sub)

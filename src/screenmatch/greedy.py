@@ -13,20 +13,29 @@ the optimum, so it is rejected without a solve; at d = 1 this gate is the
 whole decision.  Any other arrival is decided by solving over the
 items still in some heap plus the newcomer, which has the same optimum as
 all kept items plus the newcomer.
+
+Arrivals come as value rows and are gated a block at a time: numpy drops
+every arrival of the block whose values all lie below the minima of full
+heaps at the block's start.  The minima only rise within a block, so the
+arrivals this drops are ones the exact gate would reject too, and only
+the rest reach it one by one.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
+import numpy as np
 
 from .core import (
     ConfigError, ConstraintSpec, InputError, Instance, Item, require_valid, validate_instance
 )
-from .matching import Solution, optimal_matching
+from .matching import Solution, _solve, optimal_matching
 
-__all__ = ["TraceStep", "GreedyResult", "warmup_length", "greedy_screen"]
+__all__ = ["TraceStep", "GreedyResult", "Arrivals", "warmup_length", "greedy_screen"]
+
+# arrivals gated together in numpy before the exact gate
+BLOCK = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,50 +71,79 @@ def warmup_length(n: int, k: int, delta: float) -> int:
     return (num * n) // (den * k)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Arrivals:
+    """Arrivals for ``screen_entries``: the original stream positions, which
+    are also the item ids, and the matching rows of an (m, d) value matrix.
+    Iterating gives (position, row) pairs."""
+
+    pos: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    def __iter__(self):
+        return zip(self.pos.tolist(), self.values)
+
+
 def screen_entries(
-    entries: Sequence[tuple[int, Item]],
+    entries: Arrivals,
     spec: ConstraintSpec,
     warmup: int,
     trace: bool = False,
 ) -> tuple[list[Item], list[TraceStep] | None]:
-    """Greedy pass over (original position, item) pairs.
+    """Greedy pass over ``Arrivals``; an arrival's id is its position.
 
     Positions are compared against ``warmup``, so a filtered subsequence
     keeps its original stream geometry.  Used by both ``greedy_screen``
-    and the combined pipeline.  A step's ``running_value`` is the optimum
-    value over the items kept so far.
+    and the combined pipeline, which have checked the items, so the solves
+    here skip the check.  A step's ``running_value`` is the optimum value
+    over the items kept so far.
     """
     k = spec.k
+    positions, values = entries.pos, entries.values
     heaps: list[list[tuple[float, int, Item]]] = [[] for _ in range(spec.d)]
     kept: list[Item] = []
-    steps: list[TraceStep] | None = [] if trace else None
+    decided: dict[int, tuple[bool, float]] = {}  # index -> (retained, running) per solve
     running = 0.0
-    for pos, item in entries:
-        retained = False
-        if pos >= warmup:
-            # a plain loop, not any(): this gate runs once per arrival
-            contender = False
-            for p, v in item.props.items():
-                heap = heaps[p]
-                if len(heap) < k or (v, item.id) > heap[0]:
-                    contender = True
-                    break
-            if contender:
-                pool = {e[1]: e[2] for heap in heaps for e in heap}
-                sol = optimal_matching([*pool.values(), item], spec)
-                # rejected items never displace anyone, so the optimum is unchanged
-                running = sol.value
-                retained = item.id in sol.real_ids()
+    after_warmup = positions >= warmup
+    for start in range(0, len(entries), BLOCK):
+        block, pos = values[start : start + BLOCK], positions[start : start + BLOCK]
+        # a value below a full heap's minimum fails the exact gate below
+        lows = np.array([heap[0][0] if len(heap) == k else -np.inf for heap in heaps])
+        survivors = np.flatnonzero(
+            (block >= lows).any(axis=1) & after_warmup[start : start + BLOCK]
+        )
+        if not survivors.size:
+            continue
+        for i, item_id, row in zip(
+            (survivors + start).tolist(), pos[survivors].tolist(), block[survivors].tolist()
+        ):
+            props = {p: v for p, v in enumerate(row) if v == v}
+            if not any(len(heaps[p]) < k or (v, item_id) > heaps[p][0] for p, v in props.items()):
+                continue
+            item = Item(item_id, props)
+            pool = {e[1]: e[2] for heap in heaps for e in heap}
+            sol = _solve([*pool.values(), item], spec)
+            # rejected items never displace anyone, so the optimum is unchanged
+            running = sol.value
+            retained = item_id in sol.real_ids()
+            decided[i] = (retained, running)
             if retained:
                 kept.append(item)
-                for p, v in item.props.items():
+                for p, v in props.items():
                     heap = heaps[p]
                     if len(heap) < k:
-                        heapq.heappush(heap, (v, item.id, item))
-                    elif (v, item.id) > heap[0]:
-                        heapq.heapreplace(heap, (v, item.id, item))
-        if steps is not None:
-            steps.append(TraceStep(pos, item.id, retained, running))
+                        heapq.heappush(heap, (v, item_id, item))
+                    elif (v, item_id) > heap[0]:
+                        heapq.heapreplace(heap, (v, item_id, item))
+    steps: list[TraceStep] | None = None
+    if trace:
+        steps, running = [], 0.0
+        for i, pos in enumerate(positions.tolist()):
+            retained, running = decided.get(i, (False, running))
+            steps.append(TraceStep(pos, pos, retained, running))
     return kept, steps
 
 
@@ -123,7 +161,7 @@ def greedy_screen(
     require_valid(validate_instance(stream, spec), "stream")
     if not isinstance(warmup, int) or warmup < 0 or warmup > stream.n:
         raise InputError(f"warmup must lie in 0..{stream.n}, got {warmup!r}")
-    entries = [(item.id, item) for item in stream.items]
+    entries = Arrivals(stream.ids, stream.columns(spec.d))
     kept, steps = screen_entries(entries, spec, warmup, trace)
     final = optimal_matching(kept, spec)
     return GreedyResult(

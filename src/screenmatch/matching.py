@@ -34,14 +34,17 @@ the oracle the solver is tested against.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import ConstraintSpec, Item, dummy_items, is_dummy_id, require_valid, validate_items
+import numpy as np
+
+from .core import (
+    ConstraintSpec, Instance, Item, dummy_items, is_dummy_id, require_valid, validate_items
+)
 
 __all__ = [
     "Solution",
@@ -109,13 +112,9 @@ def _scaled_weights(pool: Sequence[Item], spec: ConstraintSpec) -> list[dict[int
     """
     d = spec.d
     m = len(pool)
-    ratios = [
-        (item, p, v.as_integer_ratio())
-        for item in pool
-        for p, v in sorted(item.props.items())
-    ]
+    ratios = [[(p, v.as_integer_ratio()) for p, v in item.props.items()] for item in pool]
     # every float in [0, 1] is p / 2^e, so one common shift is lossless
-    shift = max((q.bit_length() - 1 for _, _, (_, q) in ratios), default=0)
+    shift = max((q.bit_length() - 1 for pairs in ratios for _, (_, q) in pairs), default=0)
     bits = d.bit_length()
     layer4 = 1
     layer3 = 1 << (bits * m)
@@ -124,9 +123,8 @@ def _scaled_weights(pool: Sequence[Item], spec: ConstraintSpec) -> list[dict[int
     layer1 = layer2 * (max_idsum + 1)
 
     weights: list[dict[int, int]] = [dict() for _ in range(m)]
-    for rank, item in enumerate(pool):
-        for p, v in item.props.items():
-            num, den = v.as_integer_ratio()
+    for rank, (item, pairs) in enumerate(zip(pool, ratios)):
+        for p, (num, den) in pairs:
             scaled = num << (shift - (den.bit_length() - 1))
             w = scaled * layer1
             if not is_dummy_id(item.id):
@@ -193,28 +191,51 @@ def _solve_assignment(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
     return _finish(chosen)
 
 
-def optimal_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
+def optimal_matching(items: Sequence[Item] | Instance, spec: ConstraintSpec) -> Solution:
     """The unique optimal saturated assignment of real items plus dummies.
 
-    ``items`` are the real candidates (any order; the result depends only
-    on the set).  They are checked with ``validate_items``: duplicate or
-    dummy-range ids, an item with no property, a property outside the spec
-    or a value outside [0, 1] raise ``InputError``.
+    ``items`` are the real candidates, as ``Item`` objects (any order; the
+    result depends only on the set) or an ``Instance``.  They are checked
+    with ``validate_items``: duplicate or dummy-range ids, an item with no
+    property, a property outside the spec or a value outside [0, 1] raise
+    ``InputError``.
     """
     require_valid(validate_items(items, spec), "items")
     return _solve(items, spec)
 
 
-def _solve(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
+def _top_items(inst: Instance, spec: ConstraintSpec) -> list[Item]:
+    """The items of ``inst`` in the top k of some property, as ``Item``
+    objects, ties at the k-th value included: by the pool lemma the
+    optimum lies among them."""
+    k = spec.k
+    values = inst.columns(spec.d)
+    rows = []
+    for col in values.T:
+        owners = np.flatnonzero(col == col)
+        if owners.size > k:
+            owned = col[owners]
+            cut = owners.size - k
+            owners = owners[owned >= np.partition(owned, cut)[cut]]
+        rows.append(owners)
+    rows = sorted(set(np.concatenate(rows).tolist()))
+    return [
+        Item(i, {p: v for p, v in enumerate(row) if v == v})
+        for i, row in zip(inst.ids[rows].tolist(), values[rows].tolist())
+    ]
+
+
+def _solve(items: Sequence[Item] | Instance, spec: ConstraintSpec) -> Solution:
     """``optimal_matching`` without the item check, for items an entry point
     has already checked."""
+    if isinstance(items, Instance):
+        items = _top_items(items, spec)
     k = spec.k
-    tops = [
-        heapq.nlargest(
-            k, [it for it in items if p in it.props], key=lambda it, p=p: (it.props[p], it.id)
-        )
-        for p in range(spec.d)
-    ]
+    tops = []
+    for p in range(spec.d):
+        # ids are distinct, so the items themselves are never compared
+        ranked = sorted([(it.props[p], it.id, it) for it in items if p in it.props], reverse=True)
+        tops.append([it for _, _, it in ranked[:k]])
     pool = list({it.id: it for top in tops for it in top}.values())
     if any(len(it.props) > 1 for it in pool):
         return _solve_assignment(pool, spec)
@@ -284,17 +305,14 @@ def brute_force_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solutio
     return _finish(best)
 
 
-def exact_solution_value(items: Sequence[Item], solution: Solution) -> Fraction:
+def exact_solution_value(items: Sequence[Item] | Instance, solution: Solution) -> Fraction:
     """Recompute a solution's value in exact rational arithmetic."""
-    by_id = {item.id: item for item in items}
-    total = Fraction(0)
-    for item_id, prop in solution.assignment:
-        if not is_dummy_id(item_id):
-            total += Fraction(by_id[item_id].props[prop])
-    return total
+    inst = items if isinstance(items, Instance) else Instance(items)
+    pairs = [(i, p) for i, p in solution.assignment if not is_dummy_id(i)]
+    return sum(map(Fraction, inst.values_at(pairs)), Fraction(0))
 
 
-def _reaches_optimum(items: Sequence[Item], final: Solution, full: Solution) -> bool:
+def _reaches_optimum(items: Sequence[Item] | Instance, final: Solution, full: Solution) -> bool:
     """True when ``final`` is worth exactly as much as the optimum ``full``
     over ``items``; identical solutions skip the exact values."""
     return final == full or exact_solution_value(items, final) == exact_solution_value(

@@ -19,15 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ConfigError, ConstraintSpec, Instance, require_valid, validate_instance
-from .greedy import screen_entries, warmup_length
+from .greedy import Arrivals, screen_entries, warmup_length
 from .matching import Solution, _reaches_optimum, _solve, optimal_matching
 from .thresholds import (
     ThresholdsPolicy,
-    apply_policy,
     is_above,
     learn_optimal_thresholds,
     learn_topm_thresholds,
     retention_slack,
+    screen_with_policy,
 )
 
 __all__ = ["PIPELINE_MODES", "PipelineConfig", "PipelineResult", "run_pipeline"]
@@ -105,16 +105,16 @@ def run_pipeline(
         policy = learn_topm_thresholds(train, spec, [k + slack] * spec.d)
 
     warmup = warmup_length(n, k, cfg.delta * w_warm)
-    survivors = [(item.id, item) for item in stream.items if apply_policy(policy, item)]
-    kept, _ = screen_entries(survivors, spec, warmup)
+    survivors, _ = screen_with_policy(policy, stream)
+    kept, _ = screen_entries(Arrivals(survivors.ids, survivors.columns(spec.d)), spec, warmup)
     final = optimal_matching(kept, spec)
 
-    full = _solve(stream.items, spec)
+    full = _solve(stream, spec)
     return PipelineResult(
         policy=policy,
-        retained_after_policy=len(survivors),
+        retained_after_policy=survivors.n,
         retained_final=len(kept),
         final_solution=final,
-        optimal_vs_fullstream=_reaches_optimum(stream.items, final, full),
+        optimal_vs_fullstream=_reaches_optimum(stream, final, full),
         value_gap=full.value - final.value,
     )

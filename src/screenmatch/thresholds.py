@@ -17,8 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
+import numpy as np
+
 from .core import (
-    ConfigError, ConstraintSpec, InputError, Instance, Item, require_valid, validate_items
+    ConfigError, ConstraintSpec, InputError, Instance, Item, is_dummy_id, require_valid,
+    validate_items,
 )
 from .matching import optimal_matching
 
@@ -92,13 +95,14 @@ def screen_with_policy(
     policy: ThresholdsPolicy,
     inst: Instance,
     spec: ConstraintSpec | None = None,
-) -> tuple[tuple[Item, ...], RetentionStats]:
+) -> tuple[Instance, RetentionStats]:
     """Filter a stream through a policy.
 
-    Returns the retained items in arrival order and retention statistics.
-    The per-property count for property p counts items that possess p and
-    clear t[p] (one item can count toward several properties); the total
-    counts distinct retained items.
+    Returns the retained sub-stream (original ids, arrival order) and
+    retention statistics.  The per-property count for property p counts
+    items that possess p and clear t[p] (one item can count toward several
+    properties); the total counts distinct retained items.  A missing
+    property is NaN, which clears no threshold.
 
     Like ``apply_policy`` it trusts ``inst`` unchecked: the convergence
     experiment screens each stream once per net policy, and a check costs
@@ -106,21 +110,14 @@ def screen_with_policy(
     """
     if spec is not None and policy.d != spec.d:
         raise ConfigError(f"policy has {policy.d} thresholds but spec has {spec.d} properties")
-    t = policy.t
-    retained: list[Item] = []
-    per_prop = [0] * policy.d
-    for item in inst.items:
-        hit = False
-        for p, v in item.props.items():
-            if v >= t[p]:
-                per_prop[p] += 1
-                hit = True
-        if hit:
-            retained.append(item)
+    hits = inst.columns(policy.d) >= np.array(policy.t)
+    passed = hits.any(axis=1)
+    retained = inst.take(passed)
     value = None
     if spec is not None:
         value = optimal_matching(retained, spec).value
-    return tuple(retained), RetentionStats(tuple(per_prop), len(retained), value)
+    stats = RetentionStats(tuple(hits.sum(axis=0).tolist()), retained.n, value)
+    return retained, stats
 
 
 def learn_optimal_thresholds(train: Instance, spec: ConstraintSpec) -> ThresholdsPolicy:
@@ -131,15 +128,18 @@ def learn_optimal_thresholds(train: Instance, spec: ConstraintSpec) -> Threshold
     (or an empty training sample) get threshold 0.  The solver checks
     ``train``.
     """
-    solution = optimal_matching(train.items, spec)
-    by_id = {item.id: item for item in train.items}
+    solution = optimal_matching(train, spec)
+    pairs = [(i, p) for i, p in solution.assignment if not is_dummy_id(i)]
     mins: dict[int, float] = {}
-    for item_id, prop in solution.assignment:
-        if item_id in by_id:
-            v = by_id[item_id].props[prop]
-            if prop not in mins or v < mins[prop]:
-                mins[prop] = v
+    for (_, prop), v in zip(pairs, train.values_at(pairs)):
+        if prop not in mins or v < mins[prop]:
+            mins[prop] = v
     return ThresholdsPolicy(tuple(mins.get(p, 0.0) for p in range(spec.d)))
+
+
+def _owned_values(train: Instance, d: int) -> list[np.ndarray]:
+    """Per property, the values of the items possessing it."""
+    return [col[col == col] for col in train.columns(d).T]
 
 
 def learn_topm_thresholds(
@@ -151,13 +151,11 @@ def learn_topm_thresholds(
         raise ConfigError(f"m must have {spec.d} entries, got {len(m)}")
     if any((not isinstance(x, int)) or x < 1 for x in m):
         raise ConfigError(f"m entries must be positive integers, got {tuple(m)}")
-    require_valid(validate_items(train.items, spec), "train")
+    require_valid(validate_items(train, spec), "train")
     out = []
-    for p in range(spec.d):
-        vals = sorted(
-            (item.props[p] for item in train.items if p in item.props), reverse=True
-        )
-        out.append(vals[m[p] - 1] if len(vals) >= m[p] else 0.0)
+    for vals, rank in zip(_owned_values(train, spec.d), m):
+        cut = vals.size - rank
+        out.append(float(np.partition(vals, cut)[cut]) if cut >= 0 else 0.0)
     return ThresholdsPolicy(tuple(out))
 
 
@@ -209,14 +207,14 @@ def quantile_policy_net(
         raise ConfigError(f"n must be a positive integer, got {n!r}")
     if not isinstance(k, int) or k < 1:
         raise ConfigError(f"k must be a positive integer, got {k!r}")
-    require_valid(validate_items(train.items, spec), "train")
+    require_valid(validate_items(train, spec), "train")
     d = spec.d
     if train.n == 0:
         return (ThresholdsPolicy((0.0,) * d),)
 
     per_property: list[list[float]] = []
-    for p in range(d):
-        vals = sorted((item.props[p] for item in train.items if p in item.props), reverse=True)
+    for owned in _owned_values(train, d):
+        vals = np.sort(owned)[::-1].tolist()
         grid: list[float] = [ABOVE]
         j_cap = 10 * d * k
         for j in range(1, j_cap + 1):

@@ -364,3 +364,22 @@ def test_every_command_checks_the_items_it_reads(tmp_path, capsys, record, comma
     assert captured.out == ""
     assert captured.err.startswith("error: invalid ") and "at item 2 " in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("record", ["[[0, NaN]]", "[[-1, 0.5]]", "[[1000000000, 0.5]]"])
+@pytest.mark.parametrize("command", ["solve", "greedy", "screen"])
+def test_item_rule_errors_name_file_and_line(tmp_path, capsys, record, command):
+    """A NaN value is an error, not a missing property, and a far property
+    index is one finding, not a column: each exits 1 naming its line."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"caps": [2]}\n')
+    policy = tmp_path / "policy.json"
+    policy.write_text('{"t": [0.4]}\n')
+    records = ["[[0, 0.5]]", "[[0, 0.9]]", record, "[[0, 0.3]]"]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(f'{{"id": {i}, "props": {r}}}\n' for i, r in enumerate(records)))
+    paths = {"spec": str(spec), "policy": str(policy)}
+    argv = [part.format(**paths) for part in COMMANDS[command]] + ["--in", str(bad)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid ") and f"at item 2 ({bad}:3: " in err

@@ -31,6 +31,8 @@ from screenmatch import (
 )
 from screenmatch.core import DUMMY_ID_BASE, format_value, require_valid
 
+from helpers import rand_bad_items, reference_violations
+
 
 class TestConstraintSpec:
     def test_derived_counts(self):
@@ -266,6 +268,57 @@ class TestValidation:
         kinds = {v.kind for v in validate_instance(inst, self.SPEC)}
         assert "id-position-mismatch" in kinds
         assert "dummy-id" in kinds
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_columnar_rules_equal_the_item_loop(self, d):
+        # same violations, in the same order, as the per-item rule loop
+        rng = np.random.default_rng(600 + d)
+        spec = ConstraintSpec((1,) * d)
+        faulty = 0
+        for _ in range(60):
+            items = rand_bad_items(rng, int(rng.integers(0, 25)), d)
+            expected = reference_violations(items, spec, positions=True)
+            assert validate_instance(Instance(items), spec) == expected
+            assert validate_items(items, spec) == reference_violations(items, spec)
+            faulty += bool(expected)
+        assert faulty >= 40
+
+    def test_file_violations_name_their_line(self):
+        text = '{"id": 0, "props": [[0, 0.5]]}\n\n{"id": 1, "props": [[1000000000, NaN]]}\n'
+        inst = read_instance(io.StringIO(text), source="s.jsonl")
+        report = validate_instance(inst, self.SPEC)
+        assert [(v.kind, v.item_id, v.where) for v in report] == [
+            ("unknown-property", 1, "s.jsonl:3"),
+            ("value-out-of-range", 1, "s.jsonl:3"),
+        ]
+        with pytest.raises(InputError) as info:
+            require_valid(report, "stream")
+        assert str(info.value) == (
+            "invalid stream: 2 violation(s), first is unknown-property at item 1"
+            " (s.jsonl:3: property 1000000000 outside 0..1)"
+        )
+
+
+class TestColumns:
+    def test_matrix_marks_missing_properties_with_nan(self):
+        inst = Instance((Item(0, {1: 0.25}), Item(1, {0: 0.5, 1: 1.0})))
+        np.testing.assert_array_equal(inst.values, [[np.nan, 0.25], [0.5, 1.0]])
+        np.testing.assert_array_equal(inst.columns(3)[:, 2], [np.nan, np.nan])
+        assert inst.ids.tolist() == [0, 1]
+
+    def test_sampled_items_are_built_from_the_matrix(self):
+        dist = DistributionSpec("overlap-bernoulli", 3, membership=(0.5, 0.4, 0.3))
+        inst = sample_instance(dist, 50, 3)
+        assert inst.values.shape == (50, 3)
+        for item, row in zip(inst, inst.values):
+            assert item.props == {p: v for p, v in enumerate(row.tolist()) if not math.isnan(v)}
+
+    def test_take_keeps_ids(self):
+        inst = sample_instance(DistributionSpec("single-property-uniform", 1), 10, 4)
+        sub = inst.take(inst.values[:, 0] >= 0.5)
+        assert sub.ids.tolist() == [item.id for item in inst if item.props[0] >= 0.5]
+        assert sub.items == tuple(item for item in inst if item.props[0] >= 0.5)
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)

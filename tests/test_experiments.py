@@ -197,6 +197,40 @@ class TestRunTrials:
         run_trials(cfg)
         assert sizes.count(n) == passes * trials
 
+    def test_greedy_checks_per_trial_do_not_grow_with_the_solves(self, monkeypatch):
+        # the stream check and the final solve's check: the gated solves skip it
+        import screenmatch.greedy as greedy
+
+        solves = []
+        real = greedy._solve
+
+        def counting(items, spec):
+            solves.append(len(items))
+            return real(items, spec)
+
+        monkeypatch.setattr(greedy, "_solve", counting)
+        sizes = count_validated(monkeypatch)
+        passes = []
+        for delta in (0.0, 0.5):
+            solves.clear()
+            sizes.clear()
+            run_trials(greedy_cfg(spec=ConstraintSpec((3,)), n=300, trials=3, delta=delta))
+            passes.append(len(sizes))
+            assert len(solves) > 3 * 3
+        assert passes == [2 * 3, 2 * 3]
+
+    @pytest.mark.parametrize("algorithm", ["greedy", "pipeline-exact-opt"])
+    def test_d1_trials_never_build_the_stream_as_items(self, monkeypatch, algorithm):
+        from screenmatch import Instance
+
+        def refuse(self):
+            raise AssertionError(f"built {self.n} Item objects")
+
+        monkeypatch.setattr(Instance, "_build_items", refuse)
+        cfg = greedy_cfg(spec=ConstraintSpec((3,)), n=2000, trials=3, algorithm=algorithm)
+        stats = run_trials(cfg)
+        assert len(stats.records) == 3
+
     @pytest.mark.parametrize("algorithm", ["greedy", "pipeline-exact-opt", "policy-fixed"])
     def test_identical_solutions_skip_the_exact_values(self, monkeypatch, algorithm):
         # with continuous values a trial succeeds only when its solution is

@@ -15,7 +15,7 @@ from screenmatch import (
     warmup_length,
     DistributionSpec,
 )
-from screenmatch.greedy import screen_entries
+from screenmatch.greedy import Arrivals, screen_entries
 
 from helpers import TIE_GRID, rand_instance, rand_items, reference_screen
 
@@ -118,7 +118,8 @@ class TestInvariants:
             spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 4, size=d)))
             warmup = int(rng.integers(0, n + 1))
             entries = [(item.id, item) for item in items]
-            fast, _ = screen_entries(entries, spec, warmup)
+            inst = Instance(items)
+            fast, _ = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup)
             slow = reference_screen(entries, spec, warmup)
             assert [i.id for i in fast] == [i.id for i in slow]
 

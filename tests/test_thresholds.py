@@ -73,13 +73,13 @@ class TestScreenWithPolicy:
     def test_all_zero_keeps_instance(self):
         inst = rand_instance(np.random.default_rng(1), 20, 2)
         retained, stats = screen_with_policy(ThresholdsPolicy((0.0, 0.0)), inst)
-        assert retained == inst.items
+        assert retained == inst
         assert stats.total == 20
 
     def test_all_above_keeps_nothing(self):
         inst = rand_instance(np.random.default_rng(2), 20, 2)
         retained, stats = screen_with_policy(ThresholdsPolicy((ABOVE, ABOVE)), inst, SPEC_11)
-        assert retained == ()
+        assert retained.n == 0
         assert stats.total == 0
         assert stats.value == 0.0
 
