@@ -24,13 +24,14 @@ from .core import (
     ConfigError,
     ConstraintSpec,
     DistributionSpec,
+    Instance,
     derive_seed,
     sample_instance,
 )
 from .greedy import greedy_screen, warmup_length
 from .matching import _reaches_optimum, _solve, optimal_matching
 from .pipeline import PipelineConfig, run_pipeline
-from .thresholds import ThresholdsPolicy, screen_with_policy
+from .thresholds import ThresholdsPolicy, _retention_scale, screen_with_policy, value_slack
 
 __all__ = [
     "ALGORITHMS",
@@ -178,9 +179,9 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
         )
 
     inst = sample_instance(cfg.dist, cfg.n, stream_seed)
-    retained, stats = screen_with_policy(cfg.policy, inst)
     # the full-stream solve checks the stream, and so the retained subset too
     full = optimal_matching(inst, cfg.spec)
+    retained, stats = screen_with_policy(cfg.policy, inst)
     sol = _solve(retained, cfg.spec)
     success = _reaches_optimum(inst, sol, full)
     return TrialRecord(t, stats.total, sol.value, full.value, success)
@@ -323,78 +324,77 @@ class ConvergenceStats:
         return asdict(self)
 
 
-def _net_thresholds_1d(net: Sequence[ThresholdsPolicy]) -> np.ndarray:
-    return np.array([p.t[0] for p in net], dtype=float)
-
-
-def _counts_values_1d(
-    values: np.ndarray, thr: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    asc = np.sort(values)
-    counts = values.size - np.searchsorted(asc, thr, side="left")
-    prefix = np.concatenate(([0.0], np.cumsum(asc[::-1])))
-    vals = prefix[np.minimum(k, counts)]
-    return counts.astype(float), vals
-
-
-def _conv_trial_stats(
-    dist: DistributionSpec,
-    spec: ConstraintSpec,
-    n: int,
-    seed: int,
-    label: str,
-    t: int,
-    net: Sequence[ThresholdsPolicy],
-    thr_1d: np.ndarray | None,
+def _net_stats(
+    inst: Instance, spec: ConstraintSpec, thr: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(total counts, per-property counts flattened, values) for one trial."""
-    sub = derive_seed(seed, label, t)
-    if thr_1d is not None:
-        values = sample_instance(dist, n, sub).values[:, 0]
-        counts, vals = _counts_values_1d(values, thr_1d, spec.k)
-        return counts, counts.copy(), vals
-    inst = sample_instance(dist, n, sub)
-    counts = np.empty(len(net), dtype=float)
-    per_prop = np.empty(len(net) * spec.d, dtype=float)
-    vals = np.empty(len(net), dtype=float)
-    for i, policy in enumerate(net):
-        _, stats = screen_with_policy(policy, inst, spec)
-        counts[i] = stats.total
-        per_prop[i * spec.d : (i + 1) * spec.d] = stats.per_property
-        vals[i] = stats.value
-    return counts, per_prop, vals
+    """(total counts, per-property counts flattened, values) of every net
+    policy on one stream valid for ``spec``; row i of ``thr`` is policy i's
+    thresholds.
+
+    Per property, the owners' values are sorted once and every threshold is
+    found by ``searchsorted``, under ``screen_with_policy``'s rule: a value
+    >= t clears, and NaN never clears.  When every item owns at most one
+    property the properties do not compete, and a policy's optimum is the
+    top ``caps[p]`` of the owners it keeps, a prefix sum of each property's
+    descending values.  Otherwise each policy's retained rows go to the
+    solver.
+    """
+    values = inst.columns(spec.d)
+    owned = [np.sort(col[col == col]) for col in values.T]
+    # a valid item owns some property, so each owns one when the owners add up to n
+    single = sum(asc.size for asc in owned) == inst.n
+    counts = np.empty(thr.shape, dtype=np.int64)
+    vals = np.zeros(len(thr))
+    for p, (asc, cap) in enumerate(zip(owned, spec.caps)):
+        counts[:, p] = asc.size - np.searchsorted(asc, thr[:, p], side="left")
+        if single:
+            prefix = np.concatenate(([0.0], np.cumsum(asc[::-1][:cap])))
+            vals += prefix[np.minimum(cap, counts[:, p])]
+    per_prop = counts.ravel().astype(float)
+    if single:
+        return counts.sum(axis=1).astype(float), per_prop, vals
+    totals = np.empty(len(thr))
+    for i, t in enumerate(thr):
+        kept = (values >= t).any(axis=1)
+        totals[i] = np.count_nonzero(kept)
+        vals[i] = _solve(inst.take(kept), spec).value
+    return totals, per_prop, vals
 
 
-def _conv_cal_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dist, spec, n, seed, net, thr_1d, start, stop = args
-    sum_counts = sum_prop = sum_vals = None
+def _conv_trials(trial: tuple, label: str, start: int, stop: int):
+    """``_net_stats`` of each trial in [start, stop).  The sampler's streams
+    are valid for any spec of the distribution's d, so none is checked."""
+    dist, spec, n, seed, thr = trial
     for t in range(start, stop):
-        counts, per_prop, vals = _conv_trial_stats(dist, spec, n, seed, "conv-cal", t, net, thr_1d)
-        if sum_counts is None:
-            sum_counts, sum_prop, sum_vals = counts, per_prop, vals
-        else:
-            sum_counts += counts
-            sum_prop += per_prop
-            sum_vals += vals
-    return sum_counts, sum_prop, sum_vals
+        yield _net_stats(sample_instance(dist, n, derive_seed(seed, label, t)), spec, thr)
 
 
-def _conv_eval_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    dist, spec, n, seed, net, thr_1d, rho, rho_prop, nu, zero_idx, start, stop = args
-    m = stop - start
-    dev_count = np.empty(m)
-    dev_prop = np.empty(m)
-    dev_val = np.empty(m)
-    zero_count = np.empty(m)
-    zero_val = np.empty(m)
-    for i, t in enumerate(range(start, stop)):
-        counts, per_prop, vals = _conv_trial_stats(dist, spec, n, seed, "conv-eval", t, net, thr_1d)
-        dev_count[i] = np.max(np.abs(counts - rho))
-        dev_prop[i] = np.max(np.abs(per_prop - rho_prop))
-        dev_val[i] = np.max(np.abs(vals - nu))
-        zero_count[i] = counts[zero_idx] if zero_idx >= 0 else math.nan
-        zero_val[i] = vals[zero_idx] if zero_idx >= 0 else math.nan
-    return dev_count, dev_prop, dev_val, zero_count, zero_val
+def _sum_in_order(parts) -> tuple[np.ndarray, ...]:
+    """Elementwise sums of a run of equal-shaped array tuples, added in order
+    into the first tuple's arrays."""
+    parts = iter(parts)
+    total = next(parts)
+    for part in parts:
+        for acc, a in zip(total, part):
+            acc += a
+    return total
+
+
+def _conv_cal_block(args) -> tuple[np.ndarray, ...]:
+    trial, start, stop = args
+    return _sum_in_order(_conv_trials(trial, "conv-cal", start, stop))
+
+
+def _conv_eval_block(args) -> np.ndarray:
+    """One row per trial: the three worst deviations, then the all-zero
+    policy's count and value (NaN without one)."""
+    trial, rho, rho_prop, nu, zero_idx, start, stop = args
+    rows = []
+    for counts, per_prop, vals in _conv_trials(trial, "conv-eval", start, stop):
+        zero = (counts[zero_idx], vals[zero_idx]) if zero_idx >= 0 else (math.nan,) * 2
+        devs = (counts - rho, per_prop - rho_prop, vals - nu)
+        rows.append([np.max(np.abs(dev)) for dev in devs] + list(zero))
+    return np.array(rows)
 
 
 def _quantiles(a: np.ndarray) -> dict[str, float]:
@@ -415,57 +415,42 @@ def convergence_experiment(
     """Estimate per-policy expectations on a large calibration run, then
     measure worst-case deviations over the net on fresh trials.
 
-    Single-property instances use a vectorized order-statistics kernel;
-    other shapes fall back to screening each policy per trial.
+    Each trial screens its stream through the whole net at once
+    (``_net_stats``), for every shape of stream.
     """
     if not isinstance(trials, int) or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    if not isinstance(calibration_factor, int) or calibration_factor < 1:
+        raise ConfigError(
+            f"calibration factor must be a positive integer, got {calibration_factor!r}"
+        )
+    if not isinstance(n, int) or n < spec.k:
+        raise ConfigError(f"n must be an integer >= k={spec.k}, got {n!r}")
+    if dist.d != spec.d:
+        raise ConfigError(f"distribution has d={dist.d} but spec has {spec.d} properties")
     _check_workers(workers)
     if len(net) == 0:
         raise ConfigError("policy net is empty")
     for policy in net:
         if policy.d != spec.d:
             raise ConfigError(f"net policy has {policy.d} thresholds, spec has {spec.d}")
-    thr_1d = None
-    if spec.d == 1 and dist.kind != "overlap-bernoulli":
-        thr_1d = _net_thresholds_1d(net)
+    thr = np.array([policy.t for policy in net], dtype=float)
 
+    trial = (dist, spec, n, seed, thr)
     cal_trials = calibration_factor * trials
-    cal_args = [
-        (dist, spec, n, seed, tuple(net), thr_1d, s, e) for s, e in _blocks(cal_trials, _BLOCK)
-    ]
-    sum_counts = sum_prop = sum_vals = None
-    for c, pp, v in _map_blocks(_conv_cal_block, cal_args, workers):
-        if sum_counts is None:
-            sum_counts, sum_prop, sum_vals = c, pp, v
-        else:
-            sum_counts += c
-            sum_prop += pp
-            sum_vals += v
-    rho = sum_counts / cal_trials
-    rho_prop = sum_prop / cal_trials
-    nu = sum_vals / cal_trials
+    cal_args = [(trial, s, e) for s, e in _blocks(cal_trials, _BLOCK)]
+    sums = _sum_in_order(_map_blocks(_conv_cal_block, cal_args, workers))
+    rho, rho_prop, nu = (x / cal_trials for x in sums)
 
-    zero_idx = -1
-    for i, policy in enumerate(net):
-        if all(x == 0.0 for x in policy.t):
-            zero_idx = i
-            break
-
-    eval_args = [
-        (dist, spec, n, seed, tuple(net), thr_1d, rho, rho_prop, nu, zero_idx, s, e)
-        for s, e in _blocks(trials, _BLOCK)
-    ]
-    parts = _map_blocks(_conv_eval_block, eval_args, workers)
-    dev_count = np.concatenate([p[0] for p in parts])
-    dev_prop = np.concatenate([p[1] for p in parts])
-    dev_val = np.concatenate([p[2] for p in parts])
-    zero_counts = np.concatenate([p[3] for p in parts])
-    zero_vals = np.concatenate([p[4] for p in parts])
+    zeros = np.flatnonzero((thr == 0.0).all(axis=1))
+    zero_idx = int(zeros[0]) if zeros.size else -1
+    eval_args = [(trial, rho, rho_prop, nu, zero_idx, s, e) for s, e in _blocks(trials, _BLOCK)]
+    rows = np.concatenate(_map_blocks(_conv_eval_block, eval_args, workers))
+    dev_count, dev_prop, dev_val, zero_counts, zero_vals = np.ascontiguousarray(rows.T)
 
     k, d = spec.k, spec.d
-    count_unit = math.sqrt(k * (math.log(max(d, 2)) * math.log(n / k) + math.log(20.0)))
-    value_unit = math.sqrt(k * (d * math.log(max(k, 2)) + math.log(20.0)))
+    count_unit = _retention_scale(k, d, n, 0.05)
+    value_unit = value_slack(k, d, 0.05)
     q95_count = float(np.quantile(dev_count, 0.95))
     q95_val = float(np.quantile(dev_val, 0.95))
 

@@ -104,9 +104,10 @@ def screen_with_policy(
     properties); the total counts distinct retained items.  A missing
     property is NaN, which clears no threshold.
 
-    Like ``apply_policy`` it trusts ``inst`` unchecked: the convergence
-    experiment screens each stream once per net policy, and a check costs
-    as much as the screen.  The ``screen`` command checks its file first.
+    Like ``apply_policy`` it trusts ``inst`` unchecked, because its
+    callers check first and a check costs as much as the screen: the
+    ``screen`` command checks its file, the pipeline its stream, and a
+    policy-fixed trial its stream, in the full-stream solve.
     """
     if spec is not None and policy.d != spec.d:
         raise ConfigError(f"policy has {policy.d} thresholds but spec has {spec.d} properties")
@@ -177,9 +178,12 @@ def retention_slack(k: int, d: int, n: int, delta: float, c0: float = 1.0) -> in
     _check_slack_args(k, d, delta, c0)
     if not isinstance(n, int) or n <= k:
         raise ConfigError(f"n must be an integer above k={k}, got {n!r}")
-    return math.ceil(
-        c0 * math.sqrt(k * (math.log(max(d, 2)) * math.log(n / k) + math.log(1 / delta)))
-    )
+    return math.ceil(_retention_scale(k, d, n, delta, c0))
+
+
+def _retention_scale(k: int, d: int, n: int, delta: float, c0: float = 1.0) -> float:
+    """``retention_slack`` before rounding up, unchecked; needs n >= k."""
+    return c0 * math.sqrt(k * (math.log(max(d, 2)) * math.log(n / k) + math.log(1 / delta)))
 
 
 def value_slack(k: int, d: int, delta: float, c0: float = 1.0) -> float:

@@ -188,6 +188,25 @@ class TestExperimentCommands:
         err = capsys.readouterr().err
         assert err == "error: workers must be a positive integer, got 0\n"
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("factor", ["0", "-1"])
+    def test_converge_calibration_factor_below_one(self, files, capsys, workers, factor):
+        tmp, dist, spec = files
+        argv = ["converge", "--dist", dist, "--spec", spec, "--n", "20", "--trials", "3"]
+        argv += ["--calibration-factor", factor, "--workers", workers, "--out", str(tmp / "o")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: calibration factor must be a positive integer, got {factor}\n"
+
+    def test_converge_n_below_k(self, files, capsys):
+        tmp, dist, _ = files
+        spec = tmp / "big.json"
+        with open(spec, "w") as fh:
+            write_constraint_spec(ConstraintSpec((100,)), fh)
+        argv = ["converge", "--dist", dist, "--spec", str(spec), "--n", "1", "--trials", "3"]
+        assert run(argv + ["--out", str(tmp / "o")]) == 1
+        assert capsys.readouterr().err == "error: n must be an integer >= k=100, got 1\n"
+
     def test_trials_records_file(self, files):
         tmp, dist, spec = files
         rec = tmp / "rec.jsonl"

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 
@@ -22,14 +23,23 @@ from screenmatch import (
 from screenmatch.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
-    _conv_trial_stats,
-    _net_thresholds_1d,
+    _net_stats,
     trial_stats_row,
     write_aggregates_csv,
     write_records_jsonl,
 )
+from screenmatch.thresholds import ABOVE, screen_with_policy
+
+from helpers import TIE_GRID, rand_items
 
 D1 = DistributionSpec("single-property-uniform", 1)
+DISJOINT2 = DistributionSpec("disjoint-properties-uniform", 2)
+OVERLAP2 = DistributionSpec("overlap-bernoulli", 2, (0.6, 0.5))
+
+
+def grid_net(d, ts=(ABOVE, 0.7, 0.3, 0.0)):
+    """The product net of the thresholds ``ts`` on each of d properties."""
+    return [ThresholdsPolicy(t) for t in itertools.product(ts, repeat=d)]
 
 
 def fake_pool(monkeypatch):
@@ -153,6 +163,15 @@ class TestRunTrials:
                 for w in (1, 2, 3)
             ]
             assert opts[0] == opts[1] == opts[2]
+            for dist, caps in ((DISJOINT2, (2, 1)), (OVERLAP2, (1, 1))):
+                spec = ConstraintSpec(caps)
+                convs = [
+                    convergence_experiment(
+                        dist, spec, 20, trials, grid_net(2, (0.5, 0.0)), 5, workers=w
+                    )
+                    for w in (1, 2, 3)
+                ]
+                assert convs[0] == convs[1] == convs[2]
 
     def test_blocks_follow_the_worker_count(self, monkeypatch):
         pools = fake_pool(monkeypatch)
@@ -308,17 +327,53 @@ class TestConvergence:
         rng = np.random.default_rng(seed)
         return Instance(tuple(Item(i, {0: float(v)}) for i, v in enumerate(rng.random(n))))
 
-    def test_columnar_route_matches_generic_route(self):
-        spec = ConstraintSpec((2,))
-        train = self._uniform_train(300, 13)
-        net = quantile_policy_net(train, spec, 300, spec.k)
-        thr = _net_thresholds_1d(net)
-        for t in range(6):
-            fast = _conv_trial_stats(D1, spec, 120, 31, "conv-cal", t, net, thr)
-            slow = _conv_trial_stats(D1, spec, 120, 31, "conv-cal", t, net, None)
-            assert np.array_equal(fast[0], slow[0])
-            assert np.array_equal(fast[1], slow[1])
-            np.testing.assert_allclose(fast[2], slow[2], rtol=0, atol=1e-9)
+    @pytest.mark.parametrize(
+        "caps, max_props",
+        [((2,), 1), ((2, 1), 1), ((1, 1), None), ((2, 1, 1), None)],
+        ids=["d1", "disjoint-d2", "overlap-d2", "overlap-d3"],
+    )
+    def test_kernel_matches_screen_with_policy(self, caps, max_props):
+        # thresholds on the tie grid meet equal values, which must clear
+        spec = ConstraintSpec(caps)
+        d = spec.d
+        net = grid_net(d, (ABOVE, 1.0, 0.5, 0.0, 0.6))
+        thr = np.array([policy.t for policy in net])
+        rng = np.random.default_rng(23)
+        for trial in range(4):
+            grid = TIE_GRID if trial % 2 == 0 else None
+            inst = Instance(rand_items(rng, 30, d, value_grid=grid, max_props=max_props))
+            counts, per_prop, vals = _net_stats(inst, spec, thr)
+            for i, policy in enumerate(net):
+                _, ref = screen_with_policy(policy, inst, spec)
+                assert counts[i] == ref.total
+                assert per_prop[i * d : (i + 1) * d].tolist() == list(ref.per_property)
+                if d > 1 and max_props == 1:
+                    # prefix-sum order, where the solver takes an exactly rounded sum
+                    assert abs(vals[i] - ref.value) <= 1e-12
+                else:
+                    # at d=1 with two slots the prefix sum is exactly rounded too
+                    assert vals[i] == ref.value
+
+    @pytest.mark.parametrize("dist, caps", [(DISJOINT2, (2, 1)), (OVERLAP2, (1, 1))])
+    def test_trials_make_no_check_per_policy(self, monkeypatch, dist, caps):
+        # the sampled streams need none: dist and spec agree on d
+        sizes = count_validated(monkeypatch)
+        convergence_experiment(dist, ConstraintSpec(caps), 50, 3, grid_net(2), 2)
+        assert sizes == []
+
+    @pytest.mark.parametrize(
+        "kw, what",
+        [
+            ({"calibration_factor": 0}, "calibration factor"),
+            ({"calibration_factor": -1}, "calibration factor"),
+            ({"n": 1}, "n must be"),
+            ({"dist": DISJOINT2}, "distribution has d=2"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, kw, what):
+        args = dict(dist=D1, spec=ConstraintSpec((3,)), n=10, trials=5, net=grid_net(1), seed=1)
+        with pytest.raises(ConfigError, match=what):
+            convergence_experiment(**{**args, **kw})
 
     def test_single_policy_net(self):
         net = [ThresholdsPolicy((0.0,))]
