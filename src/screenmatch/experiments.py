@@ -8,13 +8,20 @@ trials out as one contiguous block per worker and merge the per-trial
 results in index order, so block boundaries never show in the output.
 ``convergence_experiment`` sums its calibration statistics per block, so
 it keeps blocks of a fixed size.
+
+Workers are forked once per process and reused: the first call that needs
+more than one worker starts the pool, later calls share it, and only a
+call that needs more workers than it has replaces it.  The pool's size
+never shapes the blocks, so it never shows in the output either.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from typing import IO, Sequence
 
@@ -206,12 +213,40 @@ def _split(total: int, workers: int) -> list[tuple[int, int]]:
     return _blocks(total, -(-total // workers))
 
 
+# this process's worker pool: (pid that forked it, its size, the executor)
+_pool: tuple[int, int, ProcessPoolExecutor] | None = None
+
+
+def _drop_pool() -> None:
+    """Shut this process's pool down and forget it; a forked child only
+    forgets the pool it inherited, whose workers are its parent's."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown(wait=True)
+    _pool = None
+
+
 def _map_blocks(fn, args_list: list, workers: int) -> list:
+    """``fn`` over ``args_list`` in order, on this process's pool of workers.
+
+    The pool outlives the call.  Interpreter exit shuts it down through
+    ``concurrent.futures``' own hook.
+    """
+    global _pool
     if workers == 1 or len(args_list) == 1:
         return [fn(a) for a in args_list]
     # fork starts every worker at once, so never ask for more than there are blocks
-    with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
-        return list(pool.map(fn, args_list))
+    size = min(workers, len(args_list))
+    if _pool is None or _pool[0] != os.getpid() or _pool[1] < size:
+        # the old pool goes first, so no fork runs while its manager thread is live
+        _drop_pool()
+        _pool = (os.getpid(), size, ProcessPoolExecutor(max_workers=size))
+    try:
+        return list(_pool[2].map(fn, args_list))
+    except BrokenProcessPool:
+        # this call fails; the next one forks a fresh pool
+        _drop_pool()
+        raise
 
 
 def run_trials(cfg: ExperimentConfig, workers: int = 1) -> TrialStats:

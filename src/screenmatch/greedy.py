@@ -9,10 +9,15 @@ consistency explicitly on small instances.
 The pass keeps, per property, a min-heap of the top k (value, id) pairs
 among kept items.  By the solver's pool lemma, an arrival that ranks
 below the k-th best kept item in every property it possesses is outside
-the optimum, so it is rejected without a solve; at d = 1 this gate is the
-whole decision.  Any other arrival is decided by solving over the
-items still in some heap plus the newcomer, which has the same optimum as
-all kept items plus the newcomer.
+the optimum, so it is rejected without a solve.  Any other arrival is
+decided by solving over the items still in some heap plus the newcomer,
+which has the same optimum as all kept items plus the newcomer.
+
+When every arrival owns a single property (d = 1, and disjoint streams)
+the properties do not compete: the optimum is the top ``caps[p]`` of
+each property, the solver's own single-property rule.  Heap p then holds
+``caps[p]`` pairs, and the gate is the whole decision: an arrival that
+passes it is kept, with no solve.
 
 Arrivals come as value rows and are gated a block at a time: numpy drops
 every arrival of the block whose values all lie below the minima of full
@@ -24,6 +29,7 @@ the rest reach it one by one.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -101,8 +107,10 @@ def screen_entries(
     here skip the check.  A step's ``running_value`` is the optimum value
     over the items kept so far.
     """
-    k = spec.k
     positions, values = entries.pos, entries.values
+    # a checked arrival owns some property, so each owns one when the owned entries add up to m
+    single = np.count_nonzero(values == values) == len(values)
+    sizes = spec.caps if single else (spec.k,) * spec.d
     heaps: list[list[tuple[float, int, Item]]] = [[] for _ in range(spec.d)]
     kept: list[Item] = []
     decided: dict[int, tuple[bool, float]] = {}  # index -> (retained, running) per solve
@@ -111,7 +119,9 @@ def screen_entries(
     for start in range(0, len(entries), BLOCK):
         block, pos = values[start : start + BLOCK], positions[start : start + BLOCK]
         # a value below a full heap's minimum fails the exact gate below
-        lows = np.array([heap[0][0] if len(heap) == k else -np.inf for heap in heaps])
+        lows = np.array(
+            [heap[0][0] if len(heap) == size else -np.inf for heap, size in zip(heaps, sizes)]
+        )
         survivors = np.flatnonzero(
             (block >= lows).any(axis=1) & after_warmup[start : start + BLOCK]
         )
@@ -121,23 +131,30 @@ def screen_entries(
             (survivors + start).tolist(), pos[survivors].tolist(), block[survivors].tolist()
         ):
             props = {p: v for p, v in enumerate(row) if v == v}
-            if not any(len(heaps[p]) < k or (v, item_id) > heaps[p][0] for p, v in props.items()):
+            if not any(
+                len(heaps[p]) < sizes[p] or (v, item_id) > heaps[p][0] for p, v in props.items()
+            ):
                 continue
             item = Item(item_id, props)
-            pool = {e[1]: e[2] for heap in heaps for e in heap}
-            sol = _solve([*pool.values(), item], spec)
-            # rejected items never displace anyone, so the optimum is unchanged
-            running = sol.value
-            retained = item_id in sol.real_ids()
-            decided[i] = (retained, running)
-            if retained:
-                kept.append(item)
-                for p, v in props.items():
-                    heap = heaps[p]
-                    if len(heap) < k:
-                        heapq.heappush(heap, (v, item_id, item))
-                    elif (v, item_id) > heap[0]:
-                        heapq.heapreplace(heap, (v, item_id, item))
+            if not single:
+                pool = {e[1]: e[2] for heap in heaps for e in heap}
+                sol = _solve([*pool.values(), item], spec)
+                # rejected items never displace anyone, so the optimum is unchanged
+                running = sol.value
+                if item_id not in sol.real_ids():
+                    decided[i] = (False, running)
+                    continue
+            kept.append(item)
+            for p, v in props.items():
+                heap = heaps[p]
+                if len(heap) < sizes[p]:
+                    heapq.heappush(heap, (v, item_id, item))
+                elif (v, item_id) > heap[0]:
+                    heapq.heapreplace(heap, (v, item_id, item))
+            if single and trace:
+                # the heaps hold the optimum; fsum rounds exactly, as the solver's sum does
+                running = math.fsum(e[0] for heap in heaps for e in heap)
+            decided[i] = (True, running)
     steps: list[TraceStep] | None = None
     if trace:
         steps, running = [], 0.0

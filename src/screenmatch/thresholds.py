@@ -23,7 +23,7 @@ from .core import (
     ConfigError, ConstraintSpec, InputError, Instance, Item, is_dummy_id, require_valid,
     validate_items,
 )
-from .matching import optimal_matching
+from .matching import _solve, optimal_matching
 
 __all__ = [
     "ABOVE",
@@ -104,10 +104,11 @@ def screen_with_policy(
     properties); the total counts distinct retained items.  A missing
     property is NaN, which clears no threshold.
 
-    Like ``apply_policy`` it trusts ``inst`` unchecked, because its
-    callers check first and a check costs as much as the screen: the
-    ``screen`` command checks its file, the pipeline its stream, and a
-    policy-fixed trial its stream, in the full-stream solve.
+    Like ``apply_policy`` it trusts ``inst`` unchecked, and with ``spec``
+    it solves the retained rows unchecked too, because its callers check
+    first and a check costs as much as the screen: the ``screen`` command
+    checks its file, the pipeline its stream, and a policy-fixed trial its
+    stream, in the full-stream solve.
     """
     if spec is not None and policy.d != spec.d:
         raise ConfigError(f"policy has {policy.d} thresholds but spec has {spec.d} properties")
@@ -116,7 +117,7 @@ def screen_with_policy(
     retained = inst.take(passed)
     value = None
     if spec is not None:
-        value = optimal_matching(retained, spec).value
+        value = _solve(retained, spec).value
     stats = RetentionStats(tuple(hits.sum(axis=0).tolist()), retained.n, value)
     return retained, stats
 

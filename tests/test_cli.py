@@ -102,6 +102,36 @@ class TestLearnScreenPipeline:
         assert payload["total"] >= 5
         assert payload["per_property"] == [payload["total"]]
 
+    def test_screen_with_spec_checks_the_file_once(self, tmp_path, capsys, monkeypatch):
+        import screenmatch.cli as cli
+        import screenmatch.core as core
+        import screenmatch.matching as matching
+        import screenmatch.thresholds as thresholds
+
+        sizes = []
+        real = core.validate_items
+
+        def counting(items, spec):
+            sizes.append(len(items))
+            return real(items, spec)
+
+        for mod in (core, matching, thresholds, cli):
+            monkeypatch.setattr(mod, "validate_items", counting, raising=False)
+        dist, spec, policy = (tmp_path / name for name in ("dist.json", "spec.json", "pol.json"))
+        with open(dist, "w") as fh:
+            write_distribution_spec(DistributionSpec("overlap-bernoulli", 2, (0.6, 0.5)), fh)
+        with open(spec, "w") as fh:
+            write_constraint_spec(ConstraintSpec((2, 1)), fh)
+        policy.write_text('{"t": [0.5, 0.5]}\n')
+        inst = tmp_path / "c.jsonl"
+        run(["gen", "--dist", str(dist), "--n", "300", "--seed", "4", "--out", str(inst)])
+        sizes.clear()
+        argv = ["screen", "--in", str(inst), "--policy", str(policy), "--spec", str(spec)]
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 0 < payload["total"] < 300 and payload["value"] > 0
+        assert sizes == [300]
+
     def test_learn_net_writes_one_policy_per_line(self, files, capsys):
         tmp, dist, spec = files
         train = tmp / "train.jsonl"

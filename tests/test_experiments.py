@@ -2,6 +2,10 @@ import io
 import itertools
 import json
 import math
+import os
+import signal
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from screenmatch import (
     run_trials,
     sample_instance,
 )
+import screenmatch.experiments as experiments
 from screenmatch.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -43,20 +48,20 @@ def grid_net(d, ts=(ABOVE, 0.7, 0.3, 0.0)):
 
 
 def fake_pool(monkeypatch):
-    """Run pool work in this process; returns the (max_workers, blocks) of each pool."""
+    """Run pool work in this process; returns the (max_workers, blocks) of each
+    pool map.  Any cached pool goes first, and the fake one goes with the patch."""
     import screenmatch.experiments as mod
 
+    mod._drop_pool()
+    monkeypatch.setattr(mod, "_pool", None)
     pools = []
 
     class FakePool:
         def __init__(self, max_workers):
             self.max_workers = max_workers
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True):
+            pass
 
         def map(self, fn, args_list):
             pools.append((self.max_workers, [a[-2:] for a in args_list]))
@@ -64,6 +69,40 @@ def fake_pool(monkeypatch):
 
     monkeypatch.setattr(mod, "ProcessPoolExecutor", FakePool)
     return pools
+
+
+def count_pools(monkeypatch):
+    """Start from no pool; returns the size of every pool started after."""
+    experiments._drop_pool()
+    started = []
+
+    class Counting(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Counting)
+    return started
+
+
+def _die_in_worker(parent_pid):
+    if os.getpid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def count_gated_solves(monkeypatch):
+    """Record the pool size of every solve the greedy pass makes."""
+    import screenmatch.greedy as greedy
+
+    solves = []
+    real = greedy._solve
+
+    def counting(items, spec):
+        solves.append(len(items))
+        return real(items, spec)
+
+    monkeypatch.setattr(greedy, "_solve", counting)
+    return solves
 
 
 def count_validated(monkeypatch):
@@ -154,24 +193,59 @@ class TestRunTrials:
         assert stats.aggregates.std_retained == 0.0
 
     def test_worker_count_does_not_change_results(self):
+        # 2 -> 3 -> 2 forks a pool, replaces it with a bigger one, then reuses that
+        counts = (1, 2, 3, 2)
         for trials in (7, 40):
             cfg = greedy_cfg(n=60, trials=trials)
-            runs = [run_trials(cfg, workers=w) for w in (1, 2, 3)]
-            assert runs[0] == runs[1] == runs[2]
+            runs = [run_trials(cfg, workers=w) for w in counts]
+            assert all(r == runs[0] for r in runs)
             opts = [
                 concentration_experiment(D1, ConstraintSpec((2,)), 30, trials, 5, workers=w)
-                for w in (1, 2, 3)
+                for w in counts
             ]
-            assert opts[0] == opts[1] == opts[2]
+            assert all(o == opts[0] for o in opts)
             for dist, caps in ((DISJOINT2, (2, 1)), (OVERLAP2, (1, 1))):
                 spec = ConstraintSpec(caps)
                 convs = [
                     convergence_experiment(
                         dist, spec, 20, trials, grid_net(2, (0.5, 0.0)), 5, workers=w
                     )
-                    for w in (1, 2, 3)
+                    for w in counts
                 ]
-                assert convs[0] == convs[1] == convs[2]
+                assert all(c == convs[0] for c in convs)
+
+    def test_a_later_call_reuses_the_pool(self, monkeypatch):
+        started = count_pools(monkeypatch)
+        cfg = greedy_cfg(n=60, trials=7)
+        first = run_trials(cfg, workers=2)
+        pool = experiments._pool[2]
+        assert run_trials(cfg, workers=2) == first
+        concentration_experiment(D1, ConstraintSpec((2,)), 30, 7, 5, workers=2)
+        assert started == [2]
+        assert experiments._pool[2] is pool
+
+    def test_a_call_needing_more_workers_replaces_the_pool(self, monkeypatch):
+        started = count_pools(monkeypatch)
+        cfg = greedy_cfg(n=60, trials=7)
+        run_trials(cfg, workers=2)
+        small = experiments._pool[2]
+        assert run_trials(cfg, workers=3) == run_trials(cfg)
+        assert started == [2, 3]
+        with pytest.raises(RuntimeError, match="shutdown"):
+            small.submit(abs, -1)
+        # a smaller need keeps the bigger pool
+        run_trials(cfg, workers=2)
+        assert started == [2, 3]
+
+    def test_a_killed_worker_fails_its_call_only(self, monkeypatch):
+        started = count_pools(monkeypatch)
+        cfg = greedy_cfg(n=60, trials=7)
+        run_trials(cfg, workers=2)
+        with pytest.raises(BrokenProcessPool):
+            experiments._map_blocks(_die_in_worker, [os.getpid()] * 2, 2)
+        assert experiments._pool is None
+        assert run_trials(cfg, workers=2) == run_trials(cfg)
+        assert started == [2, 2]
 
     def test_blocks_follow_the_worker_count(self, monkeypatch):
         pools = fake_pool(monkeypatch)
@@ -218,25 +292,26 @@ class TestRunTrials:
 
     def test_greedy_checks_per_trial_do_not_grow_with_the_solves(self, monkeypatch):
         # the stream check and the final solve's check: the gated solves skip it
-        import screenmatch.greedy as greedy
-
-        solves = []
-        real = greedy._solve
-
-        def counting(items, spec):
-            solves.append(len(items))
-            return real(items, spec)
-
-        monkeypatch.setattr(greedy, "_solve", counting)
+        solves = count_gated_solves(monkeypatch)
         sizes = count_validated(monkeypatch)
         passes = []
         for delta in (0.0, 0.5):
             solves.clear()
             sizes.clear()
-            run_trials(greedy_cfg(spec=ConstraintSpec((3,)), n=300, trials=3, delta=delta))
+            spec = ConstraintSpec((2, 2))
+            run_trials(greedy_cfg(dist=OVERLAP2, spec=spec, n=300, trials=3, delta=delta))
             passes.append(len(sizes))
             assert len(solves) > 3 * 3
         assert passes == [2 * 3, 2 * 3]
+
+    @pytest.mark.parametrize(
+        "dist, caps", [(D1, (3,)), (DISJOINT2, (2, 1))], ids=["d1", "disjoint-d2"]
+    )
+    def test_single_property_greedy_makes_no_gated_solve(self, monkeypatch, dist, caps):
+        solves = count_gated_solves(monkeypatch)
+        cfg = greedy_cfg(dist=dist, spec=ConstraintSpec(caps), n=300, trials=3, delta=0.0)
+        assert run_trials(cfg).aggregates.mean_retained > sum(caps)
+        assert solves == []
 
     @pytest.mark.parametrize("algorithm", ["greedy", "pipeline-exact-opt"])
     def test_d1_trials_never_build_the_stream_as_items(self, monkeypatch, algorithm):

@@ -77,12 +77,18 @@ class TestTrace:
         assert [s.retained for s in res.trace] == [False, True, False]
         assert res.trace[2].running_value == 0.5
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_running_value_is_optimum_over_kept(self, d):
+    @pytest.mark.parametrize(
+        "d, max_props",
+        [(2, None), (3, None), (1, 1), (2, 1), (3, 1)],
+        # one property per item: decided by the gate alone, with no solve
+        ids=["2", "3", "1-single", "2-single", "3-single"],
+    )
+    def test_running_value_is_optimum_over_kept(self, d, max_props):
         rng = np.random.default_rng(40 + d)
         for _ in range(30):
             n = int(rng.integers(1, 25))
-            inst = rand_instance(rng, n, d, value_grid=TIE_GRID if rng.random() < 0.5 else None)
+            grid = TIE_GRID if rng.random() < 0.5 else None
+            inst = Instance(tuple(rand_items(rng, n, d, value_grid=grid, max_props=max_props)))
             spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 3, size=d)))
             res = greedy_screen(inst, spec, int(rng.integers(0, n + 1)), trace=True)
             kept = []
