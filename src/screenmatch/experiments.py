@@ -11,8 +11,9 @@ it keeps blocks of a fixed size.
 
 Workers are forked once per process and reused: the first call that needs
 more than one worker starts the pool, later calls share it, and only a
-call that needs more workers than it has replaces it.  The pool's size
-never shapes the blocks, so it never shows in the output either.
+call that needs more workers than it has replaces it, as does a call that
+finds a worker of it dead.  The pool's size never shapes the blocks, so it
+never shows in the output either.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
+from multiprocessing.connection import wait
 from typing import IO, Sequence
 
 import numpy as np
@@ -226,6 +228,13 @@ def _drop_pool() -> None:
     _pool = None
 
 
+def _broken(executor: ProcessPoolExecutor) -> bool:
+    """True when a worker of ``executor`` has exited, though the executor
+    may not have noticed yet: a pool whose worker died while it was idle."""
+    sentinels = [p.sentinel for p in executor._processes.values()]
+    return bool(executor._broken or wait(sentinels, timeout=0))
+
+
 def _map_blocks(fn, args_list: list, workers: int) -> list:
     """``fn`` over ``args_list`` in order, on this process's pool of workers.
 
@@ -237,14 +246,14 @@ def _map_blocks(fn, args_list: list, workers: int) -> list:
         return [fn(a) for a in args_list]
     # fork starts every worker at once, so never ask for more than there are blocks
     size = min(workers, len(args_list))
-    if _pool is None or _pool[0] != os.getpid() or _pool[1] < size:
+    if _pool is None or _pool[0] != os.getpid() or _pool[1] < size or _broken(_pool[2]):
         # the old pool goes first, so no fork runs while its manager thread is live
         _drop_pool()
         _pool = (os.getpid(), size, ProcessPoolExecutor(max_workers=size))
     try:
         return list(_pool[2].map(fn, args_list))
     except BrokenProcessPool:
-        # this call fails; the next one forks a fresh pool
+        # a worker died during this call, so it fails; the next one forks a fresh pool
         _drop_pool()
         raise
 

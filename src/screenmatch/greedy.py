@@ -9,9 +9,19 @@ consistency explicitly on small instances.
 The pass keeps, per property, a min-heap of the top k (value, id) pairs
 among kept items.  By the solver's pool lemma, an arrival that ranks
 below the k-th best kept item in every property it possesses is outside
-the optimum, so it is rejected without a solve.  Any other arrival is
-decided by solving over the items still in some heap plus the newcomer,
-which has the same optimum as all kept items plus the newcomer.
+the optimum, so it is rejected without a solve.  Any other arrival x is
+decided against the current optimum M over the kept items:
+
+- Exchange lemma: the optimum over the kept items plus x uses only M's
+  items and x.  The four tie layers fold into one additive weight whose
+  optimum is unique, so an alternating component of M and the new optimum
+  that misses x would improve one of the two on its own.  The solve runs
+  over M's real items and x, at most k + 1 items, and a rejected arrival
+  leaves M as it was.
+- Value bound: when M holds k real items, x and any k - 1 of them are worth
+  at most x's best value plus the best values of M's items less the lowest
+  of those.  When that falls short of M's value, x is rejected with no
+  solve.  The sum is an exactly signed ``math.fsum``.
 
 When every arrival owns a single property (d = 1, and disjoint streams)
 the properties do not compete: the optimum is the top ``caps[p]`` of
@@ -93,6 +103,22 @@ class Arrivals:
         return zip(self.pos.tolist(), self.values)
 
 
+def _value_bound(optimum: list[Item], assigned: dict[int, int]) -> list[float]:
+    """The terms of ``_outvalued`` for an optimum of k real items, assigned
+    as ``assigned`` says: each item's best value, the lowest of those
+    negated, and each item's assigned value negated."""
+    best = [max(y.props.values()) for y in optimum]
+    return [-min(best), *best, *(-y.props[assigned[y.id]] for y in optimum)]
+
+
+def _outvalued(item: Item, bound: list[float]) -> bool:
+    """True when ``item`` and any k - 1 items of the optimum, each at its
+    best value, are worth less than the optimum: no set holding ``item``
+    can beat it.  The exact sum of doubles is a multiple of 2^-1074, and
+    fsum rounds it correctly, so the sign is exact."""
+    return math.fsum([max(item.props.values()), *bound]) < 0
+
+
 def screen_entries(
     entries: Arrivals,
     spec: ConstraintSpec,
@@ -111,8 +137,11 @@ def screen_entries(
     # a checked arrival owns some property, so each owns one when the owned entries add up to m
     single = np.count_nonzero(values == values) == len(values)
     sizes = spec.caps if single else (spec.k,) * spec.d
-    heaps: list[list[tuple[float, int, Item]]] = [[] for _ in range(spec.d)]
+    heaps: list[list[tuple[float, int]]] = [[] for _ in range(spec.d)]
     kept: list[Item] = []
+    # overlap streams: the optimum's real items, and the value bound's terms once it holds k
+    optimum: list[Item] = []
+    bound: list[float] = []
     decided: dict[int, tuple[bool, float]] = {}  # index -> (retained, running) per solve
     running = 0.0
     after_warmup = positions >= warmup
@@ -137,20 +166,25 @@ def screen_entries(
                 continue
             item = Item(item_id, props)
             if not single:
-                pool = {e[1]: e[2] for heap in heaps for e in heap}
-                sol = _solve([*pool.values(), item], spec)
-                # rejected items never displace anyone, so the optimum is unchanged
-                running = sol.value
-                if item_id not in sol.real_ids():
+                # a rejected arrival leaves the optimum, and so the running value, unchanged
+                if bound and _outvalued(item, bound):
                     decided[i] = (False, running)
                     continue
+                sol = _solve([*optimum, item], spec)
+                assigned = dict(sol.assignment)
+                if item_id not in assigned:
+                    decided[i] = (False, running)
+                    continue
+                running = sol.value
+                optimum = [y for y in (*optimum, item) if y.id in assigned]
+                bound = _value_bound(optimum, assigned) if len(optimum) == spec.k else []
             kept.append(item)
             for p, v in props.items():
                 heap = heaps[p]
                 if len(heap) < sizes[p]:
-                    heapq.heappush(heap, (v, item_id, item))
+                    heapq.heappush(heap, (v, item_id))
                 elif (v, item_id) > heap[0]:
-                    heapq.heapreplace(heap, (v, item_id, item))
+                    heapq.heapreplace(heap, (v, item_id))
             if single and trace:
                 # the heaps hold the optimum; fsum rounds exactly, as the solver's sum does
                 running = math.fsum(e[0] for heap in heaps for e in heap)

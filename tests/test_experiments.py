@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import json
@@ -57,6 +58,8 @@ def fake_pool(monkeypatch):
     pools = []
 
     class FakePool:
+        _broken, _processes = False, {}  # no worker ever dies
+
         def __init__(self, max_workers):
             self.max_workers = max_workers
 
@@ -88,6 +91,10 @@ def count_pools(monkeypatch):
 def _die_in_worker(parent_pid):
     if os.getpid() != parent_pid:
         os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _worker_pid(_):
+    return os.getpid()
 
 
 def count_gated_solves(monkeypatch):
@@ -244,6 +251,18 @@ class TestRunTrials:
         with pytest.raises(BrokenProcessPool):
             experiments._map_blocks(_die_in_worker, [os.getpid()] * 2, 2)
         assert experiments._pool is None
+        assert run_trials(cfg, workers=2) == run_trials(cfg)
+        assert started == [2, 2]
+
+    def test_an_idle_worker_death_spares_the_next_call(self, monkeypatch):
+        started = count_pools(monkeypatch)
+        cfg = greedy_cfg(n=60, trials=7)
+        run_trials(cfg, workers=2)
+        pid = experiments._map_blocks(_worker_pid, [0, 1], 2)[0]
+        os.kill(pid, signal.SIGKILL)
+        # wait for the exit, without reaping it from the pool
+        with contextlib.suppress(ChildProcessError):  # the pool reaped it first
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         assert run_trials(cfg, workers=2) == run_trials(cfg)
         assert started == [2, 2]
 

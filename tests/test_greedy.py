@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from screenmatch import (
     warmup_length,
     DistributionSpec,
 )
+import screenmatch.greedy as greedy
 from screenmatch.greedy import Arrivals, screen_entries
 
 from helpers import TIE_GRID, rand_instance, rand_items, reference_screen
@@ -128,6 +131,73 @@ class TestInvariants:
             fast, _ = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup)
             slow = reference_screen(entries, spec, warmup)
             assert [i.id for i in fast] == [i.id for i in slow]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overlap_decisions_match_the_reference(self, monkeypatch, d):
+        # solves over the optimum plus the arrival, and rejections by the value bound
+        ruled_out = []
+        real = greedy._outvalued
+
+        def counting(item, bound):
+            out = real(item, bound)
+            if out:
+                ruled_out.append(item.id)
+            return out
+
+        monkeypatch.setattr(greedy, "_outvalued", counting)
+        rng = np.random.default_rng(70 + d)
+        total = 0
+        for t in range(30):
+            n = int(rng.integers(0, 40))
+            items = rand_items(rng, n, d, value_grid=TIE_GRID if t % 2 else None)
+            spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 4, size=d)))
+            warmup = int(rng.integers(0, n // 4 + 1))
+            inst = Instance(items)
+            ruled_out.clear()
+            fast, steps = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup, True)
+            slow = [i.id for i in reference_screen([(i.id, i) for i in items], spec, warmup)]
+            assert [i.id for i in fast] == slow
+            assert not set(ruled_out) & set(slow)
+            kept = []
+            for step, item in zip(steps, items):
+                if step.retained:
+                    kept.append(item)
+                assert step.running_value == optimal_matching(kept, spec).value
+            total += len(ruled_out)
+        assert total > 0
+
+    def test_overlap_solves_see_at_most_k_plus_one_items(self, monkeypatch):
+        # mc_multi's overlap shape; gate_passes counts the contenders, one
+        # solve each for a greedy that solves every contender over the heap pool
+        solves = []
+        real = greedy._solve
+
+        def counting(items, spec):
+            solves.append(len(items))
+            return real(items, spec)
+
+        monkeypatch.setattr(greedy, "_solve", counting)
+        dist = DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3))
+        spec = ConstraintSpec((2, 2, 2))
+        inst = sample_instance(dist, 1000, 31)
+        k = spec.k
+        warmup = warmup_length(1000, k, 0.1)
+        values = inst.columns(3)
+        kept, _ = screen_entries(Arrivals(inst.ids, values), spec, warmup)
+        kept_ids = {item.id for item in kept}
+        heaps = [[] for _ in range(3)]
+        gate_passes = 0
+        for i, row in enumerate(values.tolist()):
+            owned = [(p, v) for p, v in enumerate(row) if v == v]
+            if i >= warmup and any(len(heaps[p]) < k or (v, i) > heaps[p][0] for p, v in owned):
+                gate_passes += 1
+            if i in kept_ids:
+                for p, v in owned:
+                    heapq.heappush(heaps[p], (v, i))
+                    if len(heaps[p]) > k:
+                        heapq.heappop(heaps[p])
+        assert max(solves) <= k + 1
+        assert len(solves) < gate_passes
 
     def test_prefix_consistency(self):
         # the optimum over all first i items must equal the one the greedy
