@@ -2,10 +2,11 @@ import hashlib
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from screenmatch import (
@@ -29,9 +30,10 @@ from screenmatch import (
     write_distribution_spec,
     write_instance,
 )
+import screenmatch.core as core
 from screenmatch.core import DUMMY_ID_BASE, format_value, require_valid
 
-from helpers import rand_bad_items, reference_violations
+from helpers import TIE_GRID, rand_bad_items, rand_items, reference_violations
 
 
 class TestConstraintSpec:
@@ -325,16 +327,35 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 class TestSerialization:
-    @given(st.lists(unit, min_size=0, max_size=20))
+    @given(st.lists(st.one_of(unit, st.just(-0.0)), min_size=0, max_size=20))
+    @example([0.0, -0.0, 1.0])
     def test_instance_round_trip_bit_exact(self, values):
+        # compare bits: -0.0 == 0.0 would pass an Instance comparison
         inst = Instance(tuple(Item(i, {0: v}) for i, v in enumerate(values)))
         buf = io.StringIO()
         write_instance(inst, buf)
-        assert read_instance(io.StringIO(buf.getvalue())) == inst
+        back = read_instance(io.StringIO(buf.getvalue()))
+        assert back.ids.tolist() == inst.ids.tolist()
+        assert back.values.tobytes() == inst.values.tobytes()
 
-    @given(unit)
+    @given(st.one_of(unit, st.just(-0.0)))
     def test_format_value_round_trips(self, v):
+        assert math.copysign(1.0, json.loads(format_value(v))) == math.copysign(1.0, v)
         assert float(format_value(v)) == v
+
+    def test_negative_zero_alone_changes_form(self):
+        assert format_value(-0.0) == "-0.0"
+        assert [format_value(v) for v in (0.0, 1.0, 0.5, 5e-324, -0.5)] == [
+            "0", "1", "0.5", "4.9406564584124654e-324", "-0.5"
+        ]
+
+    def test_writer_spells_each_value_as_format_value(self):
+        values = [0.0, -0.0, 1.0, 0.5, 5e-324, 1e-05, 0.1, -0.5]
+        buf = io.StringIO()
+        write_instance(Instance(tuple(Item(i, {0: v}) for i, v in enumerate(values))), buf)
+        assert buf.getvalue() == "".join(
+            f'{{"id": {i}, "props": [[0, {format_value(v)}]]}}\n' for i, v in enumerate(values)
+        )
 
     def test_line_shape(self):
         buf = io.StringIO()
@@ -380,3 +401,117 @@ class TestSerialization:
     def test_distribution_bad_kind_becomes_input_error(self):
         with pytest.raises(InputError):
             read_distribution_spec(io.StringIO('{"kind": "zipf", "d": 1}'))
+
+
+def per_line(fh, source: str = "s.jsonl") -> Instance:
+    """The reader's per-line ``json.loads`` path: the reference for the bulk one."""
+    n, entries, lines = core._read_lines(fh.read(), source)
+    inst = Instance.__new__(Instance)
+    inst._init(np.arange(n), entries=entries, lines=lines, source=source)
+    return inst
+
+
+def bits(inst: Instance) -> tuple:
+    """Everything a read instance holds, as bytes and dtypes."""
+    rows, props, vals, odd = inst.entries()
+    arrays = (inst.ids, rows, props, vals, inst.lines)
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays) + (odd, inst.source)
+
+
+def outcome(read, text: str):
+    try:
+        return bits(read(io.StringIO(text), "s.jsonl"))
+    except InputError as exc:
+        return str(exc)
+
+
+def writer_text(items) -> str:
+    buf = io.StringIO()
+    write_instance(Instance(items), buf)
+    return buf.getvalue()
+
+
+SPECIAL_VALUES = (0.0, -0.0, 1.0, 5e-324, 1e-05, 0.1, 0.5, 0.5)
+
+
+class TestReaderPaths:
+    @pytest.mark.parametrize("d, max_props", [(1, 1), (2, 1), (3, 3)], ids=["d1", "disjoint", "overlap"])
+    def test_writer_files_parse_in_bulk(self, monkeypatch, d, max_props):
+        rng = np.random.default_rng(70 + d)
+        texts = []
+        for t in range(12):
+            grid = (TIE_GRID, SPECIAL_VALUES, None)[t % 3]
+            texts.append(writer_text(rand_items(rng, int(rng.integers(0, 60)), d, grid, max_props)))
+        assert any(", -0.0]" in text for text in texts)
+        expected = [outcome(per_line, text) for text in texts]
+
+        def no_json(*args, **kwargs):
+            raise AssertionError("a writer-form file took the per-line path")
+
+        monkeypatch.setattr(core.json, "loads", no_json)
+        for text, want in zip(texts, expected):
+            assert outcome(read_instance, text) == want
+
+    BASE = (
+        '{"id": 0, "props": [[0, 0.25], [2, 0.5]]}\n'
+        '{"id": 1, "props": [[1, 0.75]]}\n'
+        '{"id": 2, "props": [[0, 1], [1, 0.125]]}\n'
+    )
+    PERTURBED = {
+        "extra whitespace": BASE.replace('"id": 1,', '"id":  1 ,'),
+        "swapped keys": BASE.replace('{"id": 1, "props": [[1, 0.75]]}', '{"props": [[1, 0.75]], "id": 1}'),
+        "crlf": BASE.replace("\n", "\r\n"),
+        "blank lines": BASE.replace("\n", "\n\n", 1) + "\n  \n",
+        "no final newline": BASE.rstrip("\n"),
+        "minus zero": BASE.replace("0.75", "-0"),
+        "minus zero float": BASE.replace("0.75", "-0.0"),
+        "negative": BASE.replace("0.75", "-0.75"),
+        "capital exponent": BASE.replace("0.75", "1E5"),
+        "int value": BASE.replace("0.75", "1"),
+        "long int value": BASE.replace("0.75", "9007199254740993"),
+        "leading zero": BASE.replace("0.75", "01"),
+        "leading zero id": BASE.replace('"id": 1,', '"id": 01,'),
+        "trailing point": BASE.replace("0.75", "1."),
+        "leading point": BASE.replace("0.75", ".5"),
+        "nan": BASE.replace("0.75", "NaN"),
+        "unsorted property": BASE.replace("[[0, 0.25], [2, 0.5]]", "[[2, 0.5], [0, 0.25]]"),
+        "duplicated property": BASE.replace("[[0, 0.25], [2, 0.5]]", "[[2, 0.25], [2, 0.5]]"),
+        "wrong id": BASE.replace('"id": 1,', '"id": 4,'),
+        "16-digit id": BASE.replace('"id": 1,', '"id": 1000000000000001,'),
+        "15-digit property": BASE.replace("[[1, 0.75]]", "[[999999999999999, 0.75]]"),
+        "16-digit property": BASE.replace("[[1, 0.75]]", "[[1000000000000000, 0.75]]"),
+        "huge exponent": BASE.replace("0.75", "1e999"),
+        "underflow": BASE.replace("0.75", "1e-400"),
+        "subnormal": BASE.replace("0.75", "4.9406564584124654e-324"),
+        "21 fraction digits": BASE.replace("0.75", "0.123456789012345678901"),
+        "empty props": BASE.replace("[[1, 0.75]]", "[]"),
+        "empty file": "",
+        "blank file": "\n",
+        "non-ascii": BASE.replace("0.75", "0.75\u00a0"),
+        "not json": BASE + "not json\n",
+    }
+
+    @pytest.mark.parametrize("name", list(PERTURBED))
+    def test_perturbed_files_read_as_the_per_line_path_reads_them(self, name):
+        text = self.PERTURBED[name]
+        assert outcome(read_instance, text) == outcome(per_line, text)
+
+    def test_the_bulk_path_takes_what_it_can_and_no_more(self):
+        taken = {name for name, text in self.PERTURBED.items() if core._read_writer_form(text)}
+        assert taken == {
+            "minus zero float", "int value", "long int value", "15-digit property", "underflow",
+            "subnormal", "empty props", "empty file",
+        }
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="possessive quantifiers are 3.11 syntax")
+    def test_the_plain_pattern_gives_the_possessive_verdict(self):
+        # the reader matches with the plain pattern on Python 3.10
+        plain, possessive = core._writer_form(b""), core._writer_form(b"+")
+        rng = np.random.default_rng(5)
+        texts = [*self.PERTURBED.values(), writer_text(rand_items(rng, 40, 3, TIE_GRID, 3))]
+        verdicts = []
+        for text in texts:
+            data = text.encode()
+            verdicts.append(possessive.fullmatch(data) is not None)
+            assert (plain.fullmatch(data) is not None) == verdicts[-1]
+        assert True in verdicts and False in verdicts
