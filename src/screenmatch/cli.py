@@ -56,8 +56,15 @@ def _open_out(path: str | None):
 
 
 def _read_file(path: str, reader):
-    with open(path, "r", encoding="utf-8") as fh:
-        return reader(fh, path)
+    """``reader(fh, path)`` on the opened file; a byte that is not UTF-8
+    becomes an ``InputError`` naming the file and line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return reader(fh, path)
+    except UnicodeDecodeError as exc:
+        # every reader takes the file in one read, so the offset counts from its start
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _load_instance(path: str):
@@ -200,16 +207,18 @@ def _cmd_pipeline(args) -> int:
 _JSON_KINDS = {str: "a string", int: "an integer", float: "a number"}
 
 
+def _read_config(fh, source: str) -> dict:
+    try:
+        obj = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{source}: malformed config ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise InputError(f"{source}: config must be a JSON object")
+    return obj
+
+
 def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
-    file_cfg: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{args.config}: malformed config ({exc})") from exc
-        if not isinstance(file_cfg, dict):
-            raise InputError(f"{args.config}: config must be a JSON object")
+    file_cfg = _read_file(args.config, _read_config) if args.config else {}
 
     def pick(flag_value, key: str, default=None, kind: type = str):
         """The flag, else the config value of the flag's JSON type, else the default."""

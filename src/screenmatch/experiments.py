@@ -54,7 +54,6 @@ __all__ = [
     "run_trials",
     "concentration_experiment",
     "convergence_experiment",
-    "lower_bound_distribution",
     "trial_stats_row",
     "convergence_row",
     "write_aggregates_csv",
@@ -516,12 +515,6 @@ def convergence_experiment(
         all_zero_value_mean=float(zero_vals.mean()) if has_zero else None,
         all_zero_value_std=_sample_std(zero_vals) if has_zero else None,
     )
-
-
-def lower_bound_distribution(d: int) -> DistributionSpec:
-    """The hard instance family: d disjoint classes, uniform class choice,
-    uniform value.  Meant to be paired with caps of one slot per property."""
-    return DistributionSpec("disjoint-properties-uniform", d)
 
 
 # ---------------------------------------------------------------------------

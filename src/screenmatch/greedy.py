@@ -15,9 +15,11 @@ decided against the current optimum M over the kept items:
 - Exchange lemma: the optimum over the kept items plus x uses only M's
   items and x.  The four tie layers fold into one additive weight whose
   optimum is unique, so an alternating component of M and the new optimum
-  that misses x would improve one of the two on its own.  The solve runs
-  over M's real items and x, at most k + 1 items, and a rejected arrival
-  leaves M as it was.
+  that misses x would improve one of the two on its own.  M is held as
+  (id, value row) pairs, and M's real items plus x, at most k + 1 rows,
+  go straight to the solver's assignment routine with no pool selection:
+  by the pool lemma, pruning never changes the optimum.  A rejected
+  arrival leaves M as it was.
 - Value bound: when M holds k real items, x and any k - 1 of them are worth
   at most x's best value plus the best values of M's items less the lowest
   of those.  When that falls short of M's value, x is rejected with no
@@ -29,6 +31,7 @@ each property, the solver's own single-property rule.  Heap p then holds
 ``caps[p]`` pairs, and the gate is the whole decision: an arrival that
 passes it is kept, with no solve.
 
+No ``Item`` is built: the pass returns the indices of the kept arrivals.
 Arrivals come as value rows and are gated a block at a time: numpy drops
 every arrival of the block whose values all lie below the minima of full
 heaps at the block's start.  The minima only rise within a block, so the
@@ -44,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigError, ConstraintSpec, InputError, Instance, Item, require_valid, validate_instance
+    ConfigError, ConstraintSpec, InputError, Instance, require_valid, validate_instance
 )
-from .matching import Solution, _solve, optimal_matching
+from .matching import Solution, _solve_assignment, optimal_matching
 
 __all__ = ["TraceStep", "GreedyResult", "Arrivals", "warmup_length", "greedy_screen"]
 
@@ -103,20 +106,21 @@ class Arrivals:
         return zip(self.pos.tolist(), self.values)
 
 
-def _value_bound(optimum: list[Item], assigned: dict[int, int]) -> list[float]:
-    """The terms of ``_outvalued`` for an optimum of k real items, assigned
-    as ``assigned`` says: each item's best value, the lowest of those
-    negated, and each item's assigned value negated."""
-    best = [max(y.props.values()) for y in optimum]
-    return [-min(best), *best, *(-y.props[assigned[y.id]] for y in optimum)]
+def _value_bound(optimum: list[tuple[int, list[float]]], assigned: dict[int, int]) -> list[float]:
+    """The terms of ``_outvalued`` for an optimum of k real (id, row) pairs,
+    assigned as ``assigned`` says: each item's best value, the lowest of
+    those negated, and each item's assigned value negated."""
+    best = [max(v for v in row if v == v) for _, row in optimum]
+    return [-min(best), *best, *(-row[assigned[i]] for i, row in optimum)]
 
 
-def _outvalued(item: Item, bound: list[float]) -> bool:
-    """True when ``item`` and any k - 1 items of the optimum, each at its
-    best value, are worth less than the optimum: no set holding ``item``
-    can beat it.  The exact sum of doubles is a multiple of 2^-1074, and
-    fsum rounds it correctly, so the sign is exact."""
-    return math.fsum([max(item.props.values()), *bound]) < 0
+def _outvalued(arrival: tuple[int, list[float]], bound: list[float]) -> bool:
+    """True when the (id, row) ``arrival`` and any k - 1 items of the
+    optimum, each at its best value, are worth less than the optimum: no
+    set holding the arrival can beat it.  The exact sum of doubles is a
+    multiple of 2^-1074, and fsum rounds it correctly, so the sign is
+    exact."""
+    return math.fsum([max(v for v in arrival[1] if v == v), *bound]) < 0
 
 
 def screen_entries(
@@ -124,23 +128,25 @@ def screen_entries(
     spec: ConstraintSpec,
     warmup: int,
     trace: bool = False,
-) -> tuple[list[Item], list[TraceStep] | None]:
+) -> tuple[list[int], list[TraceStep] | None]:
     """Greedy pass over ``Arrivals``; an arrival's id is its position.
 
-    Positions are compared against ``warmup``, so a filtered subsequence
-    keeps its original stream geometry.  Used by both ``greedy_screen``
-    and the combined pipeline, which have checked the items, so the solves
-    here skip the check.  A step's ``running_value`` is the optimum value
-    over the items kept so far.
+    Returns the indices into ``entries`` of the kept arrivals, in arrival
+    order.  Positions are compared against ``warmup``, so a filtered
+    subsequence keeps its original stream geometry.  Used by both
+    ``greedy_screen`` and the combined pipeline, which have checked the
+    items, so the solves here skip the check.  A step's ``running_value``
+    is the optimum value over the items kept so far.
     """
     positions, values = entries.pos, entries.values
     # a checked arrival owns some property, so each owns one when the owned entries add up to m
     single = np.count_nonzero(values == values) == len(values)
     sizes = spec.caps if single else (spec.k,) * spec.d
     heaps: list[list[tuple[float, int]]] = [[] for _ in range(spec.d)]
-    kept: list[Item] = []
-    # overlap streams: the optimum's real items, and the value bound's terms once it holds k
-    optimum: list[Item] = []
+    kept: list[int] = []
+    # overlap streams: the optimum's real (id, row) pairs in id order, and
+    # the value bound's terms once it holds k
+    optimum: list[tuple[int, list[float]]] = []
     bound: list[float] = []
     decided: dict[int, tuple[bool, float]] = {}  # index -> (retained, running) per solve
     running = 0.0
@@ -159,27 +165,28 @@ def screen_entries(
         for i, item_id, row in zip(
             (survivors + start).tolist(), pos[survivors].tolist(), block[survivors].tolist()
         ):
-            props = {p: v for p, v in enumerate(row) if v == v}
+            owned = [(p, v) for p, v in enumerate(row) if v == v]
             if not any(
-                len(heaps[p]) < sizes[p] or (v, item_id) > heaps[p][0] for p, v in props.items()
+                len(heaps[p]) < sizes[p] or (v, item_id) > heaps[p][0] for p, v in owned
             ):
                 continue
-            item = Item(item_id, props)
             if not single:
                 # a rejected arrival leaves the optimum, and so the running value, unchanged
-                if bound and _outvalued(item, bound):
+                arrival = (item_id, row)
+                if bound and _outvalued(arrival, bound):
                     decided[i] = (False, running)
                     continue
-                sol = _solve([*optimum, item], spec)
+                contenders = [*optimum, arrival]
+                sol = _solve_assignment(*zip(*contenders), spec)
                 assigned = dict(sol.assignment)
                 if item_id not in assigned:
                     decided[i] = (False, running)
                     continue
                 running = sol.value
-                optimum = [y for y in (*optimum, item) if y.id in assigned]
+                optimum = [y for y in contenders if y[0] in assigned]
                 bound = _value_bound(optimum, assigned) if len(optimum) == spec.k else []
-            kept.append(item)
-            for p, v in props.items():
+            kept.append(i)
+            for p, v in owned:
                 heap = heaps[p]
                 if len(heap) < sizes[p]:
                     heapq.heappush(heap, (v, item_id))
@@ -214,9 +221,9 @@ def greedy_screen(
         raise InputError(f"warmup must lie in 0..{stream.n}, got {warmup!r}")
     entries = Arrivals(stream.ids, stream.columns(spec.d))
     kept, steps = screen_entries(entries, spec, warmup, trace)
-    final = optimal_matching(kept, spec)
+    final = optimal_matching(stream.take(kept), spec)
     return GreedyResult(
-        retained_ids=tuple(item.id for item in kept),
+        retained_ids=tuple(stream.ids[kept].tolist()),
         final_solution=final,
         trace=tuple(steps) if steps is not None else None,
     )

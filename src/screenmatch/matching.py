@@ -20,16 +20,20 @@ property it possesses, ranked by (value, id), is never in the optimum.
 Among the k items above it in the property it would fill, at most k - 1
 are assigned, so a free one can take its slot and wins under layers 1-2.
 The solver therefore works on the pool of per-property top-k items only.
-When every pooled item possesses a single property, the properties do not
-compete and the optimum is the top ``caps[p]`` of each property, with the
-lowest dummies filling shortfalls from the lowest property up.  Otherwise
+It selects that pool once, in numpy, as rows of the instance's value
+matrix, and solves on the pool's value rows: no ``Item`` is built.  When every pooled item possesses a single property, the
+properties do not compete and the optimum is the top ``caps[p]`` of each
+property, with the lowest dummies filling shortfalls from the lowest
+property up.  Otherwise
 all four layers are folded into one exact integer weight per (item,
 property) pair (values are scaled by a power of two, which is lossless for
 binary floats), and the Hungarian method on the slot x pool matrix finds
 the argmax.  No floating-point comparison ever decides a tie.
 
-``brute_force_matching`` re-derives the same optimum by enumeration and is
-the oracle the solver is tested against.
+``optimal_matching`` turns ``Item`` objects into an ``Instance`` once, at
+entry.  ``brute_force_matching`` stays on ``Item`` objects: it re-derives
+the same optimum by enumeration and is the oracle the solver is tested
+against.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    ConstraintSpec, Instance, Item, dummy_items, is_dummy_id, require_valid, validate_items
+    DUMMY_ID_BASE, ConstraintSpec, Instance, Item, dummy_items, is_dummy_id, require_valid,
+    validate_items,
 )
 
 __all__ = [
@@ -95,57 +100,65 @@ class Solution:
         )
 
 
-def _finish(chosen: Iterable[tuple[Item, int]]) -> Solution:
-    pairs = sorted((item.id, prop) for item, prop in chosen)
-    value = math.fsum(
-        item.props[prop] for item, prop in chosen if not is_dummy_id(item.id)
-    )
+def _finish(chosen: Iterable[tuple[int, int, float]]) -> Solution:
+    """The solution of (item id, property, value) triples."""
+    chosen = list(chosen)
+    pairs = sorted((i, p) for i, p, _ in chosen)
+    value = math.fsum(v for i, _, v in chosen if not is_dummy_id(i))
     return Solution(tuple(pairs), value)
 
 
-def _scaled_weights(pool: Sequence[Item], spec: ConstraintSpec) -> list[dict[int, int]]:
+def _scaled_weights(
+    ids: Sequence[int], rows: Sequence[Sequence[float]], spec: ConstraintSpec
+) -> list[dict[int, int]]:
     """Exact integer edge weights folding all four tie-break layers.
 
-    ``pool`` must be id-sorted (reals first, dummies last).  Index r in the
-    pool is the item's rank; smaller ids get more significant digit
-    positions in layers 3 and 4.
+    ``ids`` must be ascending (reals first, dummies last) and ``rows`` their
+    value rows, NaN where an item lacks a property.  Index r in the pool is
+    the item's rank; smaller ids get more significant digit positions in
+    layers 3 and 4.
     """
     d = spec.d
-    m = len(pool)
-    ratios = [[(p, v.as_integer_ratio()) for p, v in item.props.items()] for item in pool]
+    m = len(ids)
+    ratios = [[(p, v.as_integer_ratio()) for p, v in enumerate(row) if v == v] for row in rows]
     # every float in [0, 1] is p / 2^e, so one common shift is lossless
     shift = max((q.bit_length() - 1 for pairs in ratios for _, (_, q) in pairs), default=0)
     bits = d.bit_length()
     layer4 = 1
     layer3 = 1 << (bits * m)
     layer2 = layer3 << m
-    max_idsum = sum(item.id for item in pool if not is_dummy_id(item.id))
+    max_idsum = sum(i for i in ids if not is_dummy_id(i))
     layer1 = layer2 * (max_idsum + 1)
 
     weights: list[dict[int, int]] = [dict() for _ in range(m)]
-    for rank, (item, pairs) in enumerate(zip(pool, ratios)):
+    for rank, (item_id, pairs) in enumerate(zip(ids, ratios)):
         for p, (num, den) in pairs:
             scaled = num << (shift - (den.bit_length() - 1))
             w = scaled * layer1
-            if not is_dummy_id(item.id):
-                w += item.id * layer2
+            if not is_dummy_id(item_id):
+                w += item_id * layer2
             w += (1 << (m - 1 - rank)) * layer3
             w += (d - p) * (layer4 << (bits * (m - 1 - rank)))
             weights[rank][p] = w
     return weights
 
 
-def _solve_assignment(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
+def _solve_assignment(
+    ids: Sequence[int], rows: Sequence[Sequence[float]], spec: ConstraintSpec
+) -> Solution:
     """Hungarian method (Kuhn 1955) on the slot x item matrix, exact integer costs.
 
-    Rows are the k slots (``caps[p]`` copies of property p), columns the
-    id-sorted items plus the dummies.  A forbidden pair costs more than any
-    k allowed pairs together, so the all-allowed assignment the dummies
-    guarantee always beats one that uses it.
+    ``ids`` are real items in ascending order and ``rows`` their value rows,
+    NaN where an item lacks a property.  Rows of the matrix are the k slots
+    (``caps[p]`` copies of property p), columns the items plus the dummies.
+    A forbidden pair costs more than any k allowed pairs together, so the
+    all-allowed assignment the dummies guarantee always beats one that
+    uses it.
     """
-    pool = sorted(items, key=lambda it: it.id) + list(dummy_items(spec))
-    m = len(pool)
-    weights = _scaled_weights(pool, spec)
+    ids = [*ids, *range(DUMMY_ID_BASE, DUMMY_ID_BASE + spec.k)]
+    rows = [*rows, *[[0.0] * spec.d] * spec.k]
+    m = len(ids)
+    weights = _scaled_weights(ids, rows, spec)
     forbidden = spec.k * max(w for ws in weights for w in ws.values()) + 1
     # 1-based columns; column 0 is where each row's augmenting path starts
     costs = [
@@ -185,68 +198,58 @@ def _solve_assignment(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
             owner[j0] = owner[way[j0]]
             j0 = way[j0]
 
-    chosen = [(pool[j - 1], slots[owner[j]]) for j in range(1, m + 1) if owner[j]]
+    chosen = [(j - 1, slots[owner[j]]) for j in range(1, m + 1) if owner[j]]
     if len(chosen) != spec.k:
         raise AssertionError(f"assignment filled {len(chosen)} of {spec.k} slots")
-    return _finish(chosen)
+    return _finish((ids[j], p, rows[j][p]) for j, p in chosen)
 
 
 def optimal_matching(items: Sequence[Item] | Instance, spec: ConstraintSpec) -> Solution:
     """The unique optimal saturated assignment of real items plus dummies.
 
     ``items`` are the real candidates, as ``Item`` objects (any order; the
-    result depends only on the set) or an ``Instance``.  They are checked
-    with ``validate_items``: duplicate or dummy-range ids, an item with no
+    result depends only on the set) or an ``Instance``.  ``Item`` objects
+    become an ``Instance`` here, once.  The instance is checked with
+    ``validate_items``: duplicate or dummy-range ids, an item with no
     property, a property outside the spec or a value outside [0, 1] raise
     ``InputError``.
     """
-    require_valid(validate_items(items, spec), "items")
-    return _solve(items, spec)
+    inst = items if isinstance(items, Instance) else Instance(items)
+    require_valid(validate_items(inst, spec), "items")
+    return _solve(inst, spec)
 
 
-def _top_items(inst: Instance, spec: ConstraintSpec) -> list[Item]:
-    """The items of ``inst`` in the top k of some property, as ``Item``
-    objects, ties at the k-th value included: by the pool lemma the
-    optimum lies among them."""
+def _solve(inst: Instance, spec: ConstraintSpec) -> Solution:
+    """``optimal_matching`` without the item check, for an instance an entry
+    point has already checked."""
     k = spec.k
     values = inst.columns(spec.d)
-    rows = []
+    # the pool: rows in the top k of some property by (value, id)
+    pooled = np.zeros(inst.n, dtype=bool)
     for col in values.T:
         owners = np.flatnonzero(col == col)
         if owners.size > k:
             owned = col[owners]
             cut = owners.size - k
             owners = owners[owned >= np.partition(owned, cut)[cut]]
-        rows.append(owners)
-    rows = sorted(set(np.concatenate(rows).tolist()))
-    return [
-        Item(i, {p: v for p, v in enumerate(row) if v == v})
-        for i, row in zip(inst.ids[rows].tolist(), values[rows].tolist())
-    ]
-
-
-def _solve(items: Sequence[Item] | Instance, spec: ConstraintSpec) -> Solution:
-    """``optimal_matching`` without the item check, for items an entry point
-    has already checked."""
-    if isinstance(items, Instance):
-        items = _top_items(items, spec)
-    k = spec.k
-    tops = []
-    for p in range(spec.d):
-        # ids are distinct, so the items themselves are never compared
-        ranked = sorted([(it.props[p], it.id, it) for it in items if p in it.props], reverse=True)
-        tops.append([it for _, _, it in ranked[:k]])
-    pool = list({it.id: it for top in tops for it in top}.values())
-    if any(len(it.props) > 1 for it in pool):
-        return _solve_assignment(pool, spec)
-    chosen: list[tuple[Item, int]] = []
+            owners = owners[np.lexsort((inst.ids[owners], col[owners]))[-k:]]
+        pooled[owners] = True
+    pool = np.flatnonzero(pooled)
+    pool = pool[np.argsort(inst.ids[pool])]  # the assignment ranks its items by id
+    block = values[pool]
+    ids, rows = inst.ids[pool].tolist(), block.tolist()
+    # a checked row owns some property, so some row owns two when the entries outnumber the rows
+    if np.count_nonzero(block == block) > len(rows):
+        return _solve_assignment(ids, rows, spec)
+    chosen: list[tuple[int, int, float]] = []
     shortfall: list[int] = []
-    for p, (cap, top) in enumerate(zip(spec.caps, tops)):
-        chosen += [(it, p) for it in top[:cap]]
+    for p, cap in enumerate(spec.caps):
+        candidates = [(row[p], i) for i, row in zip(ids, rows) if row[p] == row[p]]
+        top = sorted(candidates, reverse=True)[:cap]
+        chosen += [(i, p, v) for v, i in top]
         shortfall += [p] * (cap - len(top))
-    if shortfall:
-        # the lowest dummies go to the lowest properties
-        chosen += zip(dummy_items(spec), shortfall)
+    # the lowest dummies go to the lowest properties
+    chosen += [(DUMMY_ID_BASE + j, p, 0.0) for j, p in enumerate(shortfall)]
     return _finish(chosen)
 
 
@@ -302,7 +305,7 @@ def brute_force_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solutio
 
     recurse(0, set(), [])
     assert best is not None
-    return _finish(best)
+    return _finish((item.id, p, item.props[p]) for item, p in best)
 
 
 def exact_solution_value(items: Sequence[Item] | Instance, solution: Solution) -> Fraction:

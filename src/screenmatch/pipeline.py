@@ -107,7 +107,7 @@ def run_pipeline(
     warmup = warmup_length(n, k, cfg.delta * w_warm)
     survivors, _ = screen_with_policy(policy, stream)
     kept, _ = screen_entries(Arrivals(survivors.ids, survivors.columns(spec.d)), spec, warmup)
-    final = optimal_matching(kept, spec)
+    final = optimal_matching(survivors.take(kept), spec)
 
     full = _solve(stream, spec)
     return PipelineResult(

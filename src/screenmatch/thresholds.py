@@ -20,8 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .core import (
-    ConfigError, ConstraintSpec, InputError, Instance, Item, is_dummy_id, require_valid,
-    validate_items,
+    ConfigError, ConstraintSpec, InputError, Instance, is_dummy_id, require_valid, validate_items
 )
 from .matching import _solve, optimal_matching
 
@@ -31,7 +30,6 @@ __all__ = [
     "ThresholdsPolicy",
     "RetentionStats",
     "NetSizeError",
-    "apply_policy",
     "screen_with_policy",
     "learn_optimal_thresholds",
     "learn_topm_thresholds",
@@ -82,15 +80,6 @@ class RetentionStats:
     value: float | None
 
 
-def apply_policy(policy: ThresholdsPolicy, item: Item) -> bool:
-    """True iff some possessed property's value clears its threshold."""
-    t = policy.t
-    for p, v in item.props.items():
-        if v >= t[p]:
-            return True
-    return False
-
-
 def screen_with_policy(
     policy: ThresholdsPolicy,
     inst: Instance,
@@ -104,9 +93,9 @@ def screen_with_policy(
     properties); the total counts distinct retained items.  A missing
     property is NaN, which clears no threshold.
 
-    Like ``apply_policy`` it trusts ``inst`` unchecked, and with ``spec``
-    it solves the retained rows unchecked too, because its callers check
-    first and a check costs as much as the screen: the ``screen`` command
+    It trusts ``inst`` unchecked, and with ``spec`` it solves the retained
+    rows unchecked too, because its callers check first and a check costs
+    as much as the screen: the ``screen`` command
     checks its file, the pipeline its stream, and a policy-fixed trial its
     stream, in the full-stream solve.
     """

@@ -287,6 +287,32 @@ class TestExitCodes:
         assert run(["solve", "--in", str(bad), "--spec", spec]) == 1
         assert ":2:" in capsys.readouterr().err
 
+    def test_non_utf8_file_is_one_with_line(self, files, tmp_path, capsys):
+        # line 1001 lies far past the first read-ahead chunk of the file
+        _, _, spec = files
+        lines = [f'{{"id": {i}, "props": [[0, 0.5]]}}\n'.encode() for i in range(1200)]
+        lines[1000] = lines[1000].replace(b"0.5", b"0.\xff5")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(lines))
+        assert run(["solve", "--in", str(bad), "--spec", spec]) == 1
+        err = capsys.readouterr().err
+        assert "bad.jsonl:1001:" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_spec_and_config_are_one_and_name_the_path(self, files, tmp_path, capsys):
+        tmp, dist, _ = files
+        bad_spec = tmp_path / "bad_spec.json"
+        bad_spec.write_bytes(b'{"caps": [\xff1]}\n')
+        inst = tmp / "inst.jsonl"
+        assert run(["gen", "--dist", dist, "--n", "5", "--out", str(inst)]) == 0
+        capsys.readouterr()
+        assert run(["solve", "--in", str(inst), "--spec", str(bad_spec)]) == 1
+        assert f"{bad_spec}" in capsys.readouterr().err
+        cfg = tmp_path / "bad_cfg.json"
+        cfg.write_bytes(b'{\n"n": 5,\n"scenario": "\xff"}\n')
+        assert run(["trials", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:3: ")
+
     @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1.7", "-3.0"])
     def test_solve_rejects_value_outside_unit_interval(self, tmp_path, capsys, value):
         spec = tmp_path / "spec2.json"

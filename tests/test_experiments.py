@@ -20,7 +20,6 @@ from screenmatch import (
     ThresholdsPolicy,
     concentration_experiment,
     convergence_experiment,
-    lower_bound_distribution,
     quantile_policy_net,
     run_trials,
     sample_instance,
@@ -102,13 +101,13 @@ def count_gated_solves(monkeypatch):
     import screenmatch.greedy as greedy
 
     solves = []
-    real = greedy._solve
+    real = greedy._solve_assignment
 
-    def counting(items, spec):
-        solves.append(len(items))
-        return real(items, spec)
+    def counting(ids, rows, spec):
+        solves.append(len(ids))
+        return real(ids, rows, spec)
 
-    monkeypatch.setattr(greedy, "_solve", counting)
+    monkeypatch.setattr(greedy, "_solve_assignment", counting)
     return solves
 
 
@@ -344,6 +343,32 @@ class TestRunTrials:
         stats = run_trials(cfg)
         assert len(stats.records) == 3
 
+    def test_solver_and_greedy_paths_build_no_item(self, monkeypatch):
+        # the solver, the greedy pass and a pipeline trial run on value rows
+        import screenmatch.core as core
+        from screenmatch.greedy import Arrivals, screen_entries
+        from screenmatch.matching import _solve
+
+        built = []
+        real = core.Item.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(core.Item, "__init__", counting)
+        dist = DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3))
+        spec = ConstraintSpec((2, 2, 2))
+        inst = sample_instance(dist, 1000, 31)
+        assert _solve(inst, spec).value > 0
+        assert len(built) == 0, "_solve"
+        kept, _ = screen_entries(Arrivals(inst.ids, inst.columns(3)), spec, 16)
+        assert len(kept) > spec.k
+        assert len(built) == 0, "screen_entries"
+        cfg = greedy_cfg(dist=dist, spec=spec, n=1000, trials=1, algorithm="pipeline-exact-opt")
+        assert experiments._one_trial(cfg, 0).retained > 0
+        assert len(built) == 0, "pipeline-exact-opt trial"
+
     @pytest.mark.parametrize("algorithm", ["greedy", "pipeline-exact-opt", "policy-fixed"])
     def test_identical_solutions_skip_the_exact_values(self, monkeypatch, algorithm):
         # with continuous values a trial succeeds only when its solution is
@@ -504,14 +529,14 @@ class TestConvergence:
 
 class TestLowerBound:
     def test_d1_has_single_class(self):
-        dist = lower_bound_distribution(1)
+        dist = DistributionSpec("disjoint-properties-uniform", 1)
         inst = sample_instance(dist, 500, 9)
         assert all(set(item.props) == {0} for item in inst)
         mean = np.mean([item.props[0] for item in inst])
         assert mean == pytest.approx(0.5, abs=0.06)
 
     def test_class_frequencies(self):
-        dist = lower_bound_distribution(4)
+        dist = DistributionSpec("disjoint-properties-uniform", 4)
         inst = sample_instance(dist, 100_000, 9)
         freq = sum(1 for item in inst if 0 in item.props) / inst.n
         assert freq == pytest.approx(0.25, abs=0.01)
@@ -520,7 +545,7 @@ class TestLowerBound:
         d = 3
         cfg = ExperimentConfig(
             scenario="lb",
-            dist=lower_bound_distribution(d),
+            dist=DistributionSpec("disjoint-properties-uniform", d),
             spec=ConstraintSpec((1,) * d),
             n=30,
             delta=0.1,

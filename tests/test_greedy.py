@@ -130,7 +130,7 @@ class TestInvariants:
             inst = Instance(items)
             fast, _ = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup)
             slow = reference_screen(entries, spec, warmup)
-            assert [i.id for i in fast] == [i.id for i in slow]
+            assert inst.ids[fast].tolist() == [i.id for i in slow]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_overlap_decisions_match_the_reference(self, monkeypatch, d):
@@ -138,10 +138,10 @@ class TestInvariants:
         ruled_out = []
         real = greedy._outvalued
 
-        def counting(item, bound):
-            out = real(item, bound)
+        def counting(arrival, bound):
+            out = real(arrival, bound)
             if out:
-                ruled_out.append(item.id)
+                ruled_out.append(arrival[0])
             return out
 
         monkeypatch.setattr(greedy, "_outvalued", counting)
@@ -156,7 +156,7 @@ class TestInvariants:
             ruled_out.clear()
             fast, steps = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup, True)
             slow = [i.id for i in reference_screen([(i.id, i) for i in items], spec, warmup)]
-            assert [i.id for i in fast] == slow
+            assert inst.ids[fast].tolist() == slow
             assert not set(ruled_out) & set(slow)
             kept = []
             for step, item in zip(steps, items):
@@ -170,13 +170,13 @@ class TestInvariants:
         # mc_multi's overlap shape; gate_passes counts the contenders, one
         # solve each for a greedy that solves every contender over the heap pool
         solves = []
-        real = greedy._solve
+        real = greedy._solve_assignment
 
-        def counting(items, spec):
-            solves.append(len(items))
-            return real(items, spec)
+        def counting(ids, rows, spec):
+            solves.append(len(ids))
+            return real(ids, rows, spec)
 
-        monkeypatch.setattr(greedy, "_solve", counting)
+        monkeypatch.setattr(greedy, "_solve_assignment", counting)
         dist = DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3))
         spec = ConstraintSpec((2, 2, 2))
         inst = sample_instance(dist, 1000, 31)
@@ -184,7 +184,7 @@ class TestInvariants:
         warmup = warmup_length(1000, k, 0.1)
         values = inst.columns(3)
         kept, _ = screen_entries(Arrivals(inst.ids, values), spec, warmup)
-        kept_ids = {item.id for item in kept}
+        kept_ids = set(inst.ids[kept].tolist())
         heaps = [[] for _ in range(3)]
         gate_passes = 0
         for i, row in enumerate(values.tolist()):

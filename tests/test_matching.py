@@ -13,6 +13,7 @@ import pytest
 from screenmatch import (
     ConstraintSpec,
     InputError,
+    Instance,
     Item,
     OversizeError,
     Solution,
@@ -115,7 +116,30 @@ class TestOracleEquivalence:
             grid = TIE_GRID if rng.random() < 0.5 else None
             max_props = 1 if rng.random() < 0.5 else d
             items = rand_items(rng, n, d, value_grid=grid, max_props=max_props)
-            assert optimal_matching(items, spec) == _solve_assignment(items, spec)
+            inst = Instance(items)
+            unpruned = _solve_assignment(inst.ids.tolist(), inst.columns(d).tolist(), spec)
+            assert optimal_matching(items, spec) == unpruned
+
+    def test_tied_values_keep_the_pool_within_k_per_property(self, monkeypatch):
+        # ties at the k-th value are broken by id, so a stream of equal
+        # values pools at most k rows per property
+        import screenmatch.matching as matching
+
+        sizes = []
+        real = matching._solve_assignment
+
+        def counting(ids, rows, spec):
+            sizes.append(len(ids))
+            return real(ids, rows, spec)
+
+        monkeypatch.setattr(matching, "_solve_assignment", counting)
+        values = np.full((200, 3), 0.5)
+        values[::2, 1] = np.nan
+        inst = Instance.from_values(values)
+        spec = ConstraintSpec((2, 2, 2))
+        sol = optimal_matching(inst, spec)
+        assert len(sizes) == 1 and sizes[0] <= spec.d * spec.k
+        assert sol == real(inst.ids.tolist(), values.tolist(), spec)
 
     def test_solver_golden_digests(self):
         # assignments and value bits on overlap pools past the brute-force

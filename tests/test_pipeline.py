@@ -11,7 +11,6 @@ from screenmatch import (
     Instance,
     Item,
     PipelineConfig,
-    apply_policy,
     derive_seed,
     greedy_screen,
     optimal_matching,
@@ -83,8 +82,9 @@ class TestStructuralInvariants:
                 train = sample_instance(dist, 150, derive_seed(50, "train", t))
                 stream = sample_instance(dist, 150, derive_seed(50, "stream", t))
                 result = run_pipeline(train, stream, spec, PipelineConfig(mode, 0.1))
+                thr = result.policy.t
                 passing = {
-                    item.id for item in stream if apply_policy(result.policy, item)
+                    item.id for item in stream if any(v >= thr[p] for p, v in item.props.items())
                 }
                 final_ids = set(result.final_solution.real_ids())
                 assert result.retained_final <= result.retained_after_policy
@@ -117,8 +117,9 @@ class TestStructuralInvariants:
                     key=lambda it: (it.props[p], it.id),
                     reverse=True,
                 )
+                thr = result.policy.t
                 for item in owners[: spec.k]:
-                    if not apply_policy(result.policy, item):
+                    if not any(v >= thr[q] for q, v in item.props.items()):
                         top_pass = False
             if not top_pass:
                 continue

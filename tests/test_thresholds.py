@@ -13,7 +13,6 @@ from screenmatch import (
     Item,
     NetSizeError,
     ThresholdsPolicy,
-    apply_policy,
     brute_force_matching,
     is_above,
     learn_optimal_thresholds,
@@ -54,19 +53,26 @@ class TestPolicyObject:
 
 
 class TestApplyPolicy:
+    """A policy applied to one item: a screen of a one-row instance."""
+
+    @staticmethod
+    def keeps(policy, item):
+        retained, _ = screen_with_policy(policy, Instance((item,)))
+        return retained.n == 1
+
     def test_equality_retains(self):
-        assert apply_policy(ThresholdsPolicy((0.5,)), Item(0, {0: 0.5}))
+        assert self.keeps(ThresholdsPolicy((0.5,)), Item(0, {0: 0.5}))
 
     def test_above_sentinel_rejects_everything(self):
-        assert not apply_policy(ThresholdsPolicy((0.5, ABOVE)), Item(0, {1: 0.99}))
+        assert not self.keeps(ThresholdsPolicy((0.5, ABOVE)), Item(0, {1: 0.99}))
 
     def test_zero_thresholds_retain_all(self):
         policy = ThresholdsPolicy((0.0, 0.0))
-        assert apply_policy(policy, Item(0, {1: 0.0}))
+        assert self.keeps(policy, Item(0, {1: 0.0}))
 
     def test_any_property_suffices(self):
         policy = ThresholdsPolicy((0.9, 0.1))
-        assert apply_policy(policy, Item(0, {0: 0.2, 1: 0.15}))
+        assert self.keeps(policy, Item(0, {0: 0.2, 1: 0.15}))
 
 
 class TestScreenWithPolicy:
