@@ -597,8 +597,10 @@ def write_constraint_spec(spec: ConstraintSpec, fh: IO[str]) -> None:
 
 
 def read_constraint_spec(fh: IO[str], source: str = "<spec>") -> ConstraintSpec:
+    # a bad byte raises here, outside the catch, so the caller can name its line
+    text = fh.read()
     try:
-        obj = json.load(fh)
+        obj = json.loads(text)
         caps = tuple(obj["caps"])
         if any(type(c) is not int for c in caps):
             raise TypeError(f"caps must be integers, got {obj['caps']!r}")
@@ -619,8 +621,10 @@ def write_distribution_spec(dist: DistributionSpec, fh: IO[str]) -> None:
 
 
 def read_distribution_spec(fh: IO[str], source: str = "<dist>") -> DistributionSpec:
+    # a bad byte raises here, outside the catch, so the caller can name its line
+    text = fh.read()
     try:
-        obj = json.load(fh)
+        obj = json.loads(text)
         kind = obj["kind"]
         d = obj["d"]
         if type(d) is not int:

@@ -10,20 +10,23 @@ The pass keeps, per property, a min-heap of the top k (value, id) pairs
 among kept items.  By the solver's pool lemma, an arrival that ranks
 below the k-th best kept item in every property it possesses is outside
 the optimum, so it is rejected without a solve.  Any other arrival x is
-decided against the current optimum M over the kept items:
-
-- Exchange lemma: the optimum over the kept items plus x uses only M's
-  items and x.  The four tie layers fold into one additive weight whose
-  optimum is unique, so an alternating component of M and the new optimum
-  that misses x would improve one of the two on its own.  M is held as
-  (id, value row) pairs, and M's real items plus x, at most k + 1 rows,
-  go straight to the solver's assignment routine with no pool selection:
-  by the pool lemma, pruning never changes the optimum.  A rejected
-  arrival leaves M as it was.
-- Value bound: when M holds k real items, x and any k - 1 of them are worth
-  at most x's best value plus the best values of M's items less the lowest
-  of those.  When that falls short of M's value, x is rejected with no
-  solve.  The sum is an exactly signed ``math.fsum``.
+decided against the current optimum M over the kept items.  By the
+exchange lemma, the optimum over the kept items plus x uses only M's
+items and x, and differs from M along one alternating path from x
+(successive shortest paths, Edmonds and Karp 1972): x takes a slot of
+some property, the item there moves to another property or leaves, and
+so on.  M is held as (id, value row, weights) items with their assigned
+properties; each free slot holds a dummy of weight 0.  An item's exact
+weights W(y, p) = value * 2^1074 * B + (id + 1) are built once, when it
+arrives: every double in [0, 1] is a multiple of 2^-1074, and B, a power
+of two above (k + 1)(n + 1), keeps the id terms below one value unit.
+One Bellman-Ford pass over the d property nodes finds the best path; x
+is kept exactly when it gains, and applying it to M gives the new
+optimum, with no solve.  The solver's rank layers 3-4 are not needed:
+the sets a decision compares, M and M + x - y, already differ in their
+sums of id + 1.  Counting id + 1, not id, settles the one exception, a
+dummy y against an arrival of id 0.  A rejected arrival leaves M as it
+was.
 
 When every arrival owns a single property (d = 1, and disjoint streams)
 the properties do not compete: the optimum is the top ``caps[p]`` of
@@ -49,7 +52,7 @@ import numpy as np
 from .core import (
     ConfigError, ConstraintSpec, InputError, Instance, require_valid, validate_instance
 )
-from .matching import Solution, _solve_assignment, optimal_matching
+from .matching import Solution, optimal_matching
 
 __all__ = ["TraceStep", "GreedyResult", "Arrivals", "warmup_length", "greedy_screen"]
 
@@ -106,21 +109,79 @@ class Arrivals:
         return zip(self.pos.tolist(), self.values)
 
 
-def _value_bound(optimum: list[tuple[int, list[float]]], assigned: dict[int, int]) -> list[float]:
-    """The terms of ``_outvalued`` for an optimum of k real (id, row) pairs,
-    assigned as ``assigned`` says: each item's best value, the lowest of
-    those negated, and each item's assigned value negated."""
-    best = [max(v for v in row if v == v) for _, row in optimum]
-    return [-min(best), *best, *(-row[assigned[i]] for i, row in optimum)]
+def _weights(item_id: int, row: list[float], shift: int) -> list[int | None]:
+    """The exact weight W(y, p) = value * 2^1074 * B + (id + 1) of the (id,
+    row) item y at each property p, None where y lacks p; ``shift`` is
+    1074 + log2 B.  Every double in [0, 1] is a multiple of 2^-1074, so the
+    first term is an integer."""
+    out: list[int | None] = []
+    for v in row:
+        if v == v:
+            num, den = v.as_integer_ratio()
+            out.append((num << (shift - den.bit_length() + 1)) + item_id + 1)
+        else:
+            out.append(None)
+    return out
 
 
-def _outvalued(arrival: tuple[int, list[float]], bound: list[float]) -> bool:
-    """True when the (id, row) ``arrival`` and any k - 1 items of the
-    optimum, each at its best value, are worth less than the optimum: no
-    set holding the arrival can beat it.  The exact sum of doubles is a
-    multiple of 2^-1074, and fsum rounds it correctly, so the sign is
-    exact."""
-    return math.fsum([max(v for v in arrival[1] if v == v), *bound]) < 0
+def _path_step(
+    optimum: list[tuple[int, list[float], list[int | None]]],
+    assigned: dict[int, int],
+    arrival: tuple[int, list[float], list[int | None]],
+    caps: tuple[int, ...],
+) -> bool:
+    """Decide the (id, row, weights) ``arrival`` against the optimum M.
+
+    ``optimum`` holds M's real items, ``assigned`` the property of each; the
+    free slots hold dummies of weight 0.  One Bellman-Ford pass over the d
+    property nodes finds the best alternating path from the arrival: it
+    enters p at W(x, p), the item of p that gains most moves on to q, and
+    the path ends where the cheapest item of p (a dummy if any) leaves.
+    The arrival is kept exactly when that path gains, and the path is then
+    applied to ``optimum`` and ``assigned`` in place.
+    """
+    d = len(caps)
+    held: list[list] = [[] for _ in range(d)]
+    for y in optimum:
+        held[assigned[y[0]]].append(y)
+    move: list[list] = [[None] * d for _ in range(d)]  # p -> q: (gain, item)
+    drop: list[tuple] = []  # p: (gain, item), a dummy's None
+    for p, ys in enumerate(held):
+        out = (0, None) if len(ys) < caps[p] else None
+        for y in ys:
+            w = y[2]
+            if out is None or -w[p] > out[0]:
+                out = (-w[p], y)
+            for q, wq in enumerate(w):
+                if wq is not None and q != p and (move[p][q] is None or wq - w[p] > move[p][q][0]):
+                    move[p][q] = (wq - w[p], y)
+        drop.append(out)
+    dist = list(arrival[2])
+    pred: list[int | None] = [None] * d
+    for _ in range(d - 1):
+        changed = False
+        for p, at in enumerate(dist):
+            if at is None:
+                continue
+            for q, edge in enumerate(move[p]):
+                if edge is not None and (dist[q] is None or at + edge[0] > dist[q]):
+                    dist[q], pred[q], changed = at + edge[0], p, True
+        if not changed:
+            break
+    gain, end = max((at + drop[p][0], p) for p, at in enumerate(dist) if at is not None)
+    if gain <= 0:
+        return False
+    out = drop[end][1]
+    if out is not None:
+        optimum.remove(out)
+        del assigned[out[0]]
+    p = end
+    while pred[p] is not None:
+        assigned[move[pred[p]][p][1][0]] = p
+        p = pred[p]
+    assigned[arrival[0]] = p
+    optimum.append(arrival)
+    return True
 
 
 def screen_entries(
@@ -135,7 +196,7 @@ def screen_entries(
     order.  Positions are compared against ``warmup``, so a filtered
     subsequence keeps its original stream geometry.  Used by both
     ``greedy_screen`` and the combined pipeline, which have checked the
-    items, so the solves here skip the check.  A step's ``running_value``
+    items, so nothing here checks them again.  A step's ``running_value``
     is the optimum value over the items kept so far.
     """
     positions, values = entries.pos, entries.values
@@ -144,11 +205,13 @@ def screen_entries(
     sizes = spec.caps if single else (spec.k,) * spec.d
     heaps: list[list[tuple[float, int]]] = [[] for _ in range(spec.d)]
     kept: list[int] = []
-    # overlap streams: the optimum's real (id, row) pairs in id order, and
-    # the value bound's terms once it holds k
-    optimum: list[tuple[int, list[float]]] = []
-    bound: list[float] = []
-    decided: dict[int, tuple[bool, float]] = {}  # index -> (retained, running) per solve
+    # overlap streams: the optimum's real (id, row, weights) items in id
+    # order and the property of each
+    optimum: list[tuple[int, list[float], list[int | None]]] = []
+    assigned: dict[int, int] = {}
+    # B = 2^(shift - 1074) exceeds the id terms of k + 1 items
+    shift = 1074 + ((spec.k + 1) * (int(positions.max(initial=0)) + 2)).bit_length()
+    decided: dict[int, tuple[bool, float]] = {}  # index -> (retained, running) per decision
     running = 0.0
     after_warmup = positions >= warmup
     for start in range(0, len(entries), BLOCK):
@@ -172,19 +235,12 @@ def screen_entries(
                 continue
             if not single:
                 # a rejected arrival leaves the optimum, and so the running value, unchanged
-                arrival = (item_id, row)
-                if bound and _outvalued(arrival, bound):
+                entry = (item_id, row, _weights(item_id, row, shift))
+                if not _path_step(optimum, assigned, entry, spec.caps):
                     decided[i] = (False, running)
                     continue
-                contenders = [*optimum, arrival]
-                sol = _solve_assignment(*zip(*contenders), spec)
-                assigned = dict(sol.assignment)
-                if item_id not in assigned:
-                    decided[i] = (False, running)
-                    continue
-                running = sol.value
-                optimum = [y for y in contenders if y[0] in assigned]
-                bound = _value_bound(optimum, assigned) if len(optimum) == spec.k else []
+                if trace:
+                    running = math.fsum(row[assigned[y]] for y, row, _ in optimum)
             kept.append(i)
             for p, v in owned:
                 heap = heaps[p]

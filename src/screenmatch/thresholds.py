@@ -236,8 +236,10 @@ def write_policy(policy: ThresholdsPolicy, fh: IO[str]) -> None:
 
 
 def read_policy(fh: IO[str], source: str = "<policy>") -> ThresholdsPolicy:
+    # a bad byte raises here, outside the catch, so the caller can name its line
+    text = fh.read()
     try:
-        obj = json.load(fh)
+        obj = json.loads(text)
         t = tuple(ABOVE if x == "ABOVE" else x for x in obj["t"])
         if any(type(x) is not float and type(x) is not int for x in t):
             raise TypeError(f'thresholds must be numbers or "ABOVE", got {obj["t"]!r}')

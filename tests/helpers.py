@@ -46,6 +46,8 @@ def rand_instance(rng: np.random.Generator, n: int, d: int, value_grid=None) -> 
 
 
 TIE_GRID = (0.0, 0.25, 0.5, 0.5, 1.0)
+# the extremes of a value's bits: both zeros, the least subnormal, 1 and a tie
+SPECIAL_VALUES = (0.0, -0.0, 1.0, 5e-324, 1e-05, 0.1, 0.5, 0.5)
 
 
 def reference_screen(entries, spec: ConstraintSpec, warmup: int) -> list[Item]:

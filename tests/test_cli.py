@@ -313,6 +313,37 @@ class TestExitCodes:
         assert run(["trials", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg}:3: ")
 
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("spec", b'{"caps":\n[\xff1]}\n'),
+            ("dist", b'{"kind": "single-property-uniform",\n"d": \xff1}\n'),
+            ("policy", b'{"t":\n[0.5\xff]}\n'),
+        ],
+        ids=["spec", "dist", "policy"],
+    )
+    def test_non_utf8_spec_dist_or_policy_is_one_with_line(
+        self, files, tmp_path, capsys, kind, text
+    ):
+        tmp, dist, spec = files
+        inst = tmp / "inst.jsonl"
+        assert run(["gen", "--dist", dist, "--n", "5", "--out", str(inst)]) == 0
+        policy = tmp / "policy.json"
+        policy.write_text('{"t": [0.5]}\n')
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_bytes(text)
+        paths = {"spec": spec, "dist": dist, "policy": str(policy), kind: str(bad)}
+        argv = {
+            "spec": ["solve", "--in", str(inst), "--spec", paths["spec"]],
+            "dist": ["gen", "--dist", paths["dist"], "--n", "5"],
+            "policy": ["screen", "--in", str(inst), "--policy", paths["policy"]],
+        }[kind]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: not UTF-8 text")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1.7", "-3.0"])
     def test_solve_rejects_value_outside_unit_interval(self, tmp_path, capsys, value):
         spec = tmp_path / "spec2.json"

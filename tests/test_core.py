@@ -33,7 +33,7 @@ from screenmatch import (
 import screenmatch.core as core
 from screenmatch.core import DUMMY_ID_BASE, format_value, require_valid
 
-from helpers import TIE_GRID, rand_bad_items, rand_items, reference_violations
+from helpers import SPECIAL_VALUES, TIE_GRID, rand_bad_items, rand_items, reference_violations
 
 
 class TestConstraintSpec:
@@ -429,9 +429,6 @@ def writer_text(items) -> str:
     buf = io.StringIO()
     write_instance(Instance(items), buf)
     return buf.getvalue()
-
-
-SPECIAL_VALUES = (0.0, -0.0, 1.0, 5e-324, 1e-05, 0.1, 0.5, 0.5)
 
 
 class TestReaderPaths:

@@ -97,17 +97,18 @@ def _worker_pid(_):
 
 
 def count_gated_solves(monkeypatch):
-    """Record the pool size of every solve the greedy pass makes."""
+    """Record the items each path step of the greedy pass sees: the
+    optimum's real items and the arrival."""
     import screenmatch.greedy as greedy
 
     solves = []
-    real = greedy._solve_assignment
+    real = greedy._path_step
 
-    def counting(ids, rows, spec):
-        solves.append(len(ids))
-        return real(ids, rows, spec)
+    def counting(optimum, assigned, arrival, caps):
+        solves.append(len(optimum) + 1)
+        return real(optimum, assigned, arrival, caps)
 
-    monkeypatch.setattr(greedy, "_solve_assignment", counting)
+    monkeypatch.setattr(greedy, "_path_step", counting)
     return solves
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import heapq
+import math
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from screenmatch import (
     DistributionSpec,
 )
 import screenmatch.greedy as greedy
+import screenmatch.matching as matching
 from screenmatch.greedy import Arrivals, screen_entries
+from screenmatch.matching import _solve_assignment
 
-from helpers import TIE_GRID, rand_instance, rand_items, reference_screen
+from helpers import SPECIAL_VALUES, TIE_GRID, rand_instance, rand_items, reference_screen
 
 
 def stream_of(values):
@@ -133,50 +137,43 @@ class TestInvariants:
             assert inst.ids[fast].tolist() == [i.id for i in slow]
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_overlap_decisions_match_the_reference(self, monkeypatch, d):
-        # solves over the optimum plus the arrival, and rejections by the value bound
-        ruled_out = []
-        real = greedy._outvalued
-
-        def counting(arrival, bound):
-            out = real(arrival, bound)
-            if out:
-                ruled_out.append(arrival[0])
-            return out
-
-        monkeypatch.setattr(greedy, "_outvalued", counting)
+    def test_overlap_decisions_match_the_reference(self, d):
+        # path steps over the optimum plus the arrival
         rng = np.random.default_rng(70 + d)
-        total = 0
         for t in range(30):
             n = int(rng.integers(0, 40))
             items = rand_items(rng, n, d, value_grid=TIE_GRID if t % 2 else None)
             spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 4, size=d)))
             warmup = int(rng.integers(0, n // 4 + 1))
             inst = Instance(items)
-            ruled_out.clear()
             fast, steps = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup, True)
             slow = [i.id for i in reference_screen([(i.id, i) for i in items], spec, warmup)]
             assert inst.ids[fast].tolist() == slow
-            assert not set(ruled_out) & set(slow)
             kept = []
             for step, item in zip(steps, items):
                 if step.retained:
                     kept.append(item)
                 assert step.running_value == optimal_matching(kept, spec).value
-            total += len(ruled_out)
-        assert total > 0
 
     def test_overlap_solves_see_at_most_k_plus_one_items(self, monkeypatch):
         # mc_multi's overlap shape; gate_passes counts the contenders, one
-        # solve each for a greedy that solves every contender over the heap pool
+        # path step each, and each step sees the optimum's real items and the arrival
         solves = []
-        real = greedy._solve_assignment
+        real = greedy._path_step
 
-        def counting(ids, rows, spec):
-            solves.append(len(ids))
-            return real(ids, rows, spec)
+        def counting(optimum, assigned, arrival, caps):
+            solves.append(len(optimum) + 1)
+            return real(optimum, assigned, arrival, caps)
 
-        monkeypatch.setattr(greedy, "_solve_assignment", counting)
+        full_solves = []
+        real_full = matching._solve_assignment
+
+        def counting_full(ids, rows, spec):
+            full_solves.append(len(ids))
+            return real_full(ids, rows, spec)
+
+        monkeypatch.setattr(greedy, "_path_step", counting)
+        monkeypatch.setattr(matching, "_solve_assignment", counting_full)
         dist = DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3))
         spec = ConstraintSpec((2, 2, 2))
         inst = sample_instance(dist, 1000, 31)
@@ -197,7 +194,8 @@ class TestInvariants:
                     if len(heaps[p]) > k:
                         heapq.heappop(heaps[p])
         assert max(solves) <= k + 1
-        assert len(solves) < gate_passes
+        assert len(solves) == gate_passes
+        assert full_solves == []
 
     def test_prefix_consistency(self):
         # the optimum over all first i items must equal the one the greedy
@@ -249,6 +247,105 @@ class TestInvariants:
         a = greedy_screen(inst, spec, 10)
         b = greedy_screen(inst, spec, 10)
         assert a == b
+
+
+def path_steps_match_full_solves(values: np.ndarray, spec: ConstraintSpec, warmup: int) -> int:
+    """Run the path step on every arrival past ``warmup``, gated or not, and
+    check each keep decision and each new optimum against the full solve
+    over the optimum's items plus the arrival.  Returns the final optimum's
+    number of real items."""
+    shift = 1074 + ((spec.k + 1) * (len(values) + 1)).bit_length()
+    optimum, assigned = [], {}
+    for i, row in enumerate(values.tolist()):
+        if i < warmup:
+            continue
+        ids, rows = [y[0] for y in optimum] + [i], [y[1] for y in optimum] + [row]
+        ref = _solve_assignment(ids, rows, spec)
+        before = (list(optimum), dict(assigned))
+        entry = (i, row, greedy._weights(i, row, shift))
+        kept = greedy._path_step(optimum, assigned, entry, spec.caps)
+        assert kept == (i in ref.real_ids())
+        if not kept:
+            assert (optimum, assigned) == before
+        assert [y[0] for y in optimum] == list(ref.real_ids()) == sorted(assigned)
+        value = math.fsum(row[assigned[y]] for y, row, _ in optimum)
+        assert value.hex() == ref.value.hex()
+        # a valid assignment: each item at a property it owns, no property over its cap
+        assert all(row[assigned[y]] == row[assigned[y]] for y, row, _ in optimum)
+        filled = [list(assigned.values()).count(p) for p in range(spec.d)]
+        assert all(f <= cap for f, cap in zip(filled, spec.caps))
+    return len(optimum)
+
+
+class TestPathStep:
+    @pytest.mark.parametrize("grid", [TIE_GRID, SPECIAL_VALUES], ids=["ties", "special"])
+    def test_decisions_and_optima_match_the_full_solve(self, grid):
+        rng = np.random.default_rng(300 + len(grid))
+        for t in range(45):
+            d = 2 + t % 3
+            spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 4, size=d)))
+            items = rand_items(rng, int(rng.integers(1, 30)), d, value_grid=grid)
+            # warmup 0 first, so the id-0 arrival meets the empty optimum
+            warmup = 0 if t < 3 else int(rng.integers(0, 3))
+            path_steps_match_full_solves(Instance(items).columns(d), spec, warmup)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_sampled_overlap_streams_match_the_full_solve(self, d):
+        membership = (0.5, 0.4, 0.3, 0.6)[:d]
+        for t in range(4):
+            spec = ConstraintSpec(((2, 1, 2, 1), (2, 2, 2, 3), (1, 3, 2, 2), (1, 1, 1, 1))[t][:d])
+            dist = DistributionSpec("overlap-bernoulli", d, membership)
+            inst = sample_instance(dist, 150, 500 + 10 * d + t)
+            warmup = warmup_length(150, spec.k, 0.1) if t else 0
+            assert path_steps_match_full_solves(inst.columns(d), spec, warmup) > 0
+
+    def test_the_least_subnormal_outweighs_any_id_sum(self):
+        # 5e-324 is one unit of the weights' value term, which B scales
+        # above every id term: item 0 stays however many later ties arrive
+        values = np.array([[5e-324, 5e-324]] + [[0.0, 0.0]] * 40)
+        spec = ConstraintSpec((1, 1))
+        assert path_steps_match_full_solves(values, spec, 0) == 2
+        _, steps = screen_entries(Arrivals(np.arange(41), values), spec, 0, True)
+        assert [s.running_value for s in steps] == [5e-324] * 41
+
+    @pytest.mark.parametrize("first", [0.0, -0.0, 5e-324])
+    def test_id_zero_at_warmup_zero_enters_ahead_of_a_dummy(self, first):
+        # with value 0 the id-0 item ties a dummy on value and on the sum of
+        # ids; counting id + 1 keeps the real item, as the solver's id order does
+        values = np.array([[first, np.nan], [0.0, 0.0], [np.nan, 0.5]])
+        spec = ConstraintSpec((1, 1))
+        assert path_steps_match_full_solves(values, spec, 0) == 2
+        kept, _ = screen_entries(Arrivals(np.arange(3), values), spec, 0)
+        assert kept[0] == 0
+
+
+# overlap shapes of the golden greedy digest: membership and caps per d
+GOLDEN_OVERLAP = {
+    2: ((0.6, 0.5), (2, 3)),
+    3: ((0.5, 0.4, 0.3), (2, 2, 2)),
+    4: ((0.5, 0.4, 0.3, 0.6), (1, 3, 2, 2)),
+}
+
+
+def test_overlap_greedy_golden_digest():
+    # kept indices and every trace step, value bits included, on sampled
+    # overlap streams and their copies rounded to quarters (ties); the
+    # digest was taken while each contender was decided by a full solve
+    h = hashlib.sha256()
+    for d, (membership, caps) in sorted(GOLDEN_OVERLAP.items()):
+        spec = ConstraintSpec(caps)
+        for t in range(6):
+            dist = DistributionSpec("overlap-bernoulli", d, membership)
+            inst = sample_instance(dist, 400, 9100 + 10 * d + t)
+            values = inst.columns(d)
+            if t % 2:
+                values = np.round(values * 4) / 4
+            warmup = warmup_length(400, spec.k, 0.1) if t < 4 else t - 4
+            kept, steps = screen_entries(Arrivals(inst.ids, values), spec, warmup, True)
+            h.update(f"{kept}\n".encode())
+            for s in steps:
+                h.update(f"{s.step}|{s.item_id}|{s.retained}|{s.running_value.hex()}\n".encode())
+    assert h.hexdigest() == "0693127413785d965ac2620ec89d9dbbf7a68ab1548e0c04a9d2eb52a9acaedd"
 
 
 WARMUP_SHAPES = {
