@@ -306,8 +306,12 @@ class DistributionSpec:
                 raise ConfigError("overlap-bernoulli needs one membership probability per property")
             if any(not (0.0 <= x <= 1.0) for x in q):
                 raise ConfigError(f"membership probabilities must lie in [0, 1], got {q}")
-            if max(q) <= 0.0:
-                raise ConfigError("at least one membership probability must be positive")
+            if _acceptance(q) <= 0.0:
+                # (1e-17, 0.0) passes the range check, yet 1 - (1 - 1e-17) is 0.0
+                raise ConfigError(
+                    f"membership probabilities {q} give a draw no chance to own a property "
+                    "(1 - prod(1 - q) is 0 in floating point)"
+                )
         elif self.membership is not None:
             raise ConfigError(f"kind {self.kind!r} takes no membership parameter")
 
@@ -318,42 +322,106 @@ def derive_seed(seed: int, label: str, index: int = 0) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _acceptance(membership) -> float:
+    """The chance that an overlap draw owns at least one property,
+    1 - prod(1 - q), as the sampler sizes its buffer with it."""
+    return float(1.0 - np.prod(1.0 - np.asarray(membership, dtype=float)))
+
+
+# squarings of the draw walk's jump table: a coarse step spans 2**4 draws
+_WALK_LEVELS = 4
+
+
+def _draw_starts(uniforms: np.ndarray, q: np.ndarray, at: int) -> tuple[np.ndarray, int]:
+    """The overlap draws that ``uniforms`` holds from position ``at`` on.
+
+    Returns the start positions of the accepted draws, in order, and the
+    position where the walk stopped: after the last whole draw, or at a
+    draw that the end of the buffer cuts off.  A draw at i ends at
+    ``jump[i] = i + d + counts[i]``, where the next draw starts;
+    ``counts[i]`` is the number of its d coins below q, held in the
+    narrowest unsigned type that fits d.  Positions from m on, where no d
+    coins fit, map to themselves.  Squaring ``jump`` gives ``top``, which spans 2**4 draws
+    a step; Python walks ``top``, and one ``take`` per row fills in the
+    draws between its steps.
+    """
+    d = len(q)
+    u = uniforms[at:]
+    m = len(u) - d + 1
+    if m <= 0:
+        return np.empty(0, dtype=np.intp), at
+    counts = (u[:m] < q[0]).astype(np.min_scalar_type(d))
+    for j in range(1, d):
+        counts += u[j : j + m] < q[j]
+    jump = np.arange(m + 2 * d)
+    head = jump[:m]
+    head += d
+    head += counts
+    top = jump
+    for _ in range(_WALK_LEVELS):
+        top = top.take(top)
+    coarse = []
+    i = 0
+    while i < m:
+        coarse.append(i)
+        i = top.item(i)
+    # row r holds the r-th draw after each coarse step
+    rows = np.empty((1 << _WALK_LEVELS, len(coarse)), dtype=np.intp)
+    rows[0] = coarse
+    for r in range(1, len(rows)):
+        jump.take(rows[r - 1], out=rows[r])
+    walk = rows.T.ravel()
+    # the walk rises to its first position from m on and stays there
+    walk = walk[: np.searchsorted(walk, m)]
+    ends = jump.take(walk)
+    accepted = (ends - walk > d) & (ends <= len(u))
+    stop = walk[-1] if ends[-1] > len(u) else ends[-1]
+    return walk[accepted] + at, int(stop) + at
+
+
 def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
-    """Draw an n-item instance.  Bit-identical for identical arguments."""
+    """Draw an n-item instance.  Bit-identical for identical arguments.
+
+    An overlap-bernoulli stream is cut from one stream of uniforms.  Each
+    draw takes d coin uniforms, the p-th below ``membership[p]`` exactly
+    when the draw owns property p, then one value uniform per owned
+    property, in property order.  A draw that owns none is rejected after
+    its d coins.  The uniforms come in a buffer of about 1.1 times the
+    expected need; when the draws outrun it, ``rng.random(len(buffer))``
+    doubles it, and the walk goes on where it stopped.
+    """
     if not isinstance(n, int) or n < 0:
         raise ConfigError(f"n must be a nonnegative integer, got {n!r}")
     rng = np.random.default_rng(seed)
     if dist.kind == "single-property-uniform":
         return Instance.from_values(rng.random(n).reshape(n, 1))
-    values = np.full((n, dist.d), np.nan)
     if dist.kind == "disjoint-properties-uniform":
+        values = np.full((n, dist.d), np.nan)
         classes = rng.integers(0, dist.d, size=n)
         values[np.arange(n), classes] = rng.random(n)
         return Instance.from_values(values)
-    # Each draw takes d uniforms for the membership coins, then one uniform
-    # per owned property; a draw owning none is rejected.  These are one
-    # stream of uniforms, so it is drawn in bulk and cut into draws.
     q = np.asarray(dist.membership, dtype=float)
     d = dist.d
-    per_draw = (d + q.sum()) / (1.0 - np.prod(1.0 - q))
+    per_draw = (d + q.sum()) / _acceptance(q)
     uniforms = rng.random(int(n * per_draw * 1.1) + 4 * d)
-    starts: list[int] = []
-    at = 0
-    while len(starts) < n:
-        owned = np.lib.stride_tricks.sliding_window_view(uniforms, d) < q
-        counts = owned.sum(axis=1).tolist()
-        end = len(uniforms) - d
-        while len(starts) < n and at <= end and at + d + counts[at] <= len(uniforms):
-            if counts[at]:
-                starts.append(at)
-            at += d + counts[at]
-        if len(starts) < n:
+    found = []
+    total = at = 0
+    while total < n:
+        starts, at = _draw_starts(uniforms, q, at)
+        found.append(starts)
+        total += len(starts)
+        if total < n:
             uniforms = np.concatenate((uniforms, rng.random(len(uniforms))))
+    values = np.empty((n, d))
     if n:
-        owned = owned[starts]
-        # the k-th owned property of a draw takes the k-th uniform after its coins
-        taken = np.array(starts)[:, None] + d + np.cumsum(owned, axis=1) - 1
-        values[owned] = uniforms[taken[owned]]
+        starts = np.concatenate(found)[:n]
+        # the next value uniform of each draw; past an unowned property of
+        # the last draw it may point one past the buffer, hence the clip
+        taken = starts + d
+        for j in range(d):
+            owned = uniforms.take(starts + j) < q[j]
+            values[:, j] = np.where(owned, uniforms.take(taken, mode="clip"), np.nan)
+            taken += owned
     return Instance.from_values(values)
 
 

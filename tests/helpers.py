@@ -5,7 +5,7 @@ from numbers import Real
 
 import numpy as np
 
-from screenmatch import ConstraintSpec, Instance, Item, Violation, optimal_matching
+from screenmatch import ConstraintSpec, DistributionSpec, Instance, Item, Violation, optimal_matching
 from screenmatch.core import DUMMY_ID_BASE
 
 
@@ -120,3 +120,33 @@ def rand_bad_items(rng: np.random.Generator, n: int, d: int) -> list[Item]:
                 props[p] = BAD_VALUES[int(rng.integers(0, len(BAD_VALUES)))]
         items.append(Item(item_id, props))
     return items
+
+
+def reference_overlap_values(dist: DistributionSpec, n: int, seed: int) -> np.ndarray:
+    """The overlap-bernoulli sampler as a per-draw loop: the (n, d) value
+    matrix of ``sample_instance(dist, n, seed)``, NaN where a property is
+    not owned.  Each draw takes d coin uniforms, then one value uniform per
+    owned property; a draw that owns none is rejected.  The uniforms come
+    in a buffer that is doubled by ``rng.random(len(buffer))`` when the
+    walk reaches its end."""
+    q = np.asarray(dist.membership, dtype=float)
+    d = dist.d
+    rng = np.random.default_rng(seed)
+    per_draw = (d + q.sum()) / (1.0 - np.prod(1.0 - q))
+    uniforms = rng.random(int(n * per_draw * 1.1) + 4 * d)
+    values = np.full((n, d), np.nan)
+    at = row = 0
+    while row < n:
+        if at + d > len(uniforms):
+            uniforms = np.concatenate((uniforms, rng.random(len(uniforms))))
+            continue
+        owned = uniforms[at : at + d] < q
+        count = int(owned.sum())
+        if at + d + count > len(uniforms):
+            uniforms = np.concatenate((uniforms, rng.random(len(uniforms))))
+            continue
+        if count:
+            values[row, owned] = uniforms[at + d : at + d + count]
+            row += 1
+        at += d + count
+    return values

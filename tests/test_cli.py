@@ -405,6 +405,15 @@ class TestExitCodes:
         assert run(["gen", "--dist", str(dist), "--n", "5", "--out", str(tmp_path / "o")]) == 1
         assert f"{dist}: malformed distribution spec" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overlap_that_never_accepts_is_one_and_names_the_dist(self, tmp_path, capsys):
+        dist = tmp_path / "never.json"
+        dist.write_text('{"kind": "overlap-bernoulli", "d": 2, "membership": [1e-17, 0.0]}\n')
+        assert run(["gen", "--dist", str(dist), "--n", "5", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dist}: ")
+        assert "no chance to own a property" in err
+
     @pytest.mark.parametrize("t", ['["0.5"]', "[true]", '["Infinity"]'])
     def test_policy_reader_takes_json_numbers_as_they_are(self, files, tmp_path, capsys, t):
         tmp, dist, _ = files

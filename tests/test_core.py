@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from screenmatch import (
@@ -33,7 +33,14 @@ from screenmatch import (
 import screenmatch.core as core
 from screenmatch.core import DUMMY_ID_BASE, format_value, require_valid
 
-from helpers import SPECIAL_VALUES, TIE_GRID, rand_bad_items, rand_items, reference_violations
+from helpers import (
+    SPECIAL_VALUES,
+    TIE_GRID,
+    rand_bad_items,
+    rand_items,
+    reference_overlap_values,
+    reference_violations,
+)
 
 
 class TestConstraintSpec:
@@ -68,6 +75,18 @@ class TestDistributionSpec:
             DistributionSpec("overlap-bernoulli", 2, membership=(0.0, 0.0))
         with pytest.raises(ConfigError):
             DistributionSpec("overlap-bernoulli", 2, membership=(0.5, 1.2))
+
+    @pytest.mark.parametrize("membership", [(1e-17, 0.0), (1e-17, 1e-17), (0.0, 5e-324, 0.0)])
+    def test_overlap_that_never_accepts_in_floating_point(self, membership):
+        # each passes the range check, yet 1 - prod(1 - q) rounds to 0.0
+        assert core._acceptance(membership) == 0.0
+        with pytest.raises(ConfigError, match="no chance to own a property"):
+            DistributionSpec("overlap-bernoulli", len(membership), membership)
+
+    def test_least_accepting_overlap_is_kept(self):
+        # 1 - 1.2e-16 rounds to the double below 1, so a draw can own it
+        assert core._acceptance((1.2e-16,)) > 0.0
+        DistributionSpec("overlap-bernoulli", 1, (1.2e-16,))
 
     def test_membership_rejected_elsewhere(self):
         with pytest.raises(ConfigError):
@@ -175,6 +194,63 @@ class TestSampling:
                 h.update(f"|{p}:{v.hex()}".encode())
             h.update(b"\n")
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "membership, n, seed, digest",
+        [
+            ((0.3,), 300, 21, "31abecdccc8b14cf771abb8fb37e465861f38d5a7c6f704a2ee4b3e620c02151"),
+            ((0.6, 0.5), 300, 22, "870da646bef91d8d07a7c136c60f51959d173503ca77fb22c7a9a6fd5b6cf5ab"),
+            ((1.0, 0.0, 0.2), 300, 23, "760ba61c69017a89d5e2c23e90876fecc48717a7efa915316e547fe8189473cb"),
+            (
+                (0.05, 0.02, 0.01, 0.03),
+                300,
+                24,
+                "de53dc08765137f0b6b4e5cbaa8a1a2d69aedf0a44cd4e975a9b5ab60d9eb4f1",
+            ),
+            ((0.5, 0.4, 0.3), 0, 25, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            # the draws outrun the first buffer of uniforms: seeds 1 and 8
+            # double it twice, seed 4 once
+            ((0.01, 0.0), 1, 1, "def6f510a90df2d8d03113b82305cffdc2e88866906bea1453ab35c478800f6f"),
+            ((0.01, 0.0), 1, 8, "a933bebf7699db59b4d7dcc02cc3b0188e576a15fec00ce288618ea0f1fe5d0b"),
+            (
+                (0.05, 0.02, 0.01, 0.03),
+                5,
+                4,
+                "66c919f5bd05c24e03fb5ad8755c3643a40a2a7b9991426f53b5e1463e537f71",
+            ),
+        ],
+        ids=["d1", "d2", "certain-and-never", "sparse-d4", "empty", "extend-1", "extend-8", "extend-d4"],
+    )
+    def test_overlap_golden_streams(self, membership, n, seed, digest):
+        # digested as test_golden_streams digests its streams
+        dist = DistributionSpec("overlap-bernoulli", len(membership), membership)
+        h = hashlib.sha256()
+        for item in sample_instance(dist, n, seed):
+            h.update(repr(item.id).encode())
+            for p, v in item.props.items():
+                h.update(f"|{p}:{v.hex()}".encode())
+            h.update(b"\n")
+        assert h.hexdigest() == digest
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda d: st.lists(
+                st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.01, 1.0)), min_size=d, max_size=d
+            )
+        ),
+        st.integers(0, 300),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=200)
+    @example([0.01, 0.0], 1, 1)
+    @example([1.0, 1.0, 1.0, 1.0, 1.0], 300, 0)
+    def test_overlap_matches_the_per_draw_loop(self, membership, n, seed):
+        assume(max(membership) > 0.0)
+        dist = DistributionSpec("overlap-bernoulli", len(membership), tuple(membership))
+        got = sample_instance(dist, n, seed).values
+        want = reference_overlap_values(dist, n, seed)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDummies:
