@@ -145,26 +145,25 @@ def _cmd_greedy(args) -> int:
 def _cmd_learn(args) -> int:
     train = _load_instance(args.in_path)
     spec = _load_spec(args.spec)
-    if args.method == "optimal":
-        policy = learn_optimal_thresholds(train, spec)
-        with _open_out(args.out) as fh:
-            write_policy(policy, fh)
-    elif args.method == "topm":
-        if args.m is None:
-            raise ConfigError("--m is required with --method topm")
-        m = _parse_int_list(args.m, "--m")
-        if len(m) == 1:
-            m = m * spec.d
-        policy = learn_topm_thresholds(train, spec, m)
-        with _open_out(args.out) as fh:
-            write_policy(policy, fh)
-    else:
+    if args.method == "net":
         stream_n = args.stream_n if args.stream_n is not None else train.n
         net = quantile_policy_net(train, spec, stream_n, spec.k, max_net_size=args.max_net)
         with _open_out(args.out) as fh:
             for policy in net:
                 write_policy(policy, fh)
         _eprint(f"learn: net of {len(net)} policies")
+        return 0
+    if args.method == "optimal":
+        policy = learn_optimal_thresholds(train, spec)
+    else:
+        if args.m is None:
+            raise ConfigError("--m is required with --method topm")
+        m = _parse_int_list(args.m, "--m")
+        if len(m) == 1:
+            m = m * spec.d
+        policy = learn_topm_thresholds(train, spec, m)
+    with _open_out(args.out) as fh:
+        write_policy(policy, fh)
     return 0
 
 

@@ -388,7 +388,9 @@ def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
     property, in property order.  A draw that owns none is rejected after
     its d coins.  The uniforms come in a buffer of about 1.1 times the
     expected need; when the draws outrun it, ``rng.random(len(buffer))``
-    doubles it, and the walk goes on where it stopped.
+    doubles it, and the walk goes on where it stopped.  A membership that
+    expects more than 2**20 uniforms per item is a ``ConfigError``, raised
+    before anything is drawn.
     """
     if not isinstance(n, int) or n < 0:
         raise ConfigError(f"n must be a nonnegative integer, got {n!r}")
@@ -403,6 +405,11 @@ def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
     q = np.asarray(dist.membership, dtype=float)
     d = dist.d
     per_draw = (d + q.sum()) / _acceptance(q)
+    if per_draw > 2**20:
+        raise ConfigError(
+            f"membership probabilities {dist.membership} expect (d + sum(q)) / (1 - prod(1 - q))"
+            f" = {per_draw:.4g} uniforms per item, above the sampler's limit of 2**20"
+        )
     uniforms = rng.random(int(n * per_draw * 1.1) + 4 * d)
     found = []
     total = at = 0

@@ -15,15 +15,16 @@ exchange lemma, the optimum over the kept items plus x uses only M's
 items and x, and differs from M along one alternating path from x
 (successive shortest paths, Edmonds and Karp 1972): x takes a slot of
 some property, the item there moves to another property or leaves, and
-so on.  M is held as (id, value row, weights) items with their assigned
-properties; each free slot holds a dummy of weight 0.  An item's exact
-weights W(y, p) = value * 2^1074 * B + (id + 1) are built once, when it
-arrives: every double in [0, 1] is a multiple of 2^-1074, and B, a power
-of two above (k + 1)(n + 1), keeps the id terms below one value unit.
-One Bellman-Ford pass over the d property nodes finds the best path; x
-is kept exactly when it gains, and applying it to M gives the new
-optimum, with no solve.  The solver's rank layers 3-4 are not needed:
-the sets a decision compares, M and M + x - y, already differ in their
+so on.  M is held per property: ``held[p]`` lists the (id, value row,
+weights) items at p, and each free slot holds a dummy of weight 0.  An
+item's exact weights W(y, p) = value * 2^1074 * B + (id + 1) are built
+once, when it arrives, by ``matching._weights``: B, a power of two above
+(k + 1)(n + 1), keeps the id terms below one value unit.  One
+Bellman-Ford pass over the d property nodes, ``matching._path_step`` (the
+step the solver builds its optimum with), finds the best path; x is kept
+exactly when it gains, and applying it to M gives the new optimum, with
+no solve.  The solver's layer-4 digits are not needed: a decision is
+about sets, and the sets it compares, M and M + x - y, differ in their
 sums of id + 1.  Counting id + 1, not id, settles the one exception, a
 dummy y against an arrival of id 0.  A rejected arrival leaves M as it
 was.
@@ -52,7 +53,7 @@ import numpy as np
 from .core import (
     ConfigError, ConstraintSpec, InputError, Instance, require_valid, validate_instance
 )
-from .matching import Solution, optimal_matching
+from .matching import Solution, _path_step, _weights, optimal_matching
 
 __all__ = ["TraceStep", "GreedyResult", "Arrivals", "warmup_length", "greedy_screen"]
 
@@ -87,7 +88,7 @@ def warmup_length(n: int, k: int, delta: float) -> int:
         raise ConfigError(f"n must be a nonnegative integer, got {n!r}")
     if not isinstance(k, int) or k < 1:
         raise ConfigError(f"k must be a positive integer, got {k!r}")
-    if not (0.0 <= delta <= 1.0) or delta != delta:
+    if not (0.0 <= delta <= 1.0):
         raise ConfigError(f"delta must lie in [0, 1], got {delta!r}")
     num, den = float(delta).as_integer_ratio()
     return (num * n) // (den * k)
@@ -107,81 +108,6 @@ class Arrivals:
 
     def __iter__(self):
         return zip(self.pos.tolist(), self.values)
-
-
-def _weights(item_id: int, row: list[float], shift: int) -> list[int | None]:
-    """The exact weight W(y, p) = value * 2^1074 * B + (id + 1) of the (id,
-    row) item y at each property p, None where y lacks p; ``shift`` is
-    1074 + log2 B.  Every double in [0, 1] is a multiple of 2^-1074, so the
-    first term is an integer."""
-    out: list[int | None] = []
-    for v in row:
-        if v == v:
-            num, den = v.as_integer_ratio()
-            out.append((num << (shift - den.bit_length() + 1)) + item_id + 1)
-        else:
-            out.append(None)
-    return out
-
-
-def _path_step(
-    optimum: list[tuple[int, list[float], list[int | None]]],
-    assigned: dict[int, int],
-    arrival: tuple[int, list[float], list[int | None]],
-    caps: tuple[int, ...],
-) -> bool:
-    """Decide the (id, row, weights) ``arrival`` against the optimum M.
-
-    ``optimum`` holds M's real items, ``assigned`` the property of each; the
-    free slots hold dummies of weight 0.  One Bellman-Ford pass over the d
-    property nodes finds the best alternating path from the arrival: it
-    enters p at W(x, p), the item of p that gains most moves on to q, and
-    the path ends where the cheapest item of p (a dummy if any) leaves.
-    The arrival is kept exactly when that path gains, and the path is then
-    applied to ``optimum`` and ``assigned`` in place.
-    """
-    d = len(caps)
-    held: list[list] = [[] for _ in range(d)]
-    for y in optimum:
-        held[assigned[y[0]]].append(y)
-    move: list[list] = [[None] * d for _ in range(d)]  # p -> q: (gain, item)
-    drop: list[tuple] = []  # p: (gain, item), a dummy's None
-    for p, ys in enumerate(held):
-        out = (0, None) if len(ys) < caps[p] else None
-        for y in ys:
-            w = y[2]
-            if out is None or -w[p] > out[0]:
-                out = (-w[p], y)
-            for q, wq in enumerate(w):
-                if wq is not None and q != p and (move[p][q] is None or wq - w[p] > move[p][q][0]):
-                    move[p][q] = (wq - w[p], y)
-        drop.append(out)
-    dist = list(arrival[2])
-    pred: list[int | None] = [None] * d
-    for _ in range(d - 1):
-        changed = False
-        for p, at in enumerate(dist):
-            if at is None:
-                continue
-            for q, edge in enumerate(move[p]):
-                if edge is not None and (dist[q] is None or at + edge[0] > dist[q]):
-                    dist[q], pred[q], changed = at + edge[0], p, True
-        if not changed:
-            break
-    gain, end = max((at + drop[p][0], p) for p, at in enumerate(dist) if at is not None)
-    if gain <= 0:
-        return False
-    out = drop[end][1]
-    if out is not None:
-        optimum.remove(out)
-        del assigned[out[0]]
-    p = end
-    while pred[p] is not None:
-        assigned[move[pred[p]][p][1][0]] = p
-        p = pred[p]
-    assigned[arrival[0]] = p
-    optimum.append(arrival)
-    return True
 
 
 def screen_entries(
@@ -205,10 +131,8 @@ def screen_entries(
     sizes = spec.caps if single else (spec.k,) * spec.d
     heaps: list[list[tuple[float, int]]] = [[] for _ in range(spec.d)]
     kept: list[int] = []
-    # overlap streams: the optimum's real (id, row, weights) items in id
-    # order and the property of each
-    optimum: list[tuple[int, list[float], list[int | None]]] = []
-    assigned: dict[int, int] = {}
+    # overlap streams: the optimum's real (id, row, weights) items at each property
+    held: list[list[tuple]] = [[] for _ in range(spec.d)]
     # B = 2^(shift - 1074) exceeds the id terms of k + 1 items
     shift = 1074 + ((spec.k + 1) * (int(positions.max(initial=0)) + 2)).bit_length()
     decided: dict[int, tuple[bool, float]] = {}  # index -> (retained, running) per decision
@@ -236,11 +160,11 @@ def screen_entries(
             if not single:
                 # a rejected arrival leaves the optimum, and so the running value, unchanged
                 entry = (item_id, row, _weights(item_id, row, shift))
-                if not _path_step(optimum, assigned, entry, spec.caps):
+                if not _path_step(held, entry, spec.caps):
                     decided[i] = (False, running)
                     continue
                 if trace:
-                    running = math.fsum(row[assigned[y]] for y, row, _ in optimum)
+                    running = math.fsum(y[1][p] for p, ys in enumerate(held) for y in ys)
             kept.append(i)
             for p, v in owned:
                 heap = heaps[p]

@@ -21,18 +21,30 @@ Among the k items above it in the property it would fill, at most k - 1
 are assigned, so a free one can take its slot and wins under layers 1-2.
 The solver therefore works on the pool of per-property top-k items only.
 It selects that pool once, in numpy, as rows of the instance's value
-matrix, and solves on the pool's value rows: no ``Item`` is built.  When every pooled item possesses a single property, the
-properties do not compete and the optimum is the top ``caps[p]`` of each
-property, with the lowest dummies filling shortfalls from the lowest
-property up.  Otherwise
-all four layers are folded into one exact integer weight per (item,
-property) pair (values are scaled by a power of two, which is lossless for
-binary floats), and the Hungarian method on the slot x pool matrix finds
-the argmax.  No floating-point comparison ever decides a tie.
+matrix, and solves on the pool's value rows: no ``Item`` is built.  When
+every pooled item possesses a single property, the properties do not
+compete and the optimum is the top ``caps[p]`` of each property, with the
+lowest dummies filling shortfalls from the lowest property up.
 
-``optimal_matching`` turns ``Item`` objects into an ``Instance`` once, at
-entry.  ``brute_force_matching`` stays on ``Item`` objects: it re-derives
-the same optimum by enumeration and is the oracle the solver is tested
+Otherwise the pool is inserted one item at a time, in id order, with the
+augmenting-path step the overlap greedy uses (``_path_step``; successive
+shortest paths, Edmonds and Karp 1972), and the shortfalls are filled as
+above.  Each step keeps the optimum over the items so far under one exact
+integer weight per (item, property) pair that folds the layers in:
+
+- layers 1-2: ``_weights``, value * 2^1074 * B + (id + 1), shifted up by
+  bits * m for m pool items and bits = d.bit_length().  Every double in
+  [0, 1] is a multiple of 2^-1074, and B exceeds the id terms of k + 1
+  items, so the value decides first and the ids after;
+- layer 3 needs no term: the sets one step compares differ by one item
+  in and one out, so their sums of id + 1 differ;
+- layer 4: d - p in the bits-wide digit m - 1 - rank, so smaller ids sit
+  in more significant digits and prefer smaller properties.
+
+No floating-point comparison ever decides a tie.  ``optimal_matching``
+turns ``Item`` objects into an ``Instance`` once, at entry.
+``brute_force_matching`` stays on ``Item`` objects: it re-derives the
+same optimum by enumeration and is the oracle the solver is tested
 against.
 """
 
@@ -108,100 +120,99 @@ def _finish(chosen: Iterable[tuple[int, int, float]]) -> Solution:
     return Solution(tuple(pairs), value)
 
 
-def _scaled_weights(
-    ids: Sequence[int], rows: Sequence[Sequence[float]], spec: ConstraintSpec
-) -> list[dict[int, int]]:
-    """Exact integer edge weights folding all four tie-break layers.
+def _fill(held: Sequence[Sequence[tuple[int, float]]], caps: tuple[int, ...]) -> Solution:
+    """The solution with ``held[p]``'s (id, value) pairs at each property p
+    and the lowest dummies filling shortfalls from the lowest property up."""
+    chosen = [(i, p, v) for p, pairs in enumerate(held) for i, v in pairs]
+    shortfall = [p for p, pairs in enumerate(held) for _ in range(caps[p] - len(pairs))]
+    chosen += [(DUMMY_ID_BASE + j, p, 0.0) for j, p in enumerate(shortfall)]
+    return _finish(chosen)
 
-    ``ids`` must be ascending (reals first, dummies last) and ``rows`` their
-    value rows, NaN where an item lacks a property.  Index r in the pool is
-    the item's rank; smaller ids get more significant digit positions in
-    layers 3 and 4.
+
+def _weights(item_id: int, row: list[float], shift: int) -> list[int | None]:
+    """The exact weight W(y, p) = value * 2^1074 * B + (id + 1) of the (id,
+    row) item y at each property p, None where y lacks p; ``shift`` is
+    1074 + log2 B.  Every double in [0, 1] is a multiple of 2^-1074, so the
+    first term is an integer."""
+    out: list[int | None] = []
+    for v in row:
+        if v == v:
+            num, den = v.as_integer_ratio()
+            out.append((num << (shift - den.bit_length() + 1)) + item_id + 1)
+        else:
+            out.append(None)
+    return out
+
+
+def _path_step(held: list[list[tuple]], arrival: tuple, caps: tuple[int, ...]) -> bool:
+    """Decide the (id, row, weights) ``arrival`` against the optimum M.
+
+    ``held[p]`` holds M's real (id, row, weights) items at property p; the
+    free slots hold dummies of weight 0.  One Bellman-Ford pass over the d
+    property nodes finds the best alternating path from the arrival: it
+    enters p at W(x, p), the item of p that gains most moves on to q, and
+    the path ends where the cheapest item of p (a dummy if any) leaves.
+    The arrival is kept exactly when that path gains, and the path is then
+    applied to ``held`` in place.
     """
-    d = spec.d
-    m = len(ids)
-    ratios = [[(p, v.as_integer_ratio()) for p, v in enumerate(row) if v == v] for row in rows]
-    # every float in [0, 1] is p / 2^e, so one common shift is lossless
-    shift = max((q.bit_length() - 1 for pairs in ratios for _, (_, q) in pairs), default=0)
-    bits = d.bit_length()
-    layer4 = 1
-    layer3 = 1 << (bits * m)
-    layer2 = layer3 << m
-    max_idsum = sum(i for i in ids if not is_dummy_id(i))
-    layer1 = layer2 * (max_idsum + 1)
-
-    weights: list[dict[int, int]] = [dict() for _ in range(m)]
-    for rank, (item_id, pairs) in enumerate(zip(ids, ratios)):
-        for p, (num, den) in pairs:
-            scaled = num << (shift - (den.bit_length() - 1))
-            w = scaled * layer1
-            if not is_dummy_id(item_id):
-                w += item_id * layer2
-            w += (1 << (m - 1 - rank)) * layer3
-            w += (d - p) * (layer4 << (bits * (m - 1 - rank)))
-            weights[rank][p] = w
-    return weights
+    d = len(caps)
+    move: list[list] = [[None] * d for _ in range(d)]  # p -> q: (gain, item)
+    drop: list[tuple] = []  # p: (gain, item), a dummy's None
+    for p, ys in enumerate(held):
+        out = (0, None) if len(ys) < caps[p] else None
+        for y in ys:
+            w = y[2]
+            if out is None or -w[p] > out[0]:
+                out = (-w[p], y)
+            for q, wq in enumerate(w):
+                if wq is not None and q != p and (move[p][q] is None or wq - w[p] > move[p][q][0]):
+                    move[p][q] = (wq - w[p], y)
+        drop.append(out)
+    dist = list(arrival[2])
+    pred: list[int | None] = [None] * d
+    for _ in range(d - 1):
+        changed = False
+        for p, at in enumerate(dist):
+            if at is None:
+                continue
+            for q, edge in enumerate(move[p]):
+                if edge is not None and (dist[q] is None or at + edge[0] > dist[q]):
+                    dist[q], pred[q], changed = at + edge[0], p, True
+        if not changed:
+            break
+    gain, end = max((at + drop[p][0], p) for p, at in enumerate(dist) if at is not None)
+    if gain <= 0:
+        return False
+    if drop[end][1] is not None:
+        held[end].remove(drop[end][1])
+    p = end
+    while pred[p] is not None:
+        y = move[pred[p]][p][1]
+        held[pred[p]].remove(y)
+        held[p].append(y)
+        p = pred[p]
+    held[p].append(arrival)
+    return True
 
 
 def _solve_assignment(
     ids: Sequence[int], rows: Sequence[Sequence[float]], spec: ConstraintSpec
 ) -> Solution:
-    """Hungarian method (Kuhn 1955) on the slot x item matrix, exact integer costs.
-
-    ``ids`` are real items in ascending order and ``rows`` their value rows,
-    NaN where an item lacks a property.  Rows of the matrix are the k slots
-    (``caps[p]`` copies of property p), columns the items plus the dummies.
-    A forbidden pair costs more than any k allowed pairs together, so the
-    all-allowed assignment the dummies guarantee always beats one that
-    uses it.
-    """
-    ids = [*ids, *range(DUMMY_ID_BASE, DUMMY_ID_BASE + spec.k)]
-    rows = [*rows, *[[0.0] * spec.d] * spec.k]
-    m = len(ids)
-    weights = _scaled_weights(ids, rows, spec)
-    forbidden = spec.k * max(w for ws in weights for w in ws.values()) + 1
-    # 1-based columns; column 0 is where each row's augmenting path starts
-    costs = [
-        [0] + [-ws[p] if p in ws else forbidden for ws in weights] for p in range(spec.d)
-    ]
-    slots = [-1] + [p for p, cap in enumerate(spec.caps) for _ in range(cap)]
-    u = [0] * len(slots)  # row and column potentials
-    v = [0] * (m + 1)
-    owner = [0] * (m + 1)  # row holding each column, 0 for none
-    way = [0] * (m + 1)  # previous column on the shortest path to each column
-    for i in range(1, len(slots)):
-        owner[0] = i
-        j0 = 0
-        minv = [math.inf] * (m + 1)
-        used = [False] * (m + 1)
-        # grow shortest paths from row i until one reaches a free column
-        while owner[j0]:
-            used[j0] = True
-            row, ui = costs[slots[owner[j0]]], u[owner[j0]]
-            delta, j1 = math.inf, 0
-            for j in range(1, m + 1):
-                if not used[j]:
-                    cur = row[j] - ui - v[j]
-                    if cur < minv[j]:
-                        minv[j], way[j] = cur, j0
-                    if minv[j] < delta:
-                        delta, j1 = minv[j], j
-            for j in range(m + 1):
-                if used[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-        # augment: each column on the path takes the row of the column before it
-        while j0:
-            owner[j0] = owner[way[j0]]
-            j0 = way[j0]
-
-    chosen = [(j - 1, slots[owner[j]]) for j in range(1, m + 1) if owner[j]]
-    if len(chosen) != spec.k:
-        raise AssertionError(f"assignment filled {len(chosen)} of {spec.k} slots")
-    return _finish((ids[j], p, rows[j][p]) for j, p in chosen)
+    """The optimum over the real items ``ids`` (ascending) and their value
+    rows (NaN where an item lacks a property), inserted in id order."""
+    d, m = spec.d, len(ids)
+    bits = d.bit_length()
+    # B = 2^(shift - 1074) exceeds the id terms of k + 1 items
+    shift = 1074 + ((spec.k + 1) * (max(ids, default=0) + 2)).bit_length()
+    held: list[list[tuple]] = [[] for _ in range(d)]
+    for rank, (item_id, row) in enumerate(zip(ids, rows)):
+        low = bits * (m - 1 - rank)
+        weights = [
+            None if w is None else (w << bits * m) + ((d - p) << low)
+            for p, w in enumerate(_weights(item_id, row, shift))
+        ]
+        _path_step(held, (item_id, row, weights), spec.caps)
+    return _fill([[(y[0], y[1][p]) for y in ys] for p, ys in enumerate(held)], spec.caps)
 
 
 def optimal_matching(items: Sequence[Item] | Instance, spec: ConstraintSpec) -> Solution:
@@ -241,16 +252,11 @@ def _solve(inst: Instance, spec: ConstraintSpec) -> Solution:
     # a checked row owns some property, so some row owns two when the entries outnumber the rows
     if np.count_nonzero(block == block) > len(rows):
         return _solve_assignment(ids, rows, spec)
-    chosen: list[tuple[int, int, float]] = []
-    shortfall: list[int] = []
-    for p, cap in enumerate(spec.caps):
-        candidates = [(row[p], i) for i, row in zip(ids, rows) if row[p] == row[p]]
-        top = sorted(candidates, reverse=True)[:cap]
-        chosen += [(i, p, v) for v, i in top]
-        shortfall += [p] * (cap - len(top))
-    # the lowest dummies go to the lowest properties
-    chosen += [(DUMMY_ID_BASE + j, p, 0.0) for j, p in enumerate(shortfall)]
-    return _finish(chosen)
+    tops = [
+        sorted(((row[p], i) for i, row in zip(ids, rows) if row[p] == row[p]), reverse=True)[:cap]
+        for p, cap in enumerate(spec.caps)
+    ]
+    return _fill([[(i, v) for v, i in top] for top in tops], spec.caps)
 
 
 def _enumeration_key(chosen: list[tuple[Item, int]]):

@@ -40,7 +40,9 @@ class PipelineConfig:
     """Mode, failure budget, slack constant, and the delta split.
 
     ``delta_split`` weights the budget across (threshold coverage,
-    convergence, greedy warmup); it must be nonnegative and sum to 1.
+    convergence, greedy warmup); it must be nonnegative and sum to 1.  The
+    coverage weight is checked but not yet spent: no learner takes a
+    coverage budget.
     """
 
     mode: str
@@ -97,7 +99,7 @@ def run_pipeline(
     require_valid(validate_instance(stream, spec), "stream")
 
     n, k = stream.n, spec.k
-    w_cover, w_conv, w_warm = cfg.delta_split
+    _, w_conv, w_warm = cfg.delta_split
     if cfg.mode == "value-approx":
         policy = learn_optimal_thresholds(train, spec)
     else:

@@ -1,12 +1,18 @@
 """Random instance builders and reference rules shared by the test modules."""
 
+import math
 from fractions import Fraction
 from numbers import Real
+from typing import Sequence
 
 import numpy as np
 
-from screenmatch import ConstraintSpec, DistributionSpec, Instance, Item, Violation, optimal_matching
+from screenmatch import (
+    ConstraintSpec, DistributionSpec, Instance, Item, Solution, Violation, is_dummy_id,
+    optimal_matching,
+)
 from screenmatch.core import DUMMY_ID_BASE
+from screenmatch.matching import _finish
 
 
 def rand_spec(rng: np.random.Generator, d_max: int = 3, k_max: int = 4) -> ConstraintSpec:
@@ -150,3 +156,100 @@ def reference_overlap_values(dist: DistributionSpec, n: int, seed: int) -> np.nd
             row += 1
         at += d + count
     return values
+
+
+def _scaled_weights(
+    ids: Sequence[int], rows: Sequence[Sequence[float]], spec: ConstraintSpec
+) -> list[dict[int, int]]:
+    """Exact integer edge weights folding all four tie-break layers.
+
+    ``ids`` must be ascending (reals first, dummies last) and ``rows`` their
+    value rows, NaN where an item lacks a property.  Index r in the pool is
+    the item's rank; smaller ids get more significant digit positions in
+    layers 3 and 4.
+    """
+    d = spec.d
+    m = len(ids)
+    ratios = [[(p, v.as_integer_ratio()) for p, v in enumerate(row) if v == v] for row in rows]
+    # every float in [0, 1] is p / 2^e, so one common shift is lossless
+    shift = max((q.bit_length() - 1 for pairs in ratios for _, (_, q) in pairs), default=0)
+    bits = d.bit_length()
+    layer4 = 1
+    layer3 = 1 << (bits * m)
+    layer2 = layer3 << m
+    max_idsum = sum(i for i in ids if not is_dummy_id(i))
+    layer1 = layer2 * (max_idsum + 1)
+
+    weights: list[dict[int, int]] = [dict() for _ in range(m)]
+    for rank, (item_id, pairs) in enumerate(zip(ids, ratios)):
+        for p, (num, den) in pairs:
+            scaled = num << (shift - (den.bit_length() - 1))
+            w = scaled * layer1
+            if not is_dummy_id(item_id):
+                w += item_id * layer2
+            w += (1 << (m - 1 - rank)) * layer3
+            w += (d - p) * (layer4 << (bits * (m - 1 - rank)))
+            weights[rank][p] = w
+    return weights
+
+
+def reference_assignment(
+    ids: Sequence[int], rows: Sequence[Sequence[float]], spec: ConstraintSpec
+) -> Solution:
+    """The solver's assignment by the Hungarian method (Kuhn 1955) on the
+    slot x item matrix, exact integer costs.
+
+    ``ids`` are real items in ascending order and ``rows`` their value rows,
+    NaN where an item lacks a property.  Rows of the matrix are the k slots
+    (``caps[p]`` copies of property p), columns the items plus the dummies.
+    A forbidden pair costs more than any k allowed pairs together, so the
+    all-allowed assignment the dummies guarantee always beats one that
+    uses it.
+    """
+    ids = [*ids, *range(DUMMY_ID_BASE, DUMMY_ID_BASE + spec.k)]
+    rows = [*rows, *[[0.0] * spec.d] * spec.k]
+    m = len(ids)
+    weights = _scaled_weights(ids, rows, spec)
+    forbidden = spec.k * max(w for ws in weights for w in ws.values()) + 1
+    # 1-based columns; column 0 is where each row's augmenting path starts
+    costs = [
+        [0] + [-ws[p] if p in ws else forbidden for ws in weights] for p in range(spec.d)
+    ]
+    slots = [-1] + [p for p, cap in enumerate(spec.caps) for _ in range(cap)]
+    u = [0] * len(slots)  # row and column potentials
+    v = [0] * (m + 1)
+    owner = [0] * (m + 1)  # row holding each column, 0 for none
+    way = [0] * (m + 1)  # previous column on the shortest path to each column
+    for i in range(1, len(slots)):
+        owner[0] = i
+        j0 = 0
+        minv = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
+        # grow shortest paths from row i until one reaches a free column
+        while owner[j0]:
+            used[j0] = True
+            row, ui = costs[slots[owner[j0]]], u[owner[j0]]
+            delta, j1 = math.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = row[j] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        # augment: each column on the path takes the row of the column before it
+        while j0:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+
+    chosen = [(j - 1, slots[owner[j]]) for j in range(1, m + 1) if owner[j]]
+    if len(chosen) != spec.k:
+        raise AssertionError(f"assignment filled {len(chosen)} of {spec.k} slots")
+    return _finish((ids[j], p, rows[j][p]) for j, p in chosen)

@@ -414,6 +414,14 @@ class TestExitCodes:
         assert err.startswith(f"error: {dist}: ")
         assert "no chance to own a property" in err
 
+    def test_overlap_past_the_uniforms_limit_is_one(self, tmp_path, capsys):
+        dist = tmp_path / "rare.json"
+        dist.write_text('{"kind": "overlap-bernoulli", "d": 1, "membership": [1e-12]}\n')
+        assert run(["gen", "--dist", str(dist), "--n", "1", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: membership probabilities (1e-12,) expect ")
+        assert "= 1e+12 uniforms per item" in err and "limit of 2**20" in err
+
     @pytest.mark.parametrize("t", ['["0.5"]', "[true]", '["Infinity"]'])
     def test_policy_reader_takes_json_numbers_as_they_are(self, files, tmp_path, capsys, t):
         tmp, dist, _ = files

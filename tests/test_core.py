@@ -150,6 +150,12 @@ class TestSampling:
             assert abs(c - n / d) <= 5 * sd
         assert abs(counts[0] / n - 0.25) <= 0.01
 
+    def test_overlap_past_the_uniforms_limit_is_refused_before_drawing(self):
+        # 1e12 expected uniforms per item; the buffer alone would be 8 TiB
+        dist = DistributionSpec("overlap-bernoulli", 1, membership=(1e-12,))
+        with pytest.raises(ConfigError, match=r"= 1e\+12 uniforms per item, .* limit of 2\*\*20"):
+            sample_instance(dist, 1, 0)
+
     def test_overlap_always_nonempty(self):
         dist = DistributionSpec("overlap-bernoulli", 3, membership=(0.1, 0.05, 0.1))
         inst = sample_instance(dist, 300, 11)

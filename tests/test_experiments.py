@@ -104,9 +104,9 @@ def count_gated_solves(monkeypatch):
     solves = []
     real = greedy._path_step
 
-    def counting(optimum, assigned, arrival, caps):
-        solves.append(len(optimum) + 1)
-        return real(optimum, assigned, arrival, caps)
+    def counting(held, arrival, caps):
+        solves.append(sum(map(len, held)) + 1)
+        return real(held, arrival, caps)
 
     monkeypatch.setattr(greedy, "_path_step", counting)
     return solves

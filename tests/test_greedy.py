@@ -22,9 +22,11 @@ from screenmatch import (
 import screenmatch.greedy as greedy
 import screenmatch.matching as matching
 from screenmatch.greedy import Arrivals, screen_entries
-from screenmatch.matching import _solve_assignment
+from screenmatch.matching import _path_step, _weights
 
-from helpers import SPECIAL_VALUES, TIE_GRID, rand_instance, rand_items, reference_screen
+from helpers import (
+    SPECIAL_VALUES, TIE_GRID, rand_instance, rand_items, reference_assignment, reference_screen,
+)
 
 
 def stream_of(values):
@@ -50,7 +52,9 @@ class TestWarmupLength:
         # n=10, k=1 is 2, not 3; naive float arithmetic gets this wrong
         assert warmup_length(10, 1, 0.3) == 2
 
-    @pytest.mark.parametrize("bad", [(-1, 1, 0.5), (10, 0, 0.5), (10, 1, 1.5), (10, 1, -0.1)])
+    @pytest.mark.parametrize(
+        "bad", [(-1, 1, 0.5), (10, 0, 0.5), (10, 1, 1.5), (10, 1, -0.1), (10, 1, float("nan"))]
+    )
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
             warmup_length(*bad)
@@ -161,9 +165,9 @@ class TestInvariants:
         solves = []
         real = greedy._path_step
 
-        def counting(optimum, assigned, arrival, caps):
-            solves.append(len(optimum) + 1)
-            return real(optimum, assigned, arrival, caps)
+        def counting(held, arrival, caps):
+            solves.append(sum(map(len, held)) + 1)
+            return real(held, arrival, caps)
 
         full_solves = []
         real_full = matching._solve_assignment
@@ -251,30 +255,29 @@ class TestInvariants:
 
 def path_steps_match_full_solves(values: np.ndarray, spec: ConstraintSpec, warmup: int) -> int:
     """Run the path step on every arrival past ``warmup``, gated or not, and
-    check each keep decision and each new optimum against the full solve
-    over the optimum's items plus the arrival.  Returns the final optimum's
-    number of real items."""
+    check each keep decision and each new optimum against the Hungarian
+    reference over the optimum's items plus the arrival.  Returns the final
+    optimum's number of real items."""
     shift = 1074 + ((spec.k + 1) * (len(values) + 1)).bit_length()
-    optimum, assigned = [], {}
+    held = [[] for _ in range(spec.d)]
     for i, row in enumerate(values.tolist()):
         if i < warmup:
             continue
+        optimum = sorted(y for ys in held for y in ys)
         ids, rows = [y[0] for y in optimum] + [i], [y[1] for y in optimum] + [row]
-        ref = _solve_assignment(ids, rows, spec)
-        before = (list(optimum), dict(assigned))
-        entry = (i, row, greedy._weights(i, row, shift))
-        kept = greedy._path_step(optimum, assigned, entry, spec.caps)
+        ref = reference_assignment(ids, rows, spec)
+        before = [list(ys) for ys in held]
+        kept = _path_step(held, (i, row, _weights(i, row, shift)), spec.caps)
         assert kept == (i in ref.real_ids())
         if not kept:
-            assert (optimum, assigned) == before
-        assert [y[0] for y in optimum] == list(ref.real_ids()) == sorted(assigned)
-        value = math.fsum(row[assigned[y]] for y, row, _ in optimum)
+            assert held == before
+        assert sorted(y[0] for ys in held for y in ys) == list(ref.real_ids())
+        value = math.fsum(y[1][p] for p, ys in enumerate(held) for y in ys)
         assert value.hex() == ref.value.hex()
         # a valid assignment: each item at a property it owns, no property over its cap
-        assert all(row[assigned[y]] == row[assigned[y]] for y, row, _ in optimum)
-        filled = [list(assigned.values()).count(p) for p in range(spec.d)]
-        assert all(f <= cap for f, cap in zip(filled, spec.caps))
-    return len(optimum)
+        assert all(y[1][p] == y[1][p] for p, ys in enumerate(held) for y in ys)
+        assert all(len(ys) <= cap for ys, cap in zip(held, spec.caps))
+    return sum(map(len, held))
 
 
 class TestPathStep:

@@ -25,7 +25,7 @@ from screenmatch import (
 )
 from screenmatch.matching import _reaches_optimum, _solve_assignment
 
-from helpers import TIE_GRID, rand_items, rand_spec
+from helpers import SPECIAL_VALUES, TIE_GRID, rand_items, rand_spec, reference_assignment
 
 
 def check_feasible(items, spec, sol):
@@ -117,8 +117,24 @@ class TestOracleEquivalence:
             max_props = 1 if rng.random() < 0.5 else d
             items = rand_items(rng, n, d, value_grid=grid, max_props=max_props)
             inst = Instance(items)
-            unpruned = _solve_assignment(inst.ids.tolist(), inst.columns(d).tolist(), spec)
+            unpruned = reference_assignment(inst.ids.tolist(), inst.columns(d).tolist(), spec)
             assert optimal_matching(items, spec) == unpruned
+
+    def test_path_insertion_matches_the_hungarian_reference(self):
+        # assignments and value bits past the brute-force guard: uniform,
+        # tie-heavy and extreme values, every other pool on sparse ids
+        rng = np.random.default_rng(1955)
+        grids = (None, TIE_GRID, SPECIAL_VALUES)
+        for t in range(3000):
+            d = int(rng.integers(1, 6))
+            spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 7, size=d)))
+            n = int(rng.integers(0, 61))
+            rows = Instance(rand_items(rng, n, d, value_grid=grids[t % 3])).columns(d).tolist()
+            ids = list(range(n)) if t % 2 else sorted(rng.choice(2**32, n, replace=False).tolist())
+            fast = _solve_assignment(ids, rows, spec)
+            slow = reference_assignment(ids, rows, spec)
+            assert fast.assignment == slow.assignment
+            assert fast.value.hex() == slow.value.hex()
 
     def test_tied_values_keep_the_pool_within_k_per_property(self, monkeypatch):
         # ties at the k-th value are broken by id, so a stream of equal
