@@ -17,6 +17,7 @@ from .core import (
     ConfigError,
     ConstraintSpec,
     InputError,
+    _read_json,
     read_constraint_spec,
     read_distribution_spec,
     read_instance,
@@ -67,31 +68,17 @@ def _read_file(path: str, reader):
         raise InputError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _load_instance(path: str):
-    return _read_file(path, read_instance)
-
-
-def _load_spec(path: str) -> ConstraintSpec:
-    return _read_file(path, read_constraint_spec)
-
-
 def _emit_json(obj, out: str | None) -> None:
     with _open_out(out) as fh:
         fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
     try:
-        return [int(part) for part in text.split(",")]
+        return [kind(part) for part in text.split(",")]
     except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +95,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = _load_instance(args.in_path)
-    spec = _load_spec(args.spec)
+    inst = _read_file(args.in_path, read_instance)
+    spec = _read_file(args.spec, read_constraint_spec)
     sol = optimal_matching(inst, spec)
     _emit_json(sol.to_json_obj(), args.out)
     _eprint(f"solve: value={sol.value!r} over {inst.n} items")
@@ -117,8 +104,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
-    inst = _load_instance(args.in_path)
-    spec = _load_spec(args.spec)
+    inst = _read_file(args.in_path, read_instance)
+    spec = _read_file(args.spec, read_constraint_spec)
     if args.warmup is not None:
         warmup = args.warmup
     elif args.delta is not None:
@@ -143,8 +130,8 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    train = _load_instance(args.in_path)
-    spec = _load_spec(args.spec)
+    train = _read_file(args.in_path, read_instance)
+    spec = _read_file(args.spec, read_constraint_spec)
     if args.method == "net":
         stream_n = args.stream_n if args.stream_n is not None else train.n
         net = quantile_policy_net(train, spec, stream_n, spec.k, max_net_size=args.max_net)
@@ -158,7 +145,7 @@ def _cmd_learn(args) -> int:
     else:
         if args.m is None:
             raise ConfigError("--m is required with --method topm")
-        m = _parse_int_list(args.m, "--m")
+        m = _parse_list(args.m, "--m", int)
         if len(m) == 1:
             m = m * spec.d
         policy = learn_topm_thresholds(train, spec, m)
@@ -168,9 +155,9 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    inst = _load_instance(args.in_path)
+    inst = _read_file(args.in_path, read_instance)
     policy = _read_file(args.policy, read_policy)
-    spec = _load_spec(args.spec) if args.spec else None
+    spec = _read_file(args.spec, read_constraint_spec) if args.spec else None
     rules = spec or ConstraintSpec((1,) * policy.d)
     require_valid(validate_items(inst, rules), args.in_path)
     retained, stats = screen_with_policy(policy, inst, spec)
@@ -186,12 +173,12 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    train = _load_instance(args.train)
-    stream = _load_instance(args.in_path)
-    spec = _load_spec(args.spec)
+    train = _read_file(args.train, read_instance)
+    stream = _read_file(args.in_path, read_instance)
+    spec = _read_file(args.spec, read_constraint_spec)
     split = {}
     if args.delta_split:
-        split["delta_split"] = tuple(_parse_float_list(args.delta_split, "--delta-split"))
+        split["delta_split"] = tuple(_parse_list(args.delta_split, "--delta-split", float))
     cfg = PipelineConfig(args.mode, args.delta, args.c0, **split)
     result = run_pipeline(train, stream, spec, cfg)
     _emit_json(result.to_json_obj(), args.out)
@@ -207,13 +194,12 @@ _JSON_KINDS = {str: "a string", int: "an integer", float: "a number"}
 
 
 def _read_config(fh, source: str) -> dict:
-    try:
-        obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{source}: malformed config ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise InputError(f"{source}: config must be a JSON object")
-    return obj
+    def build(obj) -> dict:
+        if not isinstance(obj, dict):
+            raise ConfigError("config must be a JSON object")
+        return obj
+
+    return _read_json(fh, source, "config", build)
 
 
 def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
@@ -228,7 +214,10 @@ def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
             return default
         if type(value) is not kind and not (kind is float and type(value) is int):
             raise InputError(f"{args.config}: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
-        return value
+        try:
+            return kind(value)
+        except OverflowError:
+            raise InputError(f"{args.config}: {key} is too large for a float") from None
 
     dist_path = pick(args.dist, "dist")
     spec_path = pick(args.spec, "spec")
@@ -243,13 +232,13 @@ def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
     fields = dict(
         scenario=pick(args.scenario, "scenario", "adhoc"),
         dist=_read_file(dist_path, read_distribution_spec),
-        spec=_load_spec(spec_path),
+        spec=_read_file(spec_path, read_constraint_spec),
         n=n,
-        delta=float(pick(args.delta, "delta", 0.1, float)),
+        delta=pick(args.delta, "delta", 0.1, float),
         trials=trials,
         seed=pick(args.seed, "seed", DEFAULT_SEED, int),
         algorithm=pick(args.algorithm, "algorithm", "greedy"),
-        c0=float(pick(args.c0, "c0", 1.0, float)),
+        c0=pick(args.c0, "c0", 1.0, float),
         policy=policy,
         out=pick(args.out, "out"),
     )
@@ -282,7 +271,7 @@ def _cmd_trials(args) -> int:
 
 def _cmd_concentration(args) -> int:
     dist = _read_file(args.dist, read_distribution_spec)
-    spec = _load_spec(args.spec)
+    spec = _read_file(args.spec, read_constraint_spec)
     stats = exp.concentration_experiment(
         dist, spec, args.n, args.trials, args.seed, workers=args.workers
     )
@@ -293,7 +282,7 @@ def _cmd_concentration(args) -> int:
 
 def _cmd_converge(args) -> int:
     dist = _read_file(args.dist, read_distribution_spec)
-    spec = _load_spec(args.spec)
+    spec = _read_file(args.spec, read_constraint_spec)
     train_n = args.train_n if args.train_n is not None else args.n
     train = sample_instance(dist, train_n, derive_seed(args.seed, "net-train", 0))
     net = quantile_policy_net(train, spec, args.n, spec.k, max_net_size=args.max_net)
@@ -442,8 +431,12 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (InputError, ConfigError, OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         _eprint(f"error: {exc}")
+        return 1
+    except MemoryError as exc:
+        # numpy's MemoryError names the allocation that failed; a bare one has no text
+        _eprint(f"error: {str(exc) or 'out of memory'}")
         return 1
 
 

@@ -332,27 +332,22 @@ def _acceptance(membership) -> float:
 _WALK_LEVELS = 4
 
 
-def _draw_starts(uniforms: np.ndarray, q: np.ndarray, at: int) -> tuple[np.ndarray, int]:
-    """The overlap draws that ``uniforms`` holds from position ``at`` on.
+def _draw_starts(uniforms: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The start positions, in order, of the accepted overlap draws that
+    ``uniforms``, at least d long, holds whole.
 
-    Returns the start positions of the accepted draws, in order, and the
-    position where the walk stopped: after the last whole draw, or at a
-    draw that the end of the buffer cuts off.  A draw at i ends at
-    ``jump[i] = i + d + counts[i]``, where the next draw starts;
-    ``counts[i]`` is the number of its d coins below q, held in the
-    narrowest unsigned type that fits d.  Positions from m on, where no d
-    coins fit, map to themselves.  Squaring ``jump`` gives ``top``, which spans 2**4 draws
-    a step; Python walks ``top``, and one ``take`` per row fills in the
-    draws between its steps.
+    A draw at i ends at ``jump[i] = i + d + counts[i]``, where the next
+    draw starts; ``counts[i]`` is the number of its d coins below q, held
+    in the narrowest unsigned type that fits d.  Positions from m on, where
+    no d coins fit, map to themselves.  Squaring ``jump`` gives ``top``,
+    which spans 2**4 draws a step; Python walks ``top``, and one ``take``
+    per row fills in the draws between its steps.
     """
     d = len(q)
-    u = uniforms[at:]
-    m = len(u) - d + 1
-    if m <= 0:
-        return np.empty(0, dtype=np.intp), at
-    counts = (u[:m] < q[0]).astype(np.min_scalar_type(d))
+    m = len(uniforms) - d + 1
+    counts = (uniforms[:m] < q[0]).astype(np.min_scalar_type(d))
     for j in range(1, d):
-        counts += u[j : j + m] < q[j]
+        counts += uniforms[j : j + m] < q[j]
     jump = np.arange(m + 2 * d)
     head = jump[:m]
     head += d
@@ -374,9 +369,7 @@ def _draw_starts(uniforms: np.ndarray, q: np.ndarray, at: int) -> tuple[np.ndarr
     # the walk rises to its first position from m on and stays there
     walk = walk[: np.searchsorted(walk, m)]
     ends = jump.take(walk)
-    accepted = (ends - walk > d) & (ends <= len(u))
-    stop = walk[-1] if ends[-1] > len(u) else ends[-1]
-    return walk[accepted] + at, int(stop) + at
+    return walk[(ends - walk > d) & (ends <= len(uniforms))]
 
 
 def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
@@ -387,10 +380,11 @@ def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
     when the draw owns property p, then one value uniform per owned
     property, in property order.  A draw that owns none is rejected after
     its d coins.  The uniforms come in a buffer of about 1.1 times the
-    expected need; when the draws outrun it, ``rng.random(len(buffer))``
-    doubles it, and the walk goes on where it stopped.  A membership that
-    expects more than 2**20 uniforms per item is a ``ConfigError``, raised
-    before anything is drawn.
+    expected need; when it holds fewer than n whole accepted draws, the
+    sampler starts again from the seed with a buffer twice as long, whose
+    uniforms begin with the same ones.  A membership that expects more
+    than 2**20 uniforms per item is a ``ConfigError``, raised before
+    anything is drawn.
     """
     if not isinstance(n, int) or n < 0:
         raise ConfigError(f"n must be a nonnegative integer, got {n!r}")
@@ -411,24 +405,19 @@ def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
             f" = {per_draw:.4g} uniforms per item, above the sampler's limit of 2**20"
         )
     uniforms = rng.random(int(n * per_draw * 1.1) + 4 * d)
-    found = []
-    total = at = 0
-    while total < n:
-        starts, at = _draw_starts(uniforms, q, at)
-        found.append(starts)
-        total += len(starts)
-        if total < n:
-            uniforms = np.concatenate((uniforms, rng.random(len(uniforms))))
+    starts = _draw_starts(uniforms, q)
+    while len(starts) < n:
+        uniforms = np.random.default_rng(seed).random(2 * len(uniforms))
+        starts = _draw_starts(uniforms, q)
+    starts = starts[:n]
     values = np.empty((n, d))
-    if n:
-        starts = np.concatenate(found)[:n]
-        # the next value uniform of each draw; past an unowned property of
-        # the last draw it may point one past the buffer, hence the clip
-        taken = starts + d
-        for j in range(d):
-            owned = uniforms.take(starts + j) < q[j]
-            values[:, j] = np.where(owned, uniforms.take(taken, mode="clip"), np.nan)
-            taken += owned
+    # the next value uniform of each draw; past an unowned property of
+    # the last draw it may point one past the buffer, hence the clip
+    taken = starts + d
+    for j in range(d):
+        owned = uniforms.take(starts + j) < q[j]
+        values[:, j] = np.where(owned, uniforms.take(taken, mode="clip"), np.nan)
+        taken += owned
     return Instance.from_values(values)
 
 
@@ -671,20 +660,28 @@ def write_constraint_spec(spec: ConstraintSpec, fh: IO[str]) -> None:
     fh.write("\n")
 
 
-def read_constraint_spec(fh: IO[str], source: str = "<spec>") -> ConstraintSpec:
+def _read_json(fh: IO[str], source: str, what: str, build):
+    """``build(obj)`` on the one JSON document in ``fh``.  Its ``ConfigError``
+    becomes ``InputError("source: reason")``; a parse, key, type, value or
+    float-range error becomes ``InputError("source: malformed what (...)")``."""
     # a bad byte raises here, outside the catch, so the caller can name its line
     text = fh.read()
     try:
-        obj = json.loads(text)
+        return build(json.loads(text))
+    except ConfigError as exc:
+        raise InputError(f"{source}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{source}: malformed {what} ({exc})") from exc
+
+
+def read_constraint_spec(fh: IO[str], source: str = "<spec>") -> ConstraintSpec:
+    def build(obj) -> ConstraintSpec:
         caps = tuple(obj["caps"])
         if any(type(c) is not int for c in caps):
             raise TypeError(f"caps must be integers, got {obj['caps']!r}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{source}: malformed constraint spec ({exc})") from exc
-    try:
         return ConstraintSpec(caps)
-    except ConfigError as exc:
-        raise InputError(f"{source}: {exc}") from exc
+
+    return _read_json(fh, source, "constraint spec", build)
 
 
 def write_distribution_spec(dist: DistributionSpec, fh: IO[str]) -> None:
@@ -696,10 +693,7 @@ def write_distribution_spec(dist: DistributionSpec, fh: IO[str]) -> None:
 
 
 def read_distribution_spec(fh: IO[str], source: str = "<dist>") -> DistributionSpec:
-    # a bad byte raises here, outside the catch, so the caller can name its line
-    text = fh.read()
-    try:
-        obj = json.loads(text)
+    def build(obj) -> DistributionSpec:
         kind = obj["kind"]
         d = obj["d"]
         if type(d) is not int:
@@ -709,9 +703,6 @@ def read_distribution_spec(fh: IO[str], source: str = "<dist>") -> DistributionS
             if any(type(q) is not float and type(q) is not int for q in membership):
                 raise TypeError(f"membership must be numbers, got {membership!r}")
             membership = tuple(float(q) for q in membership)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{source}: malformed distribution spec ({exc})") from exc
-    try:
         return DistributionSpec(kind, d, membership)
-    except ConfigError as exc:
-        raise InputError(f"{source}: {exc}") from exc
+
+    return _read_json(fh, source, "distribution spec", build)

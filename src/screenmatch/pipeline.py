@@ -23,6 +23,7 @@ from .greedy import Arrivals, screen_entries, warmup_length
 from .matching import Solution, _reaches_optimum, _solve, optimal_matching
 from .thresholds import (
     ThresholdsPolicy,
+    _check_c0,
     is_above,
     learn_optimal_thresholds,
     learn_topm_thresholds,
@@ -55,11 +56,11 @@ class PipelineConfig:
             raise ConfigError(f"mode must be one of {PIPELINE_MODES}, got {self.mode!r}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if not (self.c0 >= 0.0):
-            raise ConfigError(f"c0 must be nonnegative, got {self.c0!r}")
-        if len(self.delta_split) != 3 or any(w < 0.0 for w in self.delta_split):
+        _check_c0(self.c0)
+        # written so that a NaN weight fails both tests
+        if len(self.delta_split) != 3 or not all(w >= 0.0 for w in self.delta_split):
             raise ConfigError(f"delta_split needs three nonnegative weights, got {self.delta_split}")
-        if abs(sum(self.delta_split) - 1.0) > 1e-12:
+        if not abs(sum(self.delta_split) - 1.0) <= 1e-12:
             raise ConfigError(f"delta_split must sum to 1, got {self.delta_split}")
 
 

@@ -20,7 +20,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .core import (
-    ConfigError, ConstraintSpec, InputError, Instance, is_dummy_id, require_valid, validate_items
+    ConfigError, ConstraintSpec, Instance, _read_json, is_dummy_id, require_valid, validate_items
 )
 from .matching import _solve, optimal_matching
 
@@ -157,8 +157,14 @@ def _check_slack_args(k: int, d: int, delta: float, c0: float) -> None:
         raise ConfigError(f"d must be a positive integer, got {d!r}")
     if not (0.0 < delta <= 1.0):
         raise ConfigError(f"delta must lie in (0, 1], got {delta!r}")
+    _check_c0(c0)
+
+
+def _check_c0(c0: float) -> None:
     if not (c0 >= 0.0):
         raise ConfigError(f"c0 must be nonnegative, got {c0!r}")
+    if c0 == math.inf:
+        raise ConfigError(f"c0 must be finite, got {c0!r}")
 
 
 def retention_slack(k: int, d: int, n: int, delta: float, c0: float = 1.0) -> int:
@@ -168,7 +174,10 @@ def retention_slack(k: int, d: int, n: int, delta: float, c0: float = 1.0) -> in
     _check_slack_args(k, d, delta, c0)
     if not isinstance(n, int) or n <= k:
         raise ConfigError(f"n must be an integer above k={k}, got {n!r}")
-    return math.ceil(_retention_scale(k, d, n, delta, c0))
+    scale = _retention_scale(k, d, n, delta, c0)
+    if not math.isfinite(scale):
+        raise ConfigError(f"retention slack for c0={c0!r} is not finite")
+    return math.ceil(scale)
 
 
 def _retention_scale(k: int, d: int, n: int, delta: float, c0: float = 1.0) -> float:
@@ -236,17 +245,14 @@ def write_policy(policy: ThresholdsPolicy, fh: IO[str]) -> None:
 
 
 def read_policy(fh: IO[str], source: str = "<policy>") -> ThresholdsPolicy:
-    # a bad byte raises here, outside the catch, so the caller can name its line
-    text = fh.read()
-    try:
-        obj = json.loads(text)
-        t = tuple(ABOVE if x == "ABOVE" else x for x in obj["t"])
+    def build(obj) -> ThresholdsPolicy:
+        given = obj["t"]
+        t = tuple(ABOVE if x == "ABOVE" else x for x in given)
         if any(type(x) is not float and type(x) is not int for x in t):
-            raise TypeError(f'thresholds must be numbers or "ABOVE", got {obj["t"]!r}')
-        t = tuple(float(x) for x in t)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{source}: malformed policy ({exc})") from exc
-    try:
-        return ThresholdsPolicy(t)
-    except ConfigError as exc:
-        raise InputError(f"{source}: {exc}") from exc
+            raise TypeError(f'thresholds must be numbers or "ABOVE", got {given!r}')
+        # Infinity and 1e999 parse as ABOVE's float; only the string stands for it
+        if any(x == ABOVE for x in given):
+            raise ValueError(f'an infinite threshold must be written "ABOVE", got {given!r}')
+        return ThresholdsPolicy(tuple(float(x) for x in t))
+
+    return _read_json(fh, source, "policy", build)

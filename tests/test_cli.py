@@ -197,6 +197,8 @@ class TestExperimentCommands:
             '{"delta": 1.5}',
             '{"algorithm": "magic"}',
             '{"workers": 0}',
+            pytest.param('{"delta": ' + "9" * 400 + "}", id="400-digit-delta"),
+            pytest.param('{"c0": ' + "9" * 400 + "}", id="400-digit-c0"),
         ],
     )
     def test_trials_config_errors_name_the_config(self, files, capsys, text):
@@ -397,6 +399,10 @@ class TestExitCodes:
             '"kind": "disjoint-properties-uniform", "d": true',
             '"kind": "disjoint-properties-uniform", "d": "2"',
             '"kind": "overlap-bernoulli", "d": 1, "membership": ["0.5"]',
+            pytest.param(
+                '"kind": "overlap-bernoulli", "d": 1, "membership": [' + "9" * 400 + "]",
+                id="400-digit-membership",
+            ),
         ],
     )
     def test_dist_reader_takes_json_numbers_as_they_are(self, tmp_path, capsys, body):
@@ -422,7 +428,17 @@ class TestExitCodes:
         assert err.startswith("error: membership probabilities (1e-12,) expect ")
         assert "= 1e+12 uniforms per item" in err and "limit of 2**20" in err
 
-    @pytest.mark.parametrize("t", ['["0.5"]', "[true]", '["Infinity"]'])
+    @pytest.mark.parametrize(
+        "t",
+        [
+            '["0.5"]',
+            "[true]",
+            '["Infinity"]',
+            pytest.param("[" + "9" * 400 + "]", id="400-digit"),
+            "[Infinity]",
+            "[1e999]",
+        ],
+    )
     def test_policy_reader_takes_json_numbers_as_they_are(self, files, tmp_path, capsys, t):
         tmp, dist, _ = files
         inst = tmp / "c.jsonl"
@@ -444,6 +460,39 @@ class TestExitCodes:
         out = tmp / "c.jsonl"
         run(["gen", "--dist", dist, "--n", "10", "--out", str(out)])
         assert run(["greedy", "--in", str(out), "--spec", spec, "--delta", "7"]) == 1
+
+    @pytest.mark.parametrize("c0", ["inf", "1e308"])
+    @pytest.mark.parametrize("command", ["pipeline", "trials"])
+    def test_c0_without_a_finite_slack_is_one(self, files, capsys, command, c0):
+        tmp, dist, spec = files
+        stream = tmp / "s.jsonl"
+        run(["gen", "--dist", dist, "--n", "20", "--out", str(stream)])
+        argv = {
+            "pipeline": ["pipeline", "--train", str(stream), "--in", str(stream), "--mode", "exact-opt"],
+            "trials": ["trials", "--dist", dist, "--n", "20", "--trials", "2"],
+        }[command]
+        argv += ["--spec", spec, "--c0", c0, "--out", str(tmp / "o")]
+        if command == "trials":
+            argv += ["--algorithm", "pipeline-exact-opt"]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "c0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [("Unable to allocate 82.0 GiB", "Unable to allocate 82.0 GiB"), ("", "out of memory")],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_is_one(self, files, capsys, monkeypatch, text, err):
+        def exhausted(*args):
+            raise MemoryError(text)
+
+        monkeypatch.setattr("screenmatch.cli.sample_instance", exhausted)
+        _, dist, _ = files
+        assert run(["gen", "--dist", dist, "--n", "5"]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 BAD_RECORDS = {

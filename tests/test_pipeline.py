@@ -40,6 +40,8 @@ class TestConfig:
             PipelineConfig("value-approx", 0.1, delta_split=(0.5, 0.5, 0.5))
         with pytest.raises(ConfigError):
             PipelineConfig("value-approx", 0.1, delta_split=(-0.1, 0.6, 0.5))
+        with pytest.raises(ConfigError):
+            PipelineConfig("value-approx", 0.1, delta_split=(math.nan, 0.5, 0.5))
         PipelineConfig("value-approx", 0.1, delta_split=(0.5, 0.25, 0.25))
 
     def test_negative_c0(self):
