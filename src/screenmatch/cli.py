@@ -134,7 +134,7 @@ def _cmd_learn(args) -> int:
     spec = _read_file(args.spec, read_constraint_spec)
     if args.method == "net":
         stream_n = args.stream_n if args.stream_n is not None else train.n
-        net = quantile_policy_net(train, spec, stream_n, spec.k, max_net_size=args.max_net)
+        net = quantile_policy_net(train, spec, stream_n, max_net_size=args.max_net)
         with _open_out(args.out) as fh:
             for policy in net:
                 write_policy(policy, fh)
@@ -285,7 +285,7 @@ def _cmd_converge(args) -> int:
     spec = _read_file(args.spec, read_constraint_spec)
     train_n = args.train_n if args.train_n is not None else args.n
     train = sample_instance(dist, train_n, derive_seed(args.seed, "net-train", 0))
-    net = quantile_policy_net(train, spec, args.n, spec.k, max_net_size=args.max_net)
+    net = quantile_policy_net(train, spec, args.n, max_net_size=args.max_net)
     stats = exp.convergence_experiment(
         dist,
         spec,

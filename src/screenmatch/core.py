@@ -35,7 +35,6 @@ __all__ = [
     "is_dummy_id",
     "derive_seed",
     "sample_instance",
-    "dummy_items",
     "validate_items",
     "validate_instance",
     "require_valid",
@@ -45,7 +44,6 @@ __all__ = [
     "write_constraint_spec",
     "read_distribution_spec",
     "write_distribution_spec",
-    "format_value",
 ]
 
 # Real item ids must stay strictly below this; dummies live at and above it.
@@ -421,12 +419,6 @@ def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
     return Instance.from_values(values)
 
 
-def dummy_items(spec: ConstraintSpec) -> tuple[Item, ...]:
-    """k dummies with reserved ids, possessing every property at value 0."""
-    props = {p: 0.0 for p in range(spec.d)}
-    return tuple(Item(DUMMY_ID_BASE + i, dict(props)) for i in range(spec.k))
-
-
 @dataclass(frozen=True, slots=True)
 class Violation:
     """One validation finding.  ``kind`` is a stable machine-readable token;
@@ -524,13 +516,6 @@ def require_valid(violations: Sequence[Violation], what: str) -> None:
         )
 
 
-def format_value(v: float) -> str:
-    """Serialize a value with enough digits to round-trip bit-exactly."""
-    text = format(float(v), ".17g")
-    # JSON reads "-0" as the integer 0, which loses the sign
-    return "-0.0" if text == "-0" else text
-
-
 def write_instance(inst: Instance, fh: IO[str]) -> None:
     """One JSON object per line: {"id": ..., "props": [[p, v], ...]}."""
     rows, props, vals, _ = inst.entries()
@@ -541,7 +526,7 @@ def write_instance(inst: Instance, fh: IO[str]) -> None:
     for i, count in zip(inst.ids.tolist(), np.bincount(rows, minlength=inst.n).tolist()):
         lines.append(f'{{"id": {i}, "props": [{", ".join(pairs[at:at + count])}]}}\n')
         at += count
-    # each value as format_value writes it: only negative zero formats as "-0"
+    # ".17g" round-trips every double, but JSON reads "-0" as the integer 0
     fh.write("".join(lines).replace(", -0]", ", -0.0]"))
 
 
@@ -620,7 +605,7 @@ def _read_lines(text: str, source: str) -> tuple[int, tuple, np.ndarray]:
                     raise TypeError(f"value {v!r} is not a number")
                 props.append(p)
                 vals.append(v)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise InputError(f"{source}:{lineno}: malformed item record ({exc})") from exc
         if len(prop_pairs) > 1 and len({p for p, _ in prop_pairs}) != len(prop_pairs):
             raise InputError(f"{source}:{lineno}: item record lists a property more than once")
@@ -662,15 +647,15 @@ def write_constraint_spec(spec: ConstraintSpec, fh: IO[str]) -> None:
 
 def _read_json(fh: IO[str], source: str, what: str, build):
     """``build(obj)`` on the one JSON document in ``fh``.  Its ``ConfigError``
-    becomes ``InputError("source: reason")``; a parse, key, type, value or
-    float-range error becomes ``InputError("source: malformed what (...)")``."""
+    becomes ``InputError("source: reason")``; a parse, key, type, value, float-range
+    or nesting-depth error becomes ``InputError("source: malformed what (...)")``."""
     # a bad byte raises here, outside the catch, so the caller can name its line
     text = fh.read()
     try:
         return build(json.loads(text))
     except ConfigError as exc:
         raise InputError(f"{source}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise InputError(f"{source}: malformed {what} ({exc})") from exc
 
 

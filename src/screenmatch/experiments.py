@@ -40,7 +40,9 @@ from .core import (
 from .greedy import greedy_screen, warmup_length
 from .matching import _reaches_optimum, _solve, optimal_matching
 from .pipeline import PipelineConfig, run_pipeline
-from .thresholds import ThresholdsPolicy, _retention_scale, screen_with_policy, value_slack
+from .thresholds import (
+    ThresholdsPolicy, _check_c0, _retention_scale, screen_with_policy, value_slack
+)
 
 __all__ = [
     "ALGORITHMS",
@@ -110,6 +112,7 @@ class ExperimentConfig:
             raise ConfigError(f"delta must lie in [0, 1], got {self.delta!r}")
         if self.algorithm.startswith("pipeline") and not (0.0 < self.delta < 1.0):
             raise ConfigError(f"{self.algorithm} needs delta in (0, 1), got {self.delta!r}")
+        _check_c0(self.c0)
         if self.algorithm == "policy-fixed":
             if self.policy is None:
                 raise ConfigError("policy-fixed needs an explicit policy")

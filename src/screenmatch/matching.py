@@ -42,15 +42,13 @@ integer weight per (item, property) pair that folds the layers in:
   in more significant digits and prefer smaller properties.
 
 No floating-point comparison ever decides a tie.  ``optimal_matching``
-turns ``Item`` objects into an ``Instance`` once, at entry.
-``brute_force_matching`` stays on ``Item`` objects: it re-derives the
-same optimum by enumeration and is the oracle the solver is tested
-against.
+turns ``Item`` objects into an ``Instance`` once, at entry.  The tests
+hold the solver to an oracle, kept in ``tests/helpers.py``, that
+re-derives the same optimum by enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,25 +57,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    DUMMY_ID_BASE, ConstraintSpec, Instance, Item, dummy_items, is_dummy_id, require_valid,
-    validate_items,
+    DUMMY_ID_BASE, ConstraintSpec, Instance, Item, is_dummy_id, require_valid, validate_items,
 )
 
 __all__ = [
     "Solution",
-    "OversizeError",
     "optimal_matching",
-    "brute_force_matching",
     "exact_solution_value",
 ]
-
-# Brute-force enumeration refuses anything bigger than this.
-BRUTE_FORCE_MAX_ITEMS = 10
-BRUTE_FORCE_MAX_SLOTS = 5
-
-
-class OversizeError(RuntimeError):
-    """Brute-force enumeration refused: instance exceeds the size guard."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,61 +244,6 @@ def _solve(inst: Instance, spec: ConstraintSpec) -> Solution:
         for p, cap in enumerate(spec.caps)
     ]
     return _fill([[(i, v) for v, i in top] for top in tops], spec.caps)
-
-
-def _enumeration_key(chosen: list[tuple[Item, int]]):
-    value = Fraction(0)
-    idsum = 0
-    for item, prop in chosen:
-        if not is_dummy_id(item.id):
-            value += Fraction(item.props[prop])
-            idsum += item.id
-    ids = tuple(sorted(item.id for item, _ in chosen))
-    pairs = tuple(sorted((item.id, prop) for item, prop in chosen))
-    return (-value, -idsum, ids, pairs)
-
-
-def brute_force_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
-    """Enumerate every feasible assignment and return the best under the
-    same four-layer order as ``optimal_matching``.  Exact rational
-    arithmetic throughout; refuses instances beyond the size guard.
-    """
-    items = list(items)
-    if len(items) > BRUTE_FORCE_MAX_ITEMS or spec.k > BRUTE_FORCE_MAX_SLOTS:
-        raise OversizeError(
-            f"brute force limited to {BRUTE_FORCE_MAX_ITEMS} items and "
-            f"{BRUTE_FORCE_MAX_SLOTS} slots, got {len(items)} items, {spec.k} slots"
-        )
-    require_valid(validate_items(items, spec), "items")
-    pool = sorted(items, key=lambda it: it.id) + list(dummy_items(spec))
-    eligible = [
-        [idx for idx, item in enumerate(pool) if p in item.props] for p in range(spec.d)
-    ]
-
-    best_key = None
-    best: list[tuple[Item, int]] | None = None
-
-    def recurse(p: int, used: set[int], acc: list[tuple[Item, int]]) -> None:
-        nonlocal best_key, best
-        if p == spec.d:
-            key = _enumeration_key(acc)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = list(acc)
-            return
-        free = [idx for idx in eligible[p] if idx not in used]
-        for combo in itertools.combinations(free, spec.caps[p]):
-            for idx in combo:
-                used.add(idx)
-                acc.append((pool[idx], p))
-            recurse(p + 1, used, acc)
-            for idx in combo:
-                used.remove(idx)
-                acc.pop()
-
-    recurse(0, set(), [])
-    assert best is not None
-    return _finish((item.id, p, item.props[p]) for item, p in best)
 
 
 def exact_solution_value(items: Sequence[Item] | Instance, solution: Solution) -> Fraction:

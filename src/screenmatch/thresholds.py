@@ -195,21 +195,19 @@ def quantile_policy_net(
     train: Instance,
     spec: ConstraintSpec,
     n: int,
-    k: int,
+    *,
     max_net_size: int = 20000,
 ) -> tuple[ThresholdsPolicy, ...]:
     """Cartesian product of per-property empirical quantile thresholds.
 
     Per property the grid targets retention mass j/(d*n) for
-    j = 0..min(10*d*k, available mass), realized as order statistics of the
-    training sample; j = 0 becomes ``ABOVE`` and 0 is always appended.  An
-    empty training sample yields the single all-zero policy.  Raises
+    j = 0..min(10*d*k, available mass) with k = ``spec.k``, realized as order
+    statistics of the training sample; j = 0 becomes ``ABOVE`` and 0 is always
+    appended.  An empty training sample yields the single all-zero policy.  Raises
     ``NetSizeError`` when the product would exceed ``max_net_size``.
     """
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError(f"k must be a positive integer, got {k!r}")
     require_valid(validate_items(train, spec), "train")
     d = spec.d
     if train.n == 0:
@@ -219,7 +217,7 @@ def quantile_policy_net(
     for owned in _owned_values(train, d):
         vals = np.sort(owned)[::-1].tolist()
         grid: list[float] = [ABOVE]
-        j_cap = 10 * d * k
+        j_cap = 10 * d * spec.k
         for j in range(1, j_cap + 1):
             count = round(j * train.n / (d * n))
             if count < 1:

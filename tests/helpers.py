@@ -1,5 +1,6 @@
 """Random instance builders and reference rules shared by the test modules."""
 
+import itertools
 import math
 from fractions import Fraction
 from numbers import Real
@@ -9,9 +10,9 @@ import numpy as np
 
 from screenmatch import (
     ConstraintSpec, DistributionSpec, Instance, Item, Solution, Violation, is_dummy_id,
-    optimal_matching,
+    optimal_matching, validate_items,
 )
-from screenmatch.core import DUMMY_ID_BASE
+from screenmatch.core import DUMMY_ID_BASE, require_valid
 from screenmatch.matching import _finish
 
 
@@ -253,3 +254,80 @@ def reference_assignment(
     if len(chosen) != spec.k:
         raise AssertionError(f"assignment filled {len(chosen)} of {spec.k} slots")
     return _finish((ids[j], p, rows[j][p]) for j, p in chosen)
+
+
+def dummy_items(spec: ConstraintSpec) -> tuple[Item, ...]:
+    """k dummies with reserved ids, possessing every property at value 0."""
+    props = {p: 0.0 for p in range(spec.d)}
+    return tuple(Item(DUMMY_ID_BASE + i, dict(props)) for i in range(spec.k))
+
+
+def format_value(v: float) -> str:
+    """Serialize a value with enough digits to round-trip bit-exactly."""
+    text = format(float(v), ".17g")
+    # JSON reads "-0" as the integer 0, which loses the sign
+    return "-0.0" if text == "-0" else text
+
+
+# Brute-force enumeration refuses anything bigger than this.
+BRUTE_FORCE_MAX_ITEMS = 10
+BRUTE_FORCE_MAX_SLOTS = 5
+
+
+class OversizeError(RuntimeError):
+    """Brute-force enumeration refused: instance exceeds the size guard."""
+
+
+def _enumeration_key(chosen: list[tuple[Item, int]]):
+    value = Fraction(0)
+    idsum = 0
+    for item, prop in chosen:
+        if not is_dummy_id(item.id):
+            value += Fraction(item.props[prop])
+            idsum += item.id
+    ids = tuple(sorted(item.id for item, _ in chosen))
+    pairs = tuple(sorted((item.id, prop) for item, prop in chosen))
+    return (-value, -idsum, ids, pairs)
+
+
+def brute_force_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
+    """Enumerate every feasible assignment and return the best under the
+    same four-layer order as ``optimal_matching``.  Exact rational
+    arithmetic throughout; refuses instances beyond the size guard.
+    """
+    items = list(items)
+    if len(items) > BRUTE_FORCE_MAX_ITEMS or spec.k > BRUTE_FORCE_MAX_SLOTS:
+        raise OversizeError(
+            f"brute force limited to {BRUTE_FORCE_MAX_ITEMS} items and "
+            f"{BRUTE_FORCE_MAX_SLOTS} slots, got {len(items)} items, {spec.k} slots"
+        )
+    require_valid(validate_items(items, spec), "items")
+    pool = sorted(items, key=lambda it: it.id) + list(dummy_items(spec))
+    eligible = [
+        [idx for idx, item in enumerate(pool) if p in item.props] for p in range(spec.d)
+    ]
+
+    best_key = None
+    best: list[tuple[Item, int]] | None = None
+
+    def recurse(p: int, used: set[int], acc: list[tuple[Item, int]]) -> None:
+        nonlocal best_key, best
+        if p == spec.d:
+            key = _enumeration_key(acc)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = list(acc)
+            return
+        free = [idx for idx in eligible[p] if idx not in used]
+        for combo in itertools.combinations(free, spec.caps[p]):
+            for idx in combo:
+                used.add(idx)
+                acc.append((pool[idx], p))
+            recurse(p + 1, used, acc)
+            for idx in combo:
+                used.remove(idx)
+                acc.pop()
+
+    recurse(0, set(), [])
+    assert best is not None
+    return _finish((item.id, p, item.props[p]) for item, p in best)

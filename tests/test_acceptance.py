@@ -19,7 +19,6 @@ from screenmatch import (
     ExperimentConfig,
     Instance,
     Item,
-    brute_force_matching,
     concentration_experiment,
     convergence_experiment,
     derive_seed,
@@ -36,7 +35,7 @@ from screenmatch import (
 from screenmatch.cli import run_cli
 from screenmatch.pipeline import PipelineConfig
 
-from helpers import TIE_GRID, rand_items, rand_spec
+from helpers import TIE_GRID, brute_force_matching, rand_items, rand_spec
 
 D1 = DistributionSpec("single-property-uniform", 1)
 
@@ -174,7 +173,7 @@ def test_c7_uniform_convergence_sqrt_k_scaling():
             spec = ConstraintSpec((k,))
             n = 100 * k
             train = sample_instance(D1, n, derive_seed(7007, "net-train", k))
-            net = quantile_policy_net(train, spec, n, k)
+            net = quantile_policy_net(train, spec, n)
             results[k] = convergence_experiment(
                 D1, spec, n, 500, net, derive_seed(7007, "run", k)
             )

@@ -199,6 +199,10 @@ class TestExperimentCommands:
             '{"workers": 0}',
             pytest.param('{"delta": ' + "9" * 400 + "}", id="400-digit-delta"),
             pytest.param('{"c0": ' + "9" * 400 + "}", id="400-digit-c0"),
+            '{"c0": -5}',
+            '{"c0": NaN}',
+            '{"c0": Infinity}',
+            '{"c0": -5, "algorithm": "pipeline-exact-opt"}',
         ],
     )
     def test_trials_config_errors_name_the_config(self, files, capsys, text):
@@ -374,6 +378,29 @@ class TestExitCodes:
         bad.write_text(f'{{"id": 0, "props": [[0, 0.5]]}}\n{{"id": 1, "props": [{pair}]}}\n')
         assert run(["solve", "--in", str(bad), "--spec", spec]) == 1
         assert f"{bad}:2: malformed item record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["spec", "dist", "policy", "config", "instance"])
+    def test_deep_nesting_is_malformed_and_names_the_file(self, files, tmp_path, capsys, kind):
+        tmp, dist, spec = files
+        inst = tmp / "c.jsonl"
+        assert run(["gen", "--dist", dist, "--n", "5", "--out", str(inst)]) == 0
+        deep = "[" * 100_000
+        bad = tmp_path / f"deep_{kind}.json"
+        bad.write_text(
+            f'{{"id": 0, "props": [[0, 0.5]]}}\n{deep}\n' if kind == "instance" else deep
+        )
+        argv, where, what = {
+            "spec": (["solve", "--in", str(inst), "--spec", str(bad)], "", "constraint spec"),
+            "dist": (["gen", "--dist", str(bad), "--n", "5"], "", "distribution spec"),
+            "policy": (["screen", "--in", str(inst), "--policy", str(bad)], "", "policy"),
+            "config": (["trials", "--config", str(bad)], "", "config"),
+            "instance": (["solve", "--in", str(bad), "--spec", spec], ":2", "item record"),
+        }[kind]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}{where}: malformed {what} (maximum recursion depth")
+        assert "Traceback" not in err
 
     def test_integer_values_stay_valid(self, files, tmp_path, capsys):
         _, _, spec = files

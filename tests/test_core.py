@@ -17,7 +17,6 @@ from screenmatch import (
     Instance,
     Item,
     derive_seed,
-    dummy_items,
     is_dummy_id,
     optimal_matching,
     read_constraint_spec,
@@ -31,11 +30,13 @@ from screenmatch import (
     write_instance,
 )
 import screenmatch.core as core
-from screenmatch.core import DUMMY_ID_BASE, format_value, require_valid
+from screenmatch.core import DUMMY_ID_BASE, require_valid
 
 from helpers import (
     SPECIAL_VALUES,
     TIE_GRID,
+    dummy_items,
+    format_value,
     rand_bad_items,
     rand_items,
     reference_overlap_values,

@@ -175,6 +175,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             greedy_cfg(algorithm="pipeline-exact-opt", delta=0.0)
 
+    @pytest.mark.parametrize("algorithm", ["greedy", "pipeline-exact-opt"])
+    @pytest.mark.parametrize("c0", [-5.0, math.nan, math.inf])
+    def test_c0_must_be_finite_and_nonnegative(self, algorithm, c0):
+        with pytest.raises(ConfigError, match="c0 must be"):
+            greedy_cfg(algorithm=algorithm, c0=c0)
+
 
 class TestRunTrials:
     def test_deterministic_records(self):
@@ -509,7 +515,7 @@ class TestConvergence:
         n, trials = 100, 1500
         conc = concentration_experiment(D1, spec, n, trials, 41)
         train = self._uniform_train(400, 42)
-        net = quantile_policy_net(train, spec, n, spec.k)
+        net = quantile_policy_net(train, spec, n)
         conv = convergence_experiment(D1, spec, n, trials, net, 43)
         se = math.sqrt(
             (conc.std / math.sqrt(trials)) ** 2

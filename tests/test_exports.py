@@ -14,7 +14,6 @@ SUBMODULES = ("core", "matching", "greedy", "thresholds", "pipeline", "experimen
 LEFT_OUT = {
     "core.DIST_KINDS": "the kinds DistributionSpec accepts; it checks them itself",
     "core.DUMMY_ID_BASE": "the reserved id range; is_dummy_id is the package's test for it",
-    "core.format_value": "the file writers' number format",
     "core.require_valid": "the entry points' raise-on-violation step; callers use validate_*",
     "greedy.Arrivals": "input of the internal pass the greedy and the pipeline share",
     "pipeline.PIPELINE_MODES": "the modes PipelineConfig accepts; it checks them itself",

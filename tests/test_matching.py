@@ -15,17 +15,17 @@ from screenmatch import (
     InputError,
     Instance,
     Item,
-    OversizeError,
     Solution,
-    brute_force_matching,
-    dummy_items,
     exact_solution_value,
     is_dummy_id,
     optimal_matching,
 )
 from screenmatch.matching import _reaches_optimum, _solve_assignment
 
-from helpers import SPECIAL_VALUES, TIE_GRID, rand_items, rand_spec, reference_assignment
+from helpers import (
+    SPECIAL_VALUES, TIE_GRID, OversizeError, brute_force_matching, dummy_items, rand_items,
+    rand_spec, reference_assignment,
+)
 
 
 def check_feasible(items, spec, sol):

@@ -13,7 +13,6 @@ from screenmatch import (
     Item,
     NetSizeError,
     ThresholdsPolicy,
-    brute_force_matching,
     is_above,
     learn_optimal_thresholds,
     learn_topm_thresholds,
@@ -27,7 +26,7 @@ from screenmatch import (
     write_policy,
 )
 
-from helpers import rand_instance
+from helpers import brute_force_matching, rand_instance
 
 TWO_ITEMS = Instance((Item(0, {0: 0.9, 1: 0.8}), Item(1, {1: 0.5})))
 SPEC_11 = ConstraintSpec((1, 1))
@@ -231,7 +230,7 @@ class TestQuantileNet:
         rng = np.random.default_rng(42)
         train = Instance(tuple(Item(i, {0: float(v)}) for i, v in enumerate(rng.random(n))))
         spec = ConstraintSpec((2,))
-        net = quantile_policy_net(train, spec, n, spec.k)
+        net = quantile_policy_net(train, spec, n)
         finite = sorted(t for (t,) in (p.t for p in net) if not is_above(t) and t > 0.0)
         # j-th grid point sits near the (1 - j/n) quantile of U[0,1]
         for j, t in enumerate(reversed(finite), start=1):
@@ -240,24 +239,24 @@ class TestQuantileNet:
     def test_net_size_small_k(self):
         rng = np.random.default_rng(1)
         train = Instance(tuple(Item(i, {0: float(v)}) for i, v in enumerate(rng.random(500))))
-        net = quantile_policy_net(train, ConstraintSpec((1,)), 500, 1)
+        net = quantile_policy_net(train, ConstraintSpec((1,)), 500)
         assert len(net) <= 12
 
     def test_empty_train_degenerates(self):
-        net = quantile_policy_net(Instance(()), SPEC_11, 100, 2)
+        net = quantile_policy_net(Instance(()), SPEC_11, 100)
         assert net == (ThresholdsPolicy((0.0, 0.0)),)
 
     def test_zero_threshold_always_present(self):
         rng = np.random.default_rng(2)
         train = rand_instance(rng, 200, 2)
-        net = quantile_policy_net(train, SPEC_11, 200, 2)
+        net = quantile_policy_net(train, SPEC_11, 200)
         assert any(p.t == (0.0, 0.0) for p in net)
 
     def test_size_cap_refusal_names_requirement(self):
         rng = np.random.default_rng(3)
         train = rand_instance(rng, 400, 2)
         with pytest.raises(NetSizeError, match=r"\d+"):
-            quantile_policy_net(train, ConstraintSpec((5, 5)), 400, 10, max_net_size=4)
+            quantile_policy_net(train, ConstraintSpec((5, 5)), 400, max_net_size=4)
 
 
 class TestOrderProperties:
