@@ -37,7 +37,7 @@ from .core import (
     derive_seed,
     sample_instance,
 )
-from .greedy import greedy_screen, warmup_length
+from .greedy import Arrivals, screen_entries, warmup_length
 from .matching import _reaches_optimum, _solve, optimal_matching
 from .pipeline import PipelineConfig, run_pipeline
 from .thresholds import (
@@ -165,15 +165,6 @@ def _sample_std(a: np.ndarray) -> float:
 
 def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
     stream_seed = derive_seed(cfg.seed, "stream", t)
-    if cfg.algorithm == "greedy":
-        inst = sample_instance(cfg.dist, cfg.n, stream_seed)
-        warmup = warmup_length(cfg.n, cfg.spec.k, cfg.delta)
-        res = greedy_screen(inst, cfg.spec, warmup)
-        # greedy_screen has checked the stream
-        full = _solve(inst, cfg.spec)
-        success = _reaches_optimum(inst, res.final_solution, full)
-        return TrialRecord(t, len(res.retained_ids), res.final_solution.value, full.value, success)
-
     if cfg.algorithm.startswith("pipeline"):
         train = sample_instance(cfg.dist, cfg.n, derive_seed(cfg.seed, "train", t))
         stream = sample_instance(cfg.dist, cfg.n, stream_seed)
@@ -190,12 +181,17 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
         )
 
     inst = sample_instance(cfg.dist, cfg.n, stream_seed)
-    # the full-stream solve checks the stream, and so the retained subset too
+    # the full-stream solve checks the stream (sampled ids are positions) and its subsets
     full = optimal_matching(inst, cfg.spec)
-    retained, stats = screen_with_policy(cfg.policy, inst)
-    sol = _solve(retained, cfg.spec)
-    success = _reaches_optimum(inst, sol, full)
-    return TrialRecord(t, stats.total, sol.value, full.value, success)
+    if cfg.algorithm == "greedy":
+        warmup = warmup_length(cfg.n, cfg.spec.k, cfg.delta)
+        entries = Arrivals(inst.ids, inst.columns(cfg.spec.d))
+        kept, best, _ = screen_entries(entries, cfg.spec, warmup)
+        retained, sol = len(kept), _solve(inst.take(best), cfg.spec)
+    else:
+        screened, stats = screen_with_policy(cfg.policy, inst)
+        retained, sol = stats.total, _solve(screened, cfg.spec)
+    return TrialRecord(t, retained, sol.value, full.value, _reaches_optimum(inst, sol, full))
 
 
 def _trial_block(args: tuple[ExperimentConfig, int, int]) -> list[TrialRecord]:

@@ -35,7 +35,9 @@ each property, the solver's own single-property rule.  Heap p then holds
 ``caps[p]`` pairs, and the gate is the whole decision: an arrival that
 passes it is kept, with no solve.
 
-No ``Item`` is built: the pass returns the indices of the kept arrivals.
+No ``Item`` is built: the pass returns the indices of the kept arrivals
+and of M's items.  Its callers solve those k rows at most: by the pool
+lemma that gives the optimum over the kept items, layer 4 included.
 Arrivals come as value rows and are gated a block at a time: numpy drops
 every arrival of the block whose values all lie below the minima of full
 heaps at the block's start.  The minima only rise within a block, so the
@@ -53,7 +55,7 @@ import numpy as np
 from .core import (
     ConfigError, ConstraintSpec, InputError, Instance, require_valid, validate_instance
 )
-from .matching import Solution, _path_step, _weights, optimal_matching
+from .matching import Solution, _path_step, _solve, _weights
 
 __all__ = ["TraceStep", "GreedyResult", "Arrivals", "warmup_length", "greedy_screen"]
 
@@ -115,15 +117,16 @@ def screen_entries(
     spec: ConstraintSpec,
     warmup: int,
     trace: bool = False,
-) -> tuple[list[int], list[TraceStep] | None]:
+) -> tuple[list[int], list[int], list[TraceStep] | None]:
     """Greedy pass over ``Arrivals``; an arrival's id is its position.
 
     Returns the indices into ``entries`` of the kept arrivals, in arrival
-    order.  Positions are compared against ``warmup``, so a filtered
-    subsequence keeps its original stream geometry.  Used by both
-    ``greedy_screen`` and the combined pipeline, which have checked the
-    items, so nothing here checks them again.  A step's ``running_value``
-    is the optimum value over the items kept so far.
+    order, and the ascending indices of the real items of the optimum
+    over them.  Positions ascend and are compared against ``warmup``, so a
+    filtered subsequence keeps its original stream geometry.  Its callers
+    (``greedy_screen``, the combined pipeline and the greedy trial) have
+    checked the items, so nothing here checks them again.  A step's
+    ``running_value`` is the optimum value over the items kept so far.
     """
     positions, values = entries.pos, entries.values
     # a checked arrival owns some property, so each owns one when the owned entries add up to m
@@ -176,13 +179,15 @@ def screen_entries(
                 # the heaps hold the optimum; fsum rounds exactly, as the solver's sum does
                 running = math.fsum(e[0] for heap in heaps for e in heap)
             decided[i] = (True, running)
+    best = [e[1] for heap in heaps for e in heap] if single else [y[0] for ys in held for y in ys]
+    best = np.searchsorted(positions, sorted(best)).tolist()
     steps: list[TraceStep] | None = None
     if trace:
         steps, running = [], 0.0
         for i, pos in enumerate(positions.tolist()):
             retained, running = decided.get(i, (False, running))
             steps.append(TraceStep(pos, pos, retained, running))
-    return kept, steps
+    return kept, best, steps
 
 
 def greedy_screen(
@@ -200,10 +205,9 @@ def greedy_screen(
     if not isinstance(warmup, int) or warmup < 0 or warmup > stream.n:
         raise InputError(f"warmup must lie in 0..{stream.n}, got {warmup!r}")
     entries = Arrivals(stream.ids, stream.columns(spec.d))
-    kept, steps = screen_entries(entries, spec, warmup, trace)
-    final = optimal_matching(stream.take(kept), spec)
+    kept, best, steps = screen_entries(entries, spec, warmup, trace)
     return GreedyResult(
         retained_ids=tuple(stream.ids[kept].tolist()),
-        final_solution=final,
+        final_solution=_solve(stream.take(best), spec),
         trace=tuple(steps) if steps is not None else None,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .core import ConfigError, ConstraintSpec, Instance, require_valid, validate_instance
 from .greedy import Arrivals, screen_entries, warmup_length
-from .matching import Solution, _reaches_optimum, _solve, optimal_matching
+from .matching import Solution, _reaches_optimum, _solve
 from .thresholds import (
     ThresholdsPolicy,
     _check_c0,
@@ -109,8 +109,8 @@ def run_pipeline(
 
     warmup = warmup_length(n, k, cfg.delta * w_warm)
     survivors, _ = screen_with_policy(policy, stream)
-    kept, _ = screen_entries(Arrivals(survivors.ids, survivors.columns(spec.d)), spec, warmup)
-    final = optimal_matching(survivors.take(kept), spec)
+    kept, best, _ = screen_entries(Arrivals(survivors.ids, survivors.columns(spec.d)), spec, warmup)
+    final = _solve(survivors.take(best), spec)
 
     full = _solve(stream, spec)
     return PipelineResult(

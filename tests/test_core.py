@@ -128,9 +128,15 @@ class TestSampling:
         assert a == b
 
     def test_ids_are_positions(self):
-        inst = sample_instance(DistributionSpec("disjoint-properties-uniform", 2), 30, 7)
-        assert [item.id for item in inst] == list(range(30))
-        assert validate_instance(inst, ConstraintSpec((1, 1))) == ()
+        # greedy and policy-fixed trials rely on this and skip the stream rule
+        for dist, caps in [
+            (DistributionSpec("single-property-uniform", 1), (2,)),
+            (DistributionSpec("disjoint-properties-uniform", 2), (1, 1)),
+            (DistributionSpec("overlap-bernoulli", 3, membership=(0.6, 0.3, 0.9)), (1, 2, 1)),
+        ]:
+            inst = sample_instance(dist, 30, 7)
+            assert [item.id for item in inst] == list(range(30))
+            assert validate_instance(inst, ConstraintSpec(caps)) == ()
 
     def test_single_property_shape(self):
         inst = sample_instance(DistributionSpec("single-property-uniform", 1), 100, 3)

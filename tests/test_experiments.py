@@ -305,7 +305,8 @@ class TestRunTrials:
     )
     def test_each_trial_checks_each_full_stream_once(self, monkeypatch, algorithm, passes):
         # greedy checks its stream; the pipeline its stream and, in the learner,
-        # its train; policy-fixed its stream, even with a policy that keeps it all
+        # its train; policy-fixed its stream, even with a policy that keeps it all.
+        # Nothing else is checked: the solves of subsets of a stream skip the check
         n, trials = 300, 3
         policy = ThresholdsPolicy((0.0,)) if algorithm == "policy-fixed" else None
         sizes = count_validated(monkeypatch)
@@ -314,9 +315,10 @@ class TestRunTrials:
         )
         run_trials(cfg)
         assert sizes.count(n) == passes * trials
+        assert len(sizes) == passes * trials
 
     def test_greedy_checks_per_trial_do_not_grow_with_the_solves(self, monkeypatch):
-        # the stream check and the final solve's check: the gated solves skip it
+        # the full-stream solve's check alone: the gated and final solves skip it
         solves = count_gated_solves(monkeypatch)
         sizes = count_validated(monkeypatch)
         passes = []
@@ -327,7 +329,7 @@ class TestRunTrials:
             run_trials(greedy_cfg(dist=OVERLAP2, spec=spec, n=300, trials=3, delta=delta))
             passes.append(len(sizes))
             assert len(solves) > 3 * 3
-        assert passes == [2 * 3, 2 * 3]
+        assert passes == [1 * 3, 1 * 3]
 
     @pytest.mark.parametrize(
         "dist, caps", [(D1, (3,)), (DISJOINT2, (2, 1))], ids=["d1", "disjoint-d2"]
@@ -369,7 +371,7 @@ class TestRunTrials:
         inst = sample_instance(dist, 1000, 31)
         assert _solve(inst, spec).value > 0
         assert len(built) == 0, "_solve"
-        kept, _ = screen_entries(Arrivals(inst.ids, inst.columns(3)), spec, 16)
+        kept, _, _ = screen_entries(Arrivals(inst.ids, inst.columns(3)), spec, 16)
         assert len(kept) > spec.k
         assert len(built) == 0, "screen_entries"
         cfg = greedy_cfg(dist=dist, spec=spec, n=1000, trials=1, algorithm="pipeline-exact-opt")

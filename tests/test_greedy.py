@@ -11,16 +11,19 @@ from screenmatch import (
     InputError,
     Instance,
     Item,
+    PipelineConfig,
     derive_seed,
     exact_solution_value,
     greedy_screen,
     optimal_matching,
+    run_pipeline,
     sample_instance,
     warmup_length,
     DistributionSpec,
 )
 import screenmatch.greedy as greedy
 import screenmatch.matching as matching
+import screenmatch.pipeline as pipeline
 from screenmatch.greedy import Arrivals, screen_entries
 from screenmatch.matching import _path_step, _weights
 
@@ -136,7 +139,7 @@ class TestInvariants:
             warmup = int(rng.integers(0, n + 1))
             entries = [(item.id, item) for item in items]
             inst = Instance(items)
-            fast, _ = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup)
+            fast, _, _ = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup)
             slow = reference_screen(entries, spec, warmup)
             assert inst.ids[fast].tolist() == [i.id for i in slow]
 
@@ -150,7 +153,7 @@ class TestInvariants:
             spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 4, size=d)))
             warmup = int(rng.integers(0, n // 4 + 1))
             inst = Instance(items)
-            fast, steps = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup, True)
+            fast, _, steps = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup, True)
             slow = [i.id for i in reference_screen([(i.id, i) for i in items], spec, warmup)]
             assert inst.ids[fast].tolist() == slow
             kept = []
@@ -184,7 +187,7 @@ class TestInvariants:
         k = spec.k
         warmup = warmup_length(1000, k, 0.1)
         values = inst.columns(3)
-        kept, _ = screen_entries(Arrivals(inst.ids, values), spec, warmup)
+        kept, _, _ = screen_entries(Arrivals(inst.ids, values), spec, warmup)
         kept_ids = set(inst.ids[kept].tolist())
         heaps = [[] for _ in range(3)]
         gate_passes = 0
@@ -253,6 +256,58 @@ class TestInvariants:
         assert a == b
 
 
+class TestFinalOptimum:
+    """``greedy_screen`` and ``run_pipeline`` solve only the optimum's items
+    that the pass hands back, and must equal a solve of every kept item."""
+
+    def test_the_solver_assigns_two_equal_items_as_it_always_does(self):
+        # the pass ends holding item 1 at property 0 and item 0 at property 1;
+        # tie layer 4 sends the smaller id to the smaller property
+        stream = Instance([Item(0, {0: 0.5, 1: 0.5}), Item(1, {0: 0.5, 1: 0.5})])
+        spec = ConstraintSpec((1, 1))
+        kept, best, _ = screen_entries(Arrivals(stream.ids, stream.columns(2)), spec, 0)
+        assert kept == best == [0, 1]
+        res = greedy_screen(stream, spec, 0)
+        assert res.final_solution == optimal_matching(stream, spec)
+        assert res.final_solution.assignment == ((0, 0), (1, 1))
+
+    @pytest.mark.parametrize(
+        "d, max_props", [(1, 1), (2, 1), (2, 2), (3, 3)],
+        ids=["d1", "disjoint-d2", "overlap-d2", "overlap-d3"],
+    )
+    def test_tie_grid_streams(self, monkeypatch, d, max_props):
+        screened = []
+        real = pipeline.screen_entries
+
+        def keeping(entries, spec, warmup, trace=False):
+            out = real(entries, spec, warmup, trace)
+            kept = Instance.from_values(entries.values[out[0]], entries.pos[out[0]])
+            screened.append((entries.pos, kept))
+            return out
+
+        monkeypatch.setattr(pipeline, "screen_entries", keeping)
+        rng = np.random.default_rng(40 + 10 * d + max_props)
+        moved = 0
+        for t in range(24):
+            n = int(rng.integers(4, 40))
+            stream, train = (
+                Instance(rand_items(rng, n, d, value_grid=TIE_GRID, max_props=max_props))
+                for _ in range(2)
+            )
+            spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 4, size=d)))
+            warmup = int(rng.integers(0, n // 4 + 1)) if t % 3 else 0
+            res = greedy_screen(stream, spec, warmup)
+            kept = stream.take(list(res.retained_ids))
+            assert res.final_solution == optimal_matching(kept, spec)
+            mode = ("value-approx", "exact-opt")[t % 2]
+            result = run_pipeline(train, stream, spec, PipelineConfig(mode, 0.5))
+            positions, kept = screened.pop()
+            assert result.final_solution == optimal_matching(kept, spec)
+            # survivors past a dropped arrival have ids above their indices
+            moved += kept.n > 0 and not np.array_equal(positions, np.arange(len(positions)))
+        assert moved > 0
+
+
 def path_steps_match_full_solves(values: np.ndarray, spec: ConstraintSpec, warmup: int) -> int:
     """Run the path step on every arrival past ``warmup``, gated or not, and
     check each keep decision and each new optimum against the Hungarian
@@ -308,7 +363,7 @@ class TestPathStep:
         values = np.array([[5e-324, 5e-324]] + [[0.0, 0.0]] * 40)
         spec = ConstraintSpec((1, 1))
         assert path_steps_match_full_solves(values, spec, 0) == 2
-        _, steps = screen_entries(Arrivals(np.arange(41), values), spec, 0, True)
+        _, _, steps = screen_entries(Arrivals(np.arange(41), values), spec, 0, True)
         assert [s.running_value for s in steps] == [5e-324] * 41
 
     @pytest.mark.parametrize("first", [0.0, -0.0, 5e-324])
@@ -318,7 +373,7 @@ class TestPathStep:
         values = np.array([[first, np.nan], [0.0, 0.0], [np.nan, 0.5]])
         spec = ConstraintSpec((1, 1))
         assert path_steps_match_full_solves(values, spec, 0) == 2
-        kept, _ = screen_entries(Arrivals(np.arange(3), values), spec, 0)
+        kept, _, _ = screen_entries(Arrivals(np.arange(3), values), spec, 0)
         assert kept[0] == 0
 
 
@@ -344,7 +399,7 @@ def test_overlap_greedy_golden_digest():
             if t % 2:
                 values = np.round(values * 4) / 4
             warmup = warmup_length(400, spec.k, 0.1) if t < 4 else t - 4
-            kept, steps = screen_entries(Arrivals(inst.ids, values), spec, warmup, True)
+            kept, _, steps = screen_entries(Arrivals(inst.ids, values), spec, warmup, True)
             h.update(f"{kept}\n".encode())
             for s in steps:
                 h.update(f"{s.step}|{s.item_id}|{s.retained}|{s.running_value.hex()}\n".encode())
