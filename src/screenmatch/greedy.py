@@ -6,43 +6,41 @@ prefixes, deciding against the kept-items-plus-newcomer set is equivalent
 to deciding against the full prefix; the test suite checks this prefix
 consistency explicitly on small instances.
 
-The pass keeps, per property, a min-heap of the top k (value, id) pairs
-among kept items.  By the solver's pool lemma, an arrival that ranks
-below the k-th best kept item in every property it possesses is outside
-the optimum, so it is rejected without a solve.  Any other arrival x is
-decided against the current optimum M over the kept items.  By the
-exchange lemma, the optimum over the kept items plus x uses only M's
-items and x, and differs from M along one alternating path from x
-(successive shortest paths, Edmonds and Karp 1972): x takes a slot of
-some property, the item there moves to another property or leaves, and
-so on.  M is held per property: ``held[p]`` lists the (id, value row,
-weights) items at p, and each free slot holds a dummy of weight 0.  An
-item's exact weights W(y, p) = value * 2^1074 * B + (id + 1) are built
-once, when it arrives, by ``matching._weights``: B, a power of two above
-(k + 1)(n + 1), keeps the id terms below one value unit.  One
-Bellman-Ford pass over the d property nodes, ``matching._path_step`` (the
-step the solver builds its optimum with), finds the best path; x is kept
-exactly when it gains, and applying it to M gives the new optimum, with
-no solve.  The solver's layer-4 digits are not needed: a decision is
-about sets, and the sets it compares, M and M + x - y, differ in their
-sums of id + 1.  Counting id + 1, not id, settles the one exception, a
-dummy y against an arrival of id 0.  A rejected arrival leaves M as it
-was.
+The pass decides each arrival x against the current optimum M over the
+kept items.  By the exchange lemma, the optimum over the kept items plus
+x uses only M's items and x, and differs from M along one alternating
+path from x (successive shortest paths, Edmonds and Karp 1972): x takes a
+slot of some property, the item there moves to another property or
+leaves, and so on.  M is held as a ``matching.Held``: per property, M's
+(id, value row, weights) items and their move and drop tables, with M's
+path potentials ``reach``.  An item's exact weights W(y, p) = value *
+2^1074 * B + (id + 1) are built once, when it arrives, by
+``matching._weights``: B, a power of two above (k + 1)(n + 1), keeps the
+id terms below one value unit.  ``matching._path_step`` (the step the
+solver builds its optimum with) keeps x exactly when W(x, p) + reach[p]
+> 0 at some property p it owns, and then applies the path to M, with no
+solve.  The solver's layer-4 digits are not needed: a decision is about
+sets, and the sets it compares, M and M + x - y, differ in their sums of
+id + 1.  Counting id + 1, not id, settles the one exception, a dummy y
+against an arrival of id 0.  A rejected arrival leaves M as it was.
 
-When every arrival owns a single property (d = 1, and disjoint streams)
-the properties do not compete: the optimum is the top ``caps[p]`` of
-each property, the solver's own single-property rule.  Heap p then holds
-``caps[p]`` pairs, and the gate is the whole decision: an arrival that
-passes it is kept, with no solve.
+Since id + 1 < B, an arrival is kept at p only if its value exceeds
+(-reach[p] - B) / 2^shift, so each potential gives a value floor
+(``_floors``) that the pass checks before it builds the weights.  When
+every arrival owns a single property (d = 1, and disjoint streams) the
+properties do not compete: the optimum is the top ``caps[p]`` of each
+property, the solver's own single-property rule, and a min-heap of the
+top ``caps[p]`` (value, id) pairs per property is the whole decision.
 
 No ``Item`` is built: the pass returns the indices of the kept arrivals
 and of M's items.  Its callers solve those k rows at most: by the pool
 lemma that gives the optimum over the kept items, layer 4 included.
 Arrivals come as value rows and are gated a block at a time: numpy drops
-every arrival of the block whose values all lie below the minima of full
-heaps at the block's start.  The minima only rise within a block, so the
-arrivals this drops are ones the exact gate would reject too, and only
-the rest reach it one by one.
+every arrival of the block whose values all lie below the floors, or the
+minima of full heaps, at the block's start.  These only rise within a
+block (the potentials never rise as items are kept, since the weighted
+rank of a matroid is submodular), so the arrivals this drops are ones the
+exact check would reject too, and only the rest reach it one by one.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ import numpy as np
 from .core import (
     ConfigError, ConstraintSpec, InputError, Instance, require_valid, validate_instance
 )
-from .matching import Solution, _path_step, _solve, _weights
+from .matching import Held, Solution, _path_step, _solve, _weights
 
 __all__ = ["TraceStep", "GreedyResult", "Arrivals", "warmup_length", "greedy_screen"]
 
@@ -112,6 +110,14 @@ class Arrivals:
         return zip(self.pos.tolist(), self.values)
 
 
+def _floors(reach: list[int], shift: int) -> list[float]:
+    """Per property p, a double below which no arrival x passes W(x, p) +
+    reach[p] > 0, which needs value * 2^shift > -reach[p] - B as id + 1 < B;
+    the quotient is rounded once and stepped down past the rounding."""
+    bound = 1 << (shift - 1074)
+    return [math.nextafter((-r - bound) / (1 << shift), -math.inf) for r in reach]
+
+
 def screen_entries(
     entries: Arrivals,
     spec: ConstraintSpec,
@@ -131,53 +137,54 @@ def screen_entries(
     positions, values = entries.pos, entries.values
     # a checked arrival owns some property, so each owns one when the owned entries add up to m
     single = np.count_nonzero(values == values) == len(values)
-    sizes = spec.caps if single else (spec.k,) * spec.d
     heaps: list[list[tuple[float, int]]] = [[] for _ in range(spec.d)]
     kept: list[int] = []
-    # overlap streams: the optimum's real (id, row, weights) items at each property
-    held: list[list[tuple]] = [[] for _ in range(spec.d)]
+    # overlap streams: the optimum M, its real items per property, and its potentials
+    held = Held(spec.d)
     # B = 2^(shift - 1074) exceeds the id terms of k + 1 items
     shift = 1074 + ((spec.k + 1) * (int(positions.max(initial=0)) + 2)).bit_length()
+    # a value below its property's low fails the exact check below: below the
+    # floor on overlap streams, below a full heap's minimum on single-property ones
+    lows = [-math.inf] * spec.d if single else _floors(held.reach, shift)
     decided: dict[int, tuple[bool, float]] = {}  # index -> (retained, running) per decision
     running = 0.0
     after_warmup = positions >= warmup
     for start in range(0, len(entries), BLOCK):
         block, pos = values[start : start + BLOCK], positions[start : start + BLOCK]
-        # a value below a full heap's minimum fails the exact gate below
-        lows = np.array(
-            [heap[0][0] if len(heap) == size else -np.inf for heap, size in zip(heaps, sizes)]
-        )
         survivors = np.flatnonzero(
-            (block >= lows).any(axis=1) & after_warmup[start : start + BLOCK]
+            (block >= np.array(lows)).any(axis=1) & after_warmup[start : start + BLOCK]
         )
         if not survivors.size:
             continue
         for i, item_id, row in zip(
             (survivors + start).tolist(), pos[survivors].tolist(), block[survivors].tolist()
         ):
-            owned = [(p, v) for p, v in enumerate(row) if v == v]
-            if not any(
-                len(heaps[p]) < sizes[p] or (v, item_id) > heaps[p][0] for p, v in owned
-            ):
-                continue
-            if not single:
+            if single:
+                ((p, v),) = [(p, v) for p, v in enumerate(row) if v == v]
+                heap = heaps[p]
+                if len(heap) < spec.caps[p]:
+                    heapq.heappush(heap, (v, item_id))
+                elif (v, item_id) > heap[0]:
+                    heapq.heapreplace(heap, (v, item_id))
+                else:
+                    continue
+                if len(heap) == spec.caps[p]:
+                    lows[p] = heap[0][0]
+                if trace:
+                    # the heaps hold the optimum; fsum rounds exactly, as the solver's sum does
+                    running = math.fsum(e[0] for heap in heaps for e in heap)
+            else:
+                if not any(v >= low for v, low in zip(row, lows)):
+                    continue
                 # a rejected arrival leaves the optimum, and so the running value, unchanged
                 entry = (item_id, row, _weights(item_id, row, shift))
                 if not _path_step(held, entry, spec.caps):
                     decided[i] = (False, running)
                     continue
+                lows = _floors(held.reach, shift)
                 if trace:
                     running = math.fsum(y[1][p] for p, ys in enumerate(held) for y in ys)
             kept.append(i)
-            for p, v in owned:
-                heap = heaps[p]
-                if len(heap) < sizes[p]:
-                    heapq.heappush(heap, (v, item_id))
-                elif (v, item_id) > heap[0]:
-                    heapq.heapreplace(heap, (v, item_id))
-            if single and trace:
-                # the heaps hold the optimum; fsum rounds exactly, as the solver's sum does
-                running = math.fsum(e[0] for heap in heaps for e in heap)
             decided[i] = (True, running)
     best = [e[1] for heap in heaps for e in heap] if single else [y[0] for ys in held for y in ys]
     best = np.searchsorted(positions, sorted(best)).tolist()

@@ -28,9 +28,12 @@ lowest dummies filling shortfalls from the lowest property up.
 
 Otherwise the pool is inserted one item at a time, in id order, with the
 augmenting-path step the overlap greedy uses (``_path_step``; successive
-shortest paths, Edmonds and Karp 1972), and the shortfalls are filled as
-above.  Each step keeps the optimum over the items so far under one exact
-integer weight per (item, property) pair that folds the layers in:
+shortest paths with node potentials, Tomizawa 1971, Edmonds and Karp
+1972), and the shortfalls are filled as above.  The optimum so far, a
+``Held``, carries the gain of the best path entering each property, so an
+item that does not enter costs one comparison per property.  Each step
+keeps the optimum over the items so far under one exact integer weight
+per (item, property) pair that folds the layers in:
 
 - layers 1-2: ``_weights``, value * 2^1074 * B + (id + 1), shifted up by
   bits * m for m pool items and bits = d.bit_length().  Every double in
@@ -131,54 +134,72 @@ def _weights(item_id: int, row: list[float], shift: int) -> list[int | None]:
     return out
 
 
-def _path_step(held: list[list[tuple]], arrival: tuple, caps: tuple[int, ...]) -> bool:
-    """Decide the (id, row, weights) ``arrival`` against the optimum M.
+class Held(list):
+    """The optimum M per property, with its path potentials.
 
-    ``held[p]`` holds M's real (id, row, weights) items at property p; the
-    free slots hold dummies of weight 0.  One Bellman-Ford pass over the d
-    property nodes finds the best alternating path from the arrival: it
-    enters p at W(x, p), the item of p that gains most moves on to q, and
-    the path ends where the cheapest item of p (a dummy if any) leaves.
-    The arrival is kept exactly when that path gains, and the path is then
-    applied to ``held`` in place.
+    ``self[p]`` lists M's real (id, row, weights) items at p; free slots hold
+    dummies of weight 0.  ``move[p][q]`` is the (gain, item) of the item of p
+    that gains most by moving on to q, and ``drop[p]`` that of the cheapest
+    item of p to leave, a dummy's None: both depend on ``self[p]`` alone.
+    ``reach[p]`` is the gain of the best path that enters p and ends with a
+    drop, and ``nxt[p]`` where it moves on to, None where it drops at p.
     """
-    d = len(caps)
-    move: list[list] = [[None] * d for _ in range(d)]  # p -> q: (gain, item)
-    drop: list[tuple] = []  # p: (gain, item), a dummy's None
-    for p, ys in enumerate(held):
-        out = (0, None) if len(ys) < caps[p] else None
-        for y in ys:
-            w = y[2]
-            if out is None or -w[p] > out[0]:
-                out = (-w[p], y)
-            for q, wq in enumerate(w):
-                if wq is not None and q != p and (move[p][q] is None or wq - w[p] > move[p][q][0]):
-                    move[p][q] = (wq - w[p], y)
-        drop.append(out)
-    dist = list(arrival[2])
-    pred: list[int | None] = [None] * d
-    for _ in range(d - 1):
-        changed = False
-        for p, at in enumerate(dist):
-            if at is None:
-                continue
-            for q, edge in enumerate(move[p]):
-                if edge is not None and (dist[q] is None or at + edge[0] > dist[q]):
-                    dist[q], pred[q], changed = at + edge[0], p, True
-        if not changed:
-            break
-    gain, end = max((at + drop[p][0], p) for p, at in enumerate(dist) if at is not None)
+
+    def __init__(self, d: int):
+        super().__init__([] for _ in range(d))
+        self.move: list[list] = [[None] * d for _ in range(d)]
+        self.drop: list[tuple] = [(0, None)] * d
+        self.reach: list[int] = [0] * d
+        self.nxt: list[int | None] = [None] * d
+
+
+def _path_step(held: Held, arrival: tuple, caps: tuple[int, ...]) -> bool:
+    """Decide the (id, row, weights) ``arrival`` x against the optimum M.
+
+    The best alternating path from x enters a property p that x owns, at
+    W(x, p) + ``held.reach[p]``: the item x displaces moves on along
+    ``held.nxt``, and the path ends where an item (a dummy if any) leaves.
+    x is kept exactly when that path gains, decided in O(d).  A kept x's
+    path is applied to ``held`` in place; the tables of the properties on
+    it and the potentials are rebuilt.
+    """
+    gain, p = max((w + held.reach[p], p) for p, w in enumerate(arrival[2]) if w is not None)
     if gain <= 0:
         return False
-    if drop[end][1] is not None:
-        held[end].remove(drop[end][1])
-    p = end
-    while pred[p] is not None:
-        y = move[pred[p]][p][1]
-        held[pred[p]].remove(y)
-        held[p].append(y)
-        p = pred[p]
-    held[p].append(arrival)
+    y = arrival
+    while True:
+        q = held.nxt[p]
+        out = held.drop[p][1] if q is None else held.move[p][q][1]
+        ys = held[p]
+        if out is not None:
+            ys.remove(out)
+        ys.append(y)
+        # p's tables depend on held[p] alone; the path does not come back to p
+        row: list = [None] * len(caps)
+        drop = (0, None) if len(ys) < caps[p] else None
+        for z in ys:
+            w = z[2]
+            if drop is None or -w[p] > drop[0]:
+                drop = (-w[p], z)
+            for r, wr in enumerate(w):
+                if wr is not None and r != p and (row[r] is None or wr - w[p] > row[r][0]):
+                    row[r] = (wr - w[p], z)
+        held.move[p], held.drop[p] = row, drop
+        if q is None:
+            break
+        p, y = q, out
+    # the potentials, by one backward Bellman-Ford pass over the d nodes: M
+    # has the greatest weight over its items, so no cycle gains
+    reach, nxt = [g for g, _ in held.drop], [None] * len(caps)
+    for _ in range(len(caps) - 1):
+        changed = False
+        for p, row in enumerate(held.move):
+            for q, edge in enumerate(row):
+                if edge is not None and edge[0] + reach[q] > reach[p]:
+                    reach[p], nxt[p], changed = edge[0] + reach[q], q, True
+        if not changed:
+            break
+    held.reach, held.nxt = reach, nxt
     return True
 
 
@@ -191,7 +212,7 @@ def _solve_assignment(
     bits = d.bit_length()
     # B = 2^(shift - 1074) exceeds the id terms of k + 1 items
     shift = 1074 + ((spec.k + 1) * (max(ids, default=0) + 2)).bit_length()
-    held: list[list[tuple]] = [[] for _ in range(d)]
+    held = Held(d)
     for rank, (item_id, row) in enumerate(zip(ids, rows)):
         low = bits * (m - 1 - rank)
         weights = [

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from screenmatch import (
     ConfigError,
@@ -25,7 +27,7 @@ import screenmatch.greedy as greedy
 import screenmatch.matching as matching
 import screenmatch.pipeline as pipeline
 from screenmatch.greedy import Arrivals, screen_entries
-from screenmatch.matching import _path_step, _weights
+from screenmatch.matching import Held, _path_step, _weights
 
 from helpers import (
     SPECIAL_VALUES, TIE_GRID, rand_instance, rand_items, reference_assignment, reference_screen,
@@ -163,8 +165,9 @@ class TestInvariants:
                 assert step.running_value == optimal_matching(kept, spec).value
 
     def test_overlap_solves_see_at_most_k_plus_one_items(self, monkeypatch):
-        # mc_multi's overlap shape; gate_passes counts the contenders, one
-        # path step each, and each step sees the optimum's real items and the arrival
+        # mc_multi's overlap shape; gate_passes counts the contenders of a top-k
+        # heap gate, each step sees the optimum's real items and the arrival, and
+        # the floors let through to a path step only arrivals that it keeps
         solves = []
         real = greedy._path_step
 
@@ -201,7 +204,8 @@ class TestInvariants:
                     if len(heaps[p]) > k:
                         heapq.heappop(heaps[p])
         assert max(solves) <= k + 1
-        assert len(solves) == gate_passes
+        assert len(solves) == sum(i >= warmup for i in kept)
+        assert len(solves) <= gate_passes
         assert full_solves == []
 
     def test_prefix_consistency(self):
@@ -314,7 +318,7 @@ def path_steps_match_full_solves(values: np.ndarray, spec: ConstraintSpec, warmu
     reference over the optimum's items plus the arrival.  Returns the final
     optimum's number of real items."""
     shift = 1074 + ((spec.k + 1) * (len(values) + 1)).bit_length()
-    held = [[] for _ in range(spec.d)]
+    held = Held(spec.d)
     for i, row in enumerate(values.tolist()):
         if i < warmup:
             continue
@@ -375,6 +379,125 @@ class TestPathStep:
         assert path_steps_match_full_solves(values, spec, 0) == 2
         kept, _, _ = screen_entries(Arrivals(np.arange(3), values), spec, 0)
         assert kept[0] == 0
+
+
+def check_potentials(held: Held, caps: tuple[int, ...]) -> None:
+    """Hold the cached move rows, drops and potentials of ``held`` to ones
+    rebuilt from its items, with ``reach`` taken over every simple path."""
+    d = len(caps)
+    move = [
+        [
+            None if q == p else max(
+                (y[2][q] - y[2][p] for y in held[p] if y[2][q] is not None), default=None
+            )
+            for q in range(d)
+        ]
+        for p in range(d)
+    ]
+    drop = [
+        0 if len(ys) < cap else max(-y[2][p] for y in ys)
+        for p, (ys, cap) in enumerate(zip(held, caps))
+    ]
+
+    def best(p, seen):
+        ends = [q for q in range(d) if move[p][q] is not None and q not in seen]
+        return max([drop[p], *(move[p][q] + best(q, seen | {q}) for q in ends)])
+
+    assert [[None if e is None else e[0] for e in row] for row in held.move] == move
+    assert [g for g, _ in held.drop] == drop
+    assert held.reach == [best(p, {p}) for p in range(d)]
+    for p, ys in enumerate(held):
+        # each cached item sits at p and is worth its gain
+        for q, e in enumerate(held.move[p]):
+            assert e is None or (e[1] in ys and e[1][2][q] - e[1][2][p] == e[0])
+        gain, y = held.drop[p]
+        assert (y is None) == (len(ys) < caps[p])
+        assert y is None or (y in ys and -y[2][p] == gain)
+        # the pointers walk a simple path worth reach[p]
+        gain, seen, q = 0, {p}, p
+        while held.nxt[q] is not None:
+            gain, q = gain + held.move[q][held.nxt[q]][0], held.nxt[q]
+            assert q not in seen
+            seen.add(q)
+        assert gain + held.drop[q][0] == held.reach[p]
+
+
+# probe values: a value's extremes (both zeros, the least subnormal, 1) and ties
+PROBES = (*SPECIAL_VALUES, *TIE_GRID)
+
+
+class TestPotentials:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "grid", [TIE_GRID, SPECIAL_VALUES, None], ids=["ties", "special", "continuous"]
+    )
+    def test_cached_potentials_match_fresh_ones(self, monkeypatch, d, grid):
+        # after every step of the greedy pass (its weights) and of the solver's
+        # insertions (its layer-4 weights), kept or not
+        steps = {greedy: 0, matching: 0}
+        for module in steps:
+            real = module._path_step
+
+            def step(held, arrival, caps, module=module, real=real):
+                kept = real(held, arrival, caps)
+                check_potentials(held, caps)
+                steps[module] += 1
+                return kept
+
+            monkeypatch.setattr(module, "_path_step", step)
+        rng = np.random.default_rng(700 + d)
+        dist = DistributionSpec("overlap-bernoulli", d, (0.5, 0.4, 0.3, 0.6)[:d])
+        for t in range(4):
+            spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 4, size=d)))
+            values = sample_instance(dist, 120, 710 + 10 * d + t).columns(d)
+            if grid is not None:
+                draws = np.array(grid)[rng.integers(0, len(grid), size=values.shape)]
+                values = np.where(values == values, draws, np.nan)
+            warmup = warmup_length(120, spec.k, 0.1) if t else 0
+            screen_entries(Arrivals(np.arange(len(values)), values), spec, warmup)
+            matching._solve(Instance.from_values(values), spec)
+        assert steps[greedy] > 0 and steps[matching] > 0
+
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.integers(1, 3), min_size=d, max_size=d),
+                st.lists(
+                    st.lists(
+                        st.one_of(st.none(), st.sampled_from(PROBES), st.floats(0.0, 1.0)),
+                        min_size=d,
+                        max_size=d,
+                    ),
+                    min_size=1,
+                    max_size=30,
+                ),
+            )
+        )
+    )
+    @example(([1, 1], [[5e-324, 5e-324]] + [[0.0, 0.0]] * 3))
+    @example(([2, 1, 1], [[0.5, 0.5, None], [0.5, None, 0.5], [1.0, 0.0, 0.0], [0.5, 0.5, 0.5]]))
+    def test_floors_are_sound_and_only_rise(self, case):
+        # no value below a property's floor passes the exact check there,
+        # whatever the arrival's id; a block's floors can be taken at its start
+        # because a pass's potentials never rise
+        caps, rows = case
+        rows = [[math.nan if v is None else v for v in row] for row in rows]
+        rows = [row for row in rows if any(v == v for v in row)]
+        spec, d, n = ConstraintSpec(tuple(caps)), len(caps), len(rows)
+        # as screen_entries sets it for positions 0..n-1
+        shift = 1074 + ((spec.k + 1) * (n + 1)).bit_length()
+        held = Held(d)
+        for i, row in enumerate(rows):
+            for p, floor in enumerate(greedy._floors(held.reach, shift)):
+                near = (math.nextafter(floor, -math.inf), floor, math.nextafter(floor, math.inf))
+                for v in (*near, *PROBES, *row):
+                    if 0.0 <= v < floor:
+                        probe = [v if q == p else math.nan for q in range(d)]
+                        for x in (0, n - 1):
+                            assert _weights(x, probe, shift)[p] + held.reach[p] <= 0
+            before = held.reach
+            _path_step(held, (i, row, _weights(i, row, shift)), spec.caps)
+            assert all(a <= b for a, b in zip(held.reach, before))
 
 
 # overlap shapes of the golden greedy digest: membership and caps per d
