@@ -41,7 +41,7 @@ from .greedy import Arrivals, screen_entries, warmup_length
 from .matching import _reaches_optimum, _solve, optimal_matching
 from .pipeline import PipelineConfig, run_pipeline
 from .thresholds import (
-    ThresholdsPolicy, _check_c0, _retention_scale, screen_with_policy, value_slack
+    ThresholdsPolicy, _check_c0, _clears, _retention_scale, screen_with_policy, value_slack
 )
 
 __all__ = [
@@ -186,8 +186,8 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
     if cfg.algorithm == "greedy":
         warmup = warmup_length(cfg.n, cfg.spec.k, cfg.delta)
         entries = Arrivals(inst.ids, inst.columns(cfg.spec.d))
-        kept, best, _ = screen_entries(entries, cfg.spec, warmup)
-        retained, sol = len(kept), _solve(inst.take(best), cfg.spec)
+        kept, sol, _ = screen_entries(entries, cfg.spec, warmup)
+        retained = len(kept)
     else:
         screened, stats = screen_with_policy(cfg.policy, inst)
         retained, sol = stats.total, _solve(screened, cfg.spec)
@@ -397,7 +397,7 @@ def _net_stats(
         return counts.sum(axis=1).astype(float), per_prop, vals
     totals = np.empty(len(thr))
     for i, t in enumerate(thr):
-        kept = (values >= t).any(axis=1)
+        kept, _ = _clears(values, t)
         totals[i] = np.count_nonzero(kept)
         vals[i] = _solve(inst.take(kept), spec).value
     return totals, per_prop, vals

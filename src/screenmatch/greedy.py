@@ -33,14 +33,19 @@ property, the solver's own single-property rule, and a min-heap of the
 top ``caps[p]`` (value, id) pairs per property is the whole decision.
 
 No ``Item`` is built: the pass returns the indices of the kept arrivals
-and of M's items.  Its callers solve those k rows at most: by the pool
-lemma that gives the optimum over the kept items, layer 4 included.
-Arrivals come as value rows and are gated a block at a time: numpy drops
-every arrival of the block whose values all lie below the floors, or the
-minima of full heaps, at the block's start.  These only rise within a
-block (the potentials never rise as items are kept, since the weighted
-rank of a matroid is submodular), so the arrivals this drops are ones the
-exact check would reject too, and only the rest reach it one by one.
+and M as a ``Solution``.  On single-property streams that is the heaps
+filled out with dummies; otherwise the solver's ``_solve_assignment`` over
+M's at most k items, which by the pool lemma is the optimum over the kept
+items, layer 4 included.  Arrivals come as value rows and are gated a
+block at a time, from the first arrival past the warmup, in blocks of k,
+2k, 4k, ... arrivals: one column per property, numpy drops every arrival
+of the block whose values all lie below the floors, or the minima of full
+heaps, at the block's start.  These only rise within a block (the
+potentials never rise as items are kept, since the weighted rank of a
+matroid is submodular), so the arrivals this drops are ones the exact
+check would reject too, and only the rest reach it one by one.  As the
+floors tighten, the blocks grow, and the arrivals that reach the exact
+check stay about as many as the ones it keeps.
 """
 
 from __future__ import annotations
@@ -53,12 +58,10 @@ import numpy as np
 from .core import (
     ConfigError, ConstraintSpec, InputError, Instance, require_valid, validate_instance
 )
-from .matching import Held, Solution, _path_step, _solve, _weights
+from .matching import Held, Solution, _fill, _path_step, _solve_assignment, _weights
+from .thresholds import _clears
 
 __all__ = ["TraceStep", "GreedyResult", "Arrivals", "warmup_length", "greedy_screen"]
-
-# arrivals gated together in numpy before the exact gate
-BLOCK = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,16 +126,17 @@ def screen_entries(
     spec: ConstraintSpec,
     warmup: int,
     trace: bool = False,
-) -> tuple[list[int], list[int], list[TraceStep] | None]:
+) -> tuple[list[int], Solution, list[TraceStep] | None]:
     """Greedy pass over ``Arrivals``; an arrival's id is its position.
 
     Returns the indices into ``entries`` of the kept arrivals, in arrival
-    order, and the ascending indices of the real items of the optimum
-    over them.  Positions ascend and are compared against ``warmup``, so a
-    filtered subsequence keeps its original stream geometry.  Its callers
-    (``greedy_screen``, the combined pipeline and the greedy trial) have
-    checked the items, so nothing here checks them again.  A step's
-    ``running_value`` is the optimum value over the items kept so far.
+    order, and the optimum over them, the ``Solution`` the offline solver
+    gives for the kept items.  Positions ascend and are compared against
+    ``warmup``, so a filtered subsequence keeps its original stream
+    geometry.  Its callers (``greedy_screen``, the combined pipeline and
+    the greedy trial) have checked the items, so nothing here checks them
+    again.  A step's ``running_value`` is the optimum value over the items
+    kept so far.
     """
     positions, values = entries.pos, entries.values
     # a checked arrival owns some property, so each owns one when the owned entries add up to m
@@ -148,16 +152,12 @@ def screen_entries(
     lows = [-math.inf] * spec.d if single else _floors(held.reach, shift)
     decided: dict[int, tuple[bool, float]] = {}  # index -> (retained, running) per decision
     running = 0.0
-    after_warmup = positions >= warmup
-    for start in range(0, len(entries), BLOCK):
-        block, pos = values[start : start + BLOCK], positions[start : start + BLOCK]
-        survivors = np.flatnonzero(
-            (block >= np.array(lows)).any(axis=1) & after_warmup[start : start + BLOCK]
-        )
-        if not survivors.size:
-            continue
+    # blocks of k, 2k, 4k, ... arrivals from the first one past the warmup
+    start, size = int(np.searchsorted(positions, warmup)), spec.k
+    while start < len(entries):
+        survivors = _clears(values[start : start + size], lows)[0].nonzero()[0] + start
         for i, item_id, row in zip(
-            (survivors + start).tolist(), pos[survivors].tolist(), block[survivors].tolist()
+            survivors.tolist(), positions[survivors].tolist(), values[survivors].tolist()
         ):
             if single:
                 ((p, v),) = [(p, v) for p, v in enumerate(row) if v == v]
@@ -186,8 +186,12 @@ def screen_entries(
                     running = math.fsum(y[1][p] for p, ys in enumerate(held) for y in ys)
             kept.append(i)
             decided[i] = (True, running)
-    best = [e[1] for heap in heaps for e in heap] if single else [y[0] for ys in held for y in ys]
-    best = np.searchsorted(positions, sorted(best)).tolist()
+        start, size = start + size, 2 * size
+    if single:
+        best = _fill([[(i, v) for v, i in heap] for heap in heaps], spec.caps)
+    else:
+        optimum = sorted((y[0], y[1]) for ys in held for y in ys)
+        best = _solve_assignment([i for i, _ in optimum], [row for _, row in optimum], spec)
     steps: list[TraceStep] | None = None
     if trace:
         steps, running = [], 0.0
@@ -212,9 +216,9 @@ def greedy_screen(
     if not isinstance(warmup, int) or warmup < 0 or warmup > stream.n:
         raise InputError(f"warmup must lie in 0..{stream.n}, got {warmup!r}")
     entries = Arrivals(stream.ids, stream.columns(spec.d))
-    kept, best, steps = screen_entries(entries, spec, warmup, trace)
+    kept, final, steps = screen_entries(entries, spec, warmup, trace)
     return GreedyResult(
         retained_ids=tuple(stream.ids[kept].tolist()),
-        final_solution=_solve(stream.take(best), spec),
+        final_solution=final,
         trace=tuple(steps) if steps is not None else None,
     )

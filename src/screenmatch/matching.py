@@ -26,14 +26,16 @@ every pooled item possesses a single property, the properties do not
 compete and the optimum is the top ``caps[p]`` of each property, with the
 lowest dummies filling shortfalls from the lowest property up.
 
-Otherwise the pool is inserted one item at a time, in id order, with the
-augmenting-path step the overlap greedy uses (``_path_step``; successive
-shortest paths with node potentials, Tomizawa 1971, Edmonds and Karp
-1972), and the shortfalls are filled as above.  The optimum so far, a
-``Held``, carries the gain of the best path entering each property, so an
-item that does not enter costs one comparison per property.  Each step
-keeps the optimum over the items so far under one exact integer weight
-per (item, property) pair that folds the layers in:
+Otherwise the pool is inserted one item at a time, by falling weight,
+with the augmenting-path step the overlap greedy uses (``_path_step``;
+successive shortest paths with node potentials, Tomizawa 1971, Edmonds
+and Karp 1972), and the shortfalls are filled as above.  The optimum so
+far, a ``Held``, carries the gain of the best path entering each
+property, so an item that does not enter costs one comparison per
+property, and inserting the heaviest items first leaves most of the
+later ones out.  Each step keeps the optimum over the items so far under
+one exact integer weight per (item, property) pair that folds the layers
+in:
 
 - layers 1-2: ``_weights``, value * 2^1074 * B + (id + 1), shifted up by
   bits * m for m pool items and bits = d.bit_length().  Every double in
@@ -41,8 +43,10 @@ per (item, property) pair that folds the layers in:
   items, so the value decides first and the ids after;
 - layer 3 needs no term: the sets one step compares differ by one item
   in and one out, so their sums of id + 1 differ;
-- layer 4: d - p in the bits-wide digit m - 1 - rank, so smaller ids sit
-  in more significant digits and prefer smaller properties.
+- layer 4: d - p in the bits-wide digit m - 1 - rank, for the item's
+  rank by id, so smaller ids sit in more significant digits and prefer
+  smaller properties.  No two assignments weigh the same, so the optimum
+  does not depend on the order in which the pool is inserted.
 
 No floating-point comparison ever decides a tie.  ``optimal_matching``
 turns ``Item`` objects into an ``Instance`` once, at entry.  The tests
@@ -207,19 +211,25 @@ def _solve_assignment(
     ids: Sequence[int], rows: Sequence[Sequence[float]], spec: ConstraintSpec
 ) -> Solution:
     """The optimum over the real items ``ids`` (ascending) and their value
-    rows (NaN where an item lacks a property), inserted in id order."""
+    rows (NaN where an item lacks a property).  The weights rank the items
+    by id; they are inserted by falling greatest weight, so that the
+    optimum fills early and most later items fail its potentials in O(d).
+    The unique optimum does not depend on the order of insertion."""
     d, m = spec.d, len(ids)
     bits = d.bit_length()
     # B = 2^(shift - 1074) exceeds the id terms of k + 1 items
     shift = 1074 + ((spec.k + 1) * (max(ids, default=0) + 2)).bit_length()
-    held = Held(d)
+    pool = []
     for rank, (item_id, row) in enumerate(zip(ids, rows)):
         low = bits * (m - 1 - rank)
         weights = [
             None if w is None else (w << bits * m) + ((d - p) << low)
             for p, w in enumerate(_weights(item_id, row, shift))
         ]
-        _path_step(held, (item_id, row, weights), spec.caps)
+        pool.append((item_id, row, weights))
+    held = Held(d)
+    for arrival in sorted(pool, key=lambda y: max(w for w in y[2] if w is not None), reverse=True):
+        _path_step(held, arrival, spec.caps)
     return _fill([[(y[0], y[1][p]) for y in ys] for p, ys in enumerate(held)], spec.caps)
 
 

@@ -109,8 +109,8 @@ def run_pipeline(
 
     warmup = warmup_length(n, k, cfg.delta * w_warm)
     survivors, _ = screen_with_policy(policy, stream)
-    kept, best, _ = screen_entries(Arrivals(survivors.ids, survivors.columns(spec.d)), spec, warmup)
-    final = _solve(survivors.take(best), spec)
+    entries = Arrivals(survivors.ids, survivors.columns(spec.d))
+    kept, final, _ = screen_entries(entries, spec, warmup)
 
     full = _solve(stream, spec)
     return PipelineResult(

@@ -270,7 +270,9 @@ class TestFinalOptimum:
         stream = Instance([Item(0, {0: 0.5, 1: 0.5}), Item(1, {0: 0.5, 1: 0.5})])
         spec = ConstraintSpec((1, 1))
         kept, best, _ = screen_entries(Arrivals(stream.ids, stream.columns(2)), spec, 0)
-        assert kept == best == [0, 1]
+        assert kept == [0, 1]
+        assert best == optimal_matching(stream, spec)
+        assert best.assignment == ((0, 0), (1, 1))
         res = greedy_screen(stream, spec, 0)
         assert res.final_solution == optimal_matching(stream, spec)
         assert res.final_solution.assignment == ((0, 0), (1, 1))
@@ -286,6 +288,7 @@ class TestFinalOptimum:
         def keeping(entries, spec, warmup, trace=False):
             out = real(entries, spec, warmup, trace)
             kept = Instance.from_values(entries.values[out[0]], entries.pos[out[0]])
+            assert out[1] == optimal_matching(kept, spec)
             screened.append((entries.pos, kept))
             return out
 
@@ -310,6 +313,112 @@ class TestFinalOptimum:
             # survivors past a dropped arrival have ids above their indices
             moved += kept.n > 0 and not np.array_equal(positions, np.arange(len(positions)))
         assert moved > 0
+
+
+def screen_matches_reference(positions: np.ndarray, values: np.ndarray, spec, warmup: int):
+    """Hold ``screen_entries`` on arrivals at ``positions`` (their ids) to
+    the ungated reference: the kept arrivals, every trace step and the
+    returned optimum."""
+    items = [
+        Item(pos, {p: v for p, v in enumerate(row) if v == v})
+        for pos, row in zip(positions.tolist(), values.tolist())
+    ]
+    kept, best, steps = screen_entries(Arrivals(positions, values), spec, warmup, True)
+    slow = reference_screen(list(zip(positions.tolist(), items)), spec, warmup)
+    assert positions[kept].tolist() == [item.id for item in slow]
+    assert best == optimal_matching(slow, spec)
+    assert [(s.step, s.item_id) for s in steps] == [(pos, pos) for pos in positions.tolist()]
+    so_far = []
+    for step, item in zip(steps, items):
+        assert step.retained == (item in slow)
+        so_far += [item] if step.retained else []
+        assert step.running_value == optimal_matching(so_far, spec).value
+
+
+# gate shapes: d and the most properties an item owns
+GATE_SHAPES = {"d1": (1, 1), "disjoint-d2": (2, 1), "overlap-d2": (2, 2), "overlap-d3": (3, 3)}
+
+
+@pytest.mark.parametrize("shape", sorted(GATE_SHAPES))
+class TestGateEdges:
+    """The block gate against the ungated reference where the first block
+    starts, or where there is none."""
+
+    @staticmethod
+    def arrivals(shape, n, seed):
+        d, max_props = GATE_SHAPES[shape]
+        rng = np.random.default_rng(seed)
+        items = rand_items(rng, n, d, value_grid=TIE_GRID, max_props=max_props)
+        caps = tuple(int(c) for c in rng.integers(1, 4, size=d))
+        return Instance(items).columns(d), ConstraintSpec(caps), rng
+
+    def test_every_warmup_up_to_n(self, shape):
+        # warmups at, between and past the ends of the k, 2k, ... blocks
+        for t in range(3):
+            values, spec, _ = self.arrivals(shape, 20, 810 + t)
+            for warmup in range(21):
+                screen_matches_reference(np.arange(20), values, spec, warmup)
+
+    def test_fewer_arrivals_than_k(self, shape):
+        for n in range(4):
+            values, spec, _ = self.arrivals(shape, n, 820 + n)
+            spec = ConstraintSpec(tuple(c + 1 for c in spec.caps))
+            assert n < spec.k
+            for warmup in range(n + 1):
+                screen_matches_reference(np.arange(n), values, spec, warmup)
+
+    def test_empty_arrivals(self, shape):
+        d = GATE_SHAPES[shape][0]
+        spec = ConstraintSpec((1,) * d)
+        kept, best, steps = screen_entries(
+            Arrivals(np.arange(0), np.empty((0, d))), spec, 0, True
+        )
+        assert (kept, steps) == ([], [])
+        assert best == optimal_matching([], spec)
+
+    def test_survivors_skip_past_the_warmup(self, shape):
+        # a policy's survivors: ascending positions with gaps, the warmup
+        # falling in a gap or on a survivor
+        for t in range(6):
+            values, spec, rng = self.arrivals(shape, 24, 830 + t)
+            positions = np.sort(rng.choice(80, size=24, replace=False))
+            for warmup in {0, 1, int(positions[5]), int(positions[5]) + 1, 40, 80}:
+                screen_matches_reference(positions, values, spec, warmup)
+
+
+# contender shapes: distribution, caps, n and delta
+CONTENDER_SHAPES = {
+    "d1": (DistributionSpec("single-property-uniform", 1), (10,), 10_000, 1e-3),
+    "disjoint-d2": (DistributionSpec("disjoint-properties-uniform", 2), (2, 1), 1000, 0.1),
+    "overlap-d3": (
+        DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3)), (2, 2, 2), 1000, 0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CONTENDER_SHAPES))
+def test_contenders_scale_with_the_kept_arrivals(monkeypatch, shape):
+    # the arrivals the block gates let through to the per-arrival loop are
+    # at most twice the kept ones plus the first block's k, and the fewest
+    # blocks of k, 2k, 4k, ... arrivals that cover the stream past the warmup
+    contenders = []
+    real = greedy._clears
+
+    def counting(values, floors):
+        passed, hits = real(values, floors)
+        contenders.append(int(np.count_nonzero(passed)))
+        return passed, hits
+
+    monkeypatch.setattr(greedy, "_clears", counting)
+    dist, caps, n, delta = CONTENDER_SHAPES[shape]
+    spec = ConstraintSpec(caps)
+    warmup = warmup_length(n, spec.k, delta)
+    for t in range(20):
+        inst = sample_instance(dist, n, 9500 + t)
+        contenders.clear()
+        kept, _, _ = screen_entries(Arrivals(inst.ids, inst.columns(spec.d)), spec, warmup)
+        assert sum(contenders) <= 2 * len(kept) + spec.k
+        assert len(contenders) == (-(-(n - warmup) // spec.k)).bit_length()
 
 
 def path_steps_match_full_solves(values: np.ndarray, spec: ConstraintSpec, warmup: int) -> int:

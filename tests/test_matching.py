@@ -12,6 +12,7 @@ import pytest
 
 from screenmatch import (
     ConstraintSpec,
+    DistributionSpec,
     InputError,
     Instance,
     Item,
@@ -19,6 +20,7 @@ from screenmatch import (
     exact_solution_value,
     is_dummy_id,
     optimal_matching,
+    sample_instance,
 )
 from screenmatch.matching import _reaches_optimum, _solve_assignment
 
@@ -156,6 +158,27 @@ class TestOracleEquivalence:
         sol = optimal_matching(inst, spec)
         assert len(sizes) == 1 and sizes[0] <= spec.d * spec.k
         assert sol == real(inst.ids.tolist(), values.tolist(), spec)
+
+    def test_insertion_by_falling_weight_leaves_most_of_the_pool_out(self, monkeypatch):
+        # overlap d=3 pools of 17.9 items on average: in id order 12.2 of them
+        # entered the optimum per solve, by falling weight 7.7 do
+        import screenmatch.matching as matching
+
+        entered = []
+        real = matching._path_step
+
+        def counting(held, arrival, caps):
+            kept = real(held, arrival, caps)
+            entered.append(kept)
+            return kept
+
+        monkeypatch.setattr(matching, "_path_step", counting)
+        dist = DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3))
+        spec = ConstraintSpec((2, 2, 2))
+        for seed in range(9000, 9300):
+            matching._solve(sample_instance(dist, 1000, seed), spec)
+        assert len(entered) == 5376
+        assert sum(entered) == 2321
 
     def test_solver_golden_digests(self):
         # assignments and value bits on overlap pools past the brute-force
