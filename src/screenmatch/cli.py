@@ -2,8 +2,8 @@
 
 Data goes to stdout (or ``--out``); diagnostics go to stderr.  Exit codes:
 0 success, 1 input or validation failure, 2 usage error.  Every randomized
-subcommand takes ``--seed`` and defaults to DEFAULT_SEED, so reruns are
-bit-identical.
+subcommand takes a nonnegative ``--seed`` and defaults to DEFAULT_SEED, so
+reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -79,6 +79,12 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
     except ValueError:
         noun = "integers" if kind is int else "numbers"
         raise ConfigError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
+
+
+def _check_seed(seed: int, name: str) -> None:
+    """Refuse a negative seed, which the samplers cannot take."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be a nonnegative integer, got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +185,11 @@ def _cmd_pipeline(args) -> int:
     split = {}
     if args.delta_split:
         split["delta_split"] = tuple(_parse_list(args.delta_split, "--delta-split", float))
-    cfg = PipelineConfig(args.mode, args.delta, args.c0, **split)
+    cfg = PipelineConfig(args.delta, args.c0, **split)
     result = run_pipeline(train, stream, spec, cfg)
     _emit_json(result.to_json_obj(), args.out)
     _eprint(
-        f"pipeline[{args.mode}]: retained {result.retained_final}"
-        f" (policy pass {result.retained_after_policy}),"
+        f"pipeline: retained {result.retained_final} (policy pass {result.retained_after_policy}),"
         f" optimal={result.optimal_vs_fullstream}"
     )
     return 0
@@ -244,6 +249,7 @@ def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
     )
     workers = pick(args.workers, "workers", 1, int)
     try:
+        _check_seed(fields["seed"], "seed")
         cfg = exp.ExperimentConfig(**fields)
         exp._check_workers(workers)
     except ConfigError as exc:
@@ -374,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="training instance (JSON lines)")
     _add_in(p)
     p.add_argument("--spec", required=True)
-    p.add_argument("--mode", choices=("value-approx", "exact-opt"), default="value-approx")
+    p.add_argument("--mode", choices=("exact-opt",), default="exact-opt", help="accepts only exact-opt")
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--c0", type=float, default=1.0)
     p.add_argument("--delta-split", default=None, help="three weights summing to 1")
@@ -430,6 +436,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", None) is not None:
+            _check_seed(args.seed, "--seed")
         return args.fn(args)
     except (OSError, ValueError, RuntimeError) as exc:
         _eprint(f"error: {exc}")

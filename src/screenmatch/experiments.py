@@ -62,7 +62,7 @@ __all__ = [
     "write_records_jsonl",
 ]
 
-ALGORITHMS = ("greedy", "pipeline-value-approx", "pipeline-exact-opt", "policy-fixed")
+ALGORITHMS = ("greedy", "pipeline-exact-opt", "policy-fixed")
 
 CSV_COLUMNS = (
     "scenario",
@@ -110,7 +110,7 @@ class ExperimentConfig:
             raise ConfigError(f"n must be an integer >= k={self.spec.k}, got {self.n!r}")
         if not (0.0 <= self.delta <= 1.0):
             raise ConfigError(f"delta must lie in [0, 1], got {self.delta!r}")
-        if self.algorithm.startswith("pipeline") and not (0.0 < self.delta < 1.0):
+        if self.algorithm == "pipeline-exact-opt" and not (0.0 < self.delta < 1.0):
             raise ConfigError(f"{self.algorithm} needs delta in (0, 1), got {self.delta!r}")
         _check_c0(self.c0)
         if self.algorithm == "policy-fixed":
@@ -165,11 +165,10 @@ def _sample_std(a: np.ndarray) -> float:
 
 def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
     stream_seed = derive_seed(cfg.seed, "stream", t)
-    if cfg.algorithm.startswith("pipeline"):
+    if cfg.algorithm == "pipeline-exact-opt":
         train = sample_instance(cfg.dist, cfg.n, derive_seed(cfg.seed, "train", t))
         stream = sample_instance(cfg.dist, cfg.n, stream_seed)
-        mode = cfg.algorithm.removeprefix("pipeline-")
-        result = run_pipeline(train, stream, cfg.spec, PipelineConfig(mode, cfg.delta, cfg.c0))
+        result = run_pipeline(train, stream, cfg.spec, PipelineConfig(cfg.delta, cfg.c0))
         return TrialRecord(
             t,
             result.retained_final,

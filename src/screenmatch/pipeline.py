@@ -1,13 +1,10 @@
-"""Combined screening: learn a threshold policy on a training sample, then
-run the online greedy pass over the policy-filtered stream.
+"""Combined screening, the paper's training-set screen: learn a threshold
+policy on a training sample, then run the online greedy pass over the
+policy-filtered stream.
 
-Two modes:
-
-- ``value-approx``: thresholds read off the training sample's optimal
-  assignment; cheap, aims at near-optimal final value.
-- ``exact-opt``: per-property top-(k + slack) thresholds, where the slack
-  grows like sqrt(k log ...) so that with probability 1 - delta the
-  filtered stream still contains a full-stream optimum.
+The policy takes per-property top-(k + slack) thresholds, where the slack
+grows like sqrt(k log ...) so that with probability 1 - delta the filtered
+stream still contains a full-stream optimum.
 
 The failure budget delta is split across three sources (threshold
 coverage, retention-count convergence, greedy warmup); the warmup is
@@ -25,35 +22,30 @@ from .thresholds import (
     ThresholdsPolicy,
     _check_c0,
     is_above,
-    learn_optimal_thresholds,
     learn_topm_thresholds,
     retention_slack,
     screen_with_policy,
 )
 
-__all__ = ["PIPELINE_MODES", "PipelineConfig", "PipelineResult", "run_pipeline"]
-
-PIPELINE_MODES = ("value-approx", "exact-opt")
+__all__ = ["PipelineConfig", "PipelineResult", "run_pipeline"]
 
 
 @dataclass(frozen=True, slots=True)
 class PipelineConfig:
-    """Mode, failure budget, slack constant, and the delta split.
+    """Failure budget, slack constant, and the delta split.
 
     ``delta_split`` weights the budget across (threshold coverage,
-    convergence, greedy warmup); it must be nonnegative and sum to 1.  The
+    convergence, greedy warmup); it must be nonnegative and sum to 1, and
+    the convergence weight, which the slack spends, must be positive.  The
     coverage weight is checked but not yet spent: no learner takes a
     coverage budget.
     """
 
-    mode: str
     delta: float
     c0: float = 1.0
     delta_split: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
     def __post_init__(self) -> None:
-        if self.mode not in PIPELINE_MODES:
-            raise ConfigError(f"mode must be one of {PIPELINE_MODES}, got {self.mode!r}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta!r}")
         _check_c0(self.c0)
@@ -62,6 +54,9 @@ class PipelineConfig:
             raise ConfigError(f"delta_split needs three nonnegative weights, got {self.delta_split}")
         if not abs(sum(self.delta_split) - 1.0) <= 1e-12:
             raise ConfigError(f"delta_split must sum to 1, got {self.delta_split}")
+        # the slack's budget delta * weight, which a subnormal weight can underflow
+        if not self.delta * self.delta_split[1] > 0.0:
+            raise ConfigError(f"delta_split leaves the convergence no budget, got {self.delta_split}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,18 +89,15 @@ def run_pipeline(
     full-stream optimum (diagnostic, computed offline).
 
     ``stream`` is checked here, once: the full-stream solve skips the
-    check.  ``train`` is checked by the learner the mode calls, so no trial
-    checks ``train`` twice.
+    check.  ``train`` is checked by the learner, so no trial checks ``train``
+    twice.
     """
     require_valid(validate_instance(stream, spec), "stream")
 
     n, k = stream.n, spec.k
     _, w_conv, w_warm = cfg.delta_split
-    if cfg.mode == "value-approx":
-        policy = learn_optimal_thresholds(train, spec)
-    else:
-        slack = retention_slack(k, spec.d, max(n, k + 1), cfg.delta * w_conv, cfg.c0)
-        policy = learn_topm_thresholds(train, spec, [k + slack] * spec.d)
+    slack = retention_slack(k, spec.d, max(n, k + 1), cfg.delta * w_conv, cfg.c0)
+    policy = learn_topm_thresholds(train, spec, [k + slack] * spec.d)
 
     warmup = warmup_length(n, k, cfg.delta * w_warm)
     survivors, _ = screen_with_policy(policy, stream)

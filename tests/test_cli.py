@@ -1,4 +1,8 @@
+import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,10 @@ def files(tmp_path):
 
 def run(argv):
     return run_cli(argv)
+
+
+# sha256 of the pipeline output on the seeded files of test_pipeline_runs_the_training_set_screen
+PIPELINE_SHA256 = "273ed0f60552d9479550b3425d82d73afb2b6f66892f346de2aa077f13a5931b"
 
 
 class TestGenSolve:
@@ -164,6 +172,28 @@ class TestLearnScreenPipeline:
         payload = json.loads(capsys.readouterr().out)
         assert payload["retained_final"] <= payload["retained_after_policy"]
 
+    def test_pipeline_runs_the_training_set_screen(self, tmp_path, capsys):
+        dist, spec = tmp_path / "dist.json", tmp_path / "spec.json"
+        dist.write_text('{"kind": "disjoint-properties-uniform", "d": 2}\n')
+        spec.write_text('{"caps": [2, 1]}\n')
+        train, stream, out = (tmp_path / name for name in ("train.jsonl", "stream.jsonl", "p.json"))
+        for path, seed in ((train, "8"), (stream, "7")):
+            assert run(["gen", "--dist", str(dist), "--n", "300", "--seed", seed, "--out", str(path)]) == 0
+        argv = ["pipeline", "--train", str(train), "--in", str(stream), "--spec", str(spec)]
+        argv += ["--delta", "0.05", "--out", str(out)]
+        for mode in ([], ["--mode", "exact-opt"]):
+            assert run(argv + mode) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == PIPELINE_SHA256
+        # value-approx is refused as a mode, as an algorithm and in a config
+        assert run(argv + ["--mode", "value-approx"]) == 2
+        trials = ["trials", "--dist", str(dist), "--spec", str(spec), "--n", "20", "--trials", "2"]
+        assert run(trials + ["--algorithm", "pipeline-value-approx"]) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algorithm": "pipeline-value-approx"}))
+        capsys.readouterr()
+        assert run(trials + ["--config", str(cfg), "--out", str(tmp_path / "agg.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: algorithm must be one of")
+
 
 class TestExperimentCommands:
     def test_trials_config_file_with_flag_override(self, files, capsys):
@@ -215,6 +245,21 @@ class TestExperimentCommands:
             cfg.write_text(json.dumps({**base, **json.loads(text)}))
         assert run(["trials", "--config", str(cfg), "--out", str(tmp / "agg.csv")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
+    @pytest.mark.parametrize("command", ["gen", "trials", "concentration", "converge"])
+    def test_negative_seed_is_one_and_names_it(self, files, capsys, command):
+        tmp, dist, spec = files
+        argv = [command, "--dist", dist, "--n", "20", "--out", str(tmp / "o")]
+        if command != "gen":
+            argv += ["--spec", spec, "--trials", "3"]
+        assert run(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be a nonnegative integer, got -1\n"
+        if command == "trials":
+            cfg = tmp / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            assert run(argv + ["--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {cfg}: seed must be a nonnegative integer, got -1\n"
 
     @pytest.mark.parametrize("command", ["trials", "concentration", "converge"])
     def test_workers_below_one_is_one(self, files, capsys, command):
@@ -507,6 +552,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and "c0" in err
         assert "Traceback" not in err
 
+    def test_zero_convergence_weight_is_one_and_names_delta_split(self, files, capsys):
+        tmp, dist, spec = files
+        stream = tmp / "s.jsonl"
+        run(["gen", "--dist", dist, "--n", "20", "--out", str(stream)])
+        argv = ["pipeline", "--train", str(stream), "--in", str(stream), "--spec", spec]
+        argv += ["--out", str(tmp / "o"), "--delta-split"]
+        capsys.readouterr()
+        assert run(argv + ["0.5,0,0.5"]) == 1
+        assert capsys.readouterr().err.startswith("error: delta_split leaves the convergence no budget")
+        # a coverage or warmup weight of 0 leaves the slack its budget
+        assert run(argv + ["0,0.5,0.5"]) == 0
+        assert run(argv + ["0.5,0.5,0"]) == 0
+
     @pytest.mark.parametrize(
         "text, err",
         [("Unable to allocate 82.0 GiB", "Unable to allocate 82.0 GiB"), ("", "out of memory")],
@@ -582,3 +640,28 @@ def test_item_rule_errors_name_file_and_line(tmp_path, capsys, record, command):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid ") and f"at item 2 ({bad}:3: " in err
+
+
+def readme_walkthrough() -> tuple[dict[str, str], list[list[str]]]:
+    """The README's CLI walkthrough block: the files its heredocs write, and
+    the argv of each ``screenmatch`` line, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", text, re.S) if "screenmatch " in b)
+    files, commands = {}, []
+    lines = iter(block.replace("\\\n", " ").splitlines())
+    for line in lines:
+        heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
+        if heredoc:
+            files[heredoc[1]] = "".join(body + "\n" for body in iter(lines.__next__, "EOF"))
+        elif line.startswith("screenmatch "):
+            commands.append(shlex.split(line)[1:])
+    return files, commands
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    files, commands = readme_walkthrough()
+    assert "pipeline" in [argv[0] for argv in commands]
+    monkeypatch.chdir(tmp_path)
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    assert [(argv, run(argv)) for argv in commands] == [(argv, 0) for argv in commands]

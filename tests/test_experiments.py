@@ -299,7 +299,6 @@ class TestRunTrials:
         [
             ("greedy", 1),
             ("pipeline-exact-opt", 2),
-            ("pipeline-value-approx", 2),
             ("policy-fixed", 1),
         ],
     )

@@ -16,7 +16,6 @@ LEFT_OUT = {
     "core.DUMMY_ID_BASE": "the reserved id range; is_dummy_id is the package's test for it",
     "core.require_valid": "the entry points' raise-on-violation step; callers use validate_*",
     "greedy.Arrivals": "input of the internal pass the greedy and the pipeline share",
-    "pipeline.PIPELINE_MODES": "the modes PipelineConfig accepts; it checks them itself",
     "experiments.ALGORITHMS": "the algorithms ExperimentConfig accepts; it checks them itself",
     "experiments.CSV_COLUMNS": "the CLI's aggregate CSV header",
     "experiments.convergence_row": "a CLI emission helper",

@@ -306,8 +306,7 @@ class TestFinalOptimum:
             res = greedy_screen(stream, spec, warmup)
             kept = stream.take(list(res.retained_ids))
             assert res.final_solution == optimal_matching(kept, spec)
-            mode = ("value-approx", "exact-opt")[t % 2]
-            result = run_pipeline(train, stream, spec, PipelineConfig(mode, 0.5))
+            result = run_pipeline(train, stream, spec, PipelineConfig(0.5))
             positions, kept = screened.pop()
             assert result.final_solution == optimal_matching(kept, spec)
             # survivors past a dropped arrival have ids above their indices

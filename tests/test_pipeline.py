@@ -26,46 +26,42 @@ SPEC_11 = ConstraintSpec((1, 1))
 
 
 class TestConfig:
-    def test_mode_checked(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig("hybrid", 0.1)
-
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5])
     def test_delta_open_interval(self, delta):
         with pytest.raises(ConfigError):
-            PipelineConfig("value-approx", delta)
+            PipelineConfig(delta)
 
     def test_split_must_sum_to_one(self):
         with pytest.raises(ConfigError):
-            PipelineConfig("value-approx", 0.1, delta_split=(0.5, 0.5, 0.5))
+            PipelineConfig(0.1, delta_split=(0.5, 0.5, 0.5))
         with pytest.raises(ConfigError):
-            PipelineConfig("value-approx", 0.1, delta_split=(-0.1, 0.6, 0.5))
+            PipelineConfig(0.1, delta_split=(-0.1, 0.6, 0.5))
         with pytest.raises(ConfigError):
-            PipelineConfig("value-approx", 0.1, delta_split=(math.nan, 0.5, 0.5))
-        PipelineConfig("value-approx", 0.1, delta_split=(0.5, 0.25, 0.25))
+            PipelineConfig(0.1, delta_split=(math.nan, 0.5, 0.5))
+        PipelineConfig(0.1, delta_split=(0.5, 0.25, 0.25))
 
     def test_negative_c0(self):
         with pytest.raises(ConfigError):
-            PipelineConfig("exact-opt", 0.1, c0=-1.0)
+            PipelineConfig(0.1, c0=-1.0)
+
+    def test_zero_convergence_weight_is_refused(self):
+        for split in ((0.5, 0.0, 0.5), (0.5, 5e-324, 0.5)):
+            with pytest.raises(ConfigError, match="delta_split"):
+                PipelineConfig(0.1, delta_split=split)
+        # the slack spends only the convergence weight
+        for split in ((0.0, 0.5, 0.5), (0.5, 0.5, 0.0)):
+            cfg = PipelineConfig(0.1, delta_split=split)
+            assert run_pipeline(TWO_ITEMS, TWO_ITEMS, SPEC_11, cfg).optimal_vs_fullstream
 
 
 class TestSpecExamples:
-    def test_value_approx_two_item_case(self):
-        cfg = PipelineConfig("value-approx", 0.3)
-        result = run_pipeline(TWO_ITEMS, TWO_ITEMS, SPEC_11, cfg)
-        assert result.policy.t == (0.9, 0.5)
-        assert result.retained_final == 2
-        assert result.final_solution.value == pytest.approx(1.4)
-        assert result.optimal_vs_fullstream
-        assert result.value_gap == pytest.approx(0.0)
-
     def test_exact_opt_identity_reduction(self):
         # empty training set degrades the policy to all-zeros; with warmup 0
         # the pipeline is plain greedy
         rng = np.random.default_rng(15)
         stream = rand_instance(rng, 40, 2)
         spec = ConstraintSpec((2, 1))
-        cfg = PipelineConfig("exact-opt", delta=0.01)
+        cfg = PipelineConfig(delta=0.01)
         assert warmup_length(stream.n, spec.k, 0.01 / 3) == 0
         result = run_pipeline(Instance(()), stream, spec, cfg)
         assert result.policy.t == (0.0, 0.0)
@@ -79,20 +75,19 @@ class TestStructuralInvariants:
         rng = np.random.default_rng(23)
         dist = DistributionSpec("disjoint-properties-uniform", 2)
         spec = ConstraintSpec((2, 2))
-        for mode in ("value-approx", "exact-opt"):
-            for t in range(10):
-                train = sample_instance(dist, 150, derive_seed(50, "train", t))
-                stream = sample_instance(dist, 150, derive_seed(50, "stream", t))
-                result = run_pipeline(train, stream, spec, PipelineConfig(mode, 0.1))
-                thr = result.policy.t
-                passing = {
-                    item.id for item in stream if any(v >= thr[p] for p, v in item.props.items())
-                }
-                final_ids = set(result.final_solution.real_ids())
-                assert result.retained_final <= result.retained_after_policy
-                assert result.retained_after_policy == len(passing)
-                assert final_ids <= passing
-                assert result.value_gap >= -1e-9
+        for t in range(10):
+            train = sample_instance(dist, 150, derive_seed(50, "train", t))
+            stream = sample_instance(dist, 150, derive_seed(50, "stream", t))
+            result = run_pipeline(train, stream, spec, PipelineConfig(0.1))
+            thr = result.policy.t
+            passing = {
+                item.id for item in stream if any(v >= thr[p] for p, v in item.props.items())
+            }
+            final_ids = set(result.final_solution.real_ids())
+            assert result.retained_final <= result.retained_after_policy
+            assert result.retained_after_policy == len(passing)
+            assert final_ids <= passing
+            assert result.value_gap >= -1e-9
 
     def test_exact_opt_soundness_condition(self):
         # top-k per property passes the policy + no optimum item in warmup
@@ -106,7 +101,7 @@ class TestStructuralInvariants:
             t += 1
             train = sample_instance(dist, 100, derive_seed(60, "train", t))
             stream = sample_instance(dist, 100, derive_seed(60, "stream", t))
-            cfg = PipelineConfig("exact-opt", 0.1)
+            cfg = PipelineConfig(0.1)
             result = run_pipeline(train, stream, spec, cfg)
             warmup = warmup_length(stream.n, spec.k, 0.1 / 3)
             full = optimal_matching(stream.items, spec)
@@ -133,17 +128,18 @@ class TestStructuralInvariants:
         train = rand_instance(rng, 80, 1)
         stream = rand_instance(rng, 80, 1)
         spec = ConstraintSpec((4,))
-        cfg = PipelineConfig("exact-opt", 0.05)
+        cfg = PipelineConfig(0.05)
         assert run_pipeline(train, stream, spec, cfg) == run_pipeline(train, stream, spec, cfg)
 
     def test_result_serializes(self):
-        cfg = PipelineConfig("value-approx", 0.2)
+        cfg = PipelineConfig(0.2)
         result = run_pipeline(TWO_ITEMS, TWO_ITEMS, SPEC_11, cfg)
         obj = result.to_json_obj()
         text = json.dumps(obj, sort_keys=True)
         back = json.loads(text)
         assert back["retained_final"] == 2
-        assert back["policy"]["t"] == [0.9, 0.5]
+        # k + slack ranks outnumber the two training items, so every threshold is 0
+        assert back["policy"]["t"] == [0.0, 0.0]
 
 
 class TestStatistical:
@@ -153,7 +149,7 @@ class TestStatistical:
         dist = DistributionSpec("single-property-uniform", 1)
         spec = ConstraintSpec((5,))
         n, delta, trials = 2000, 0.05, 300
-        cfg = PipelineConfig("exact-opt", delta)
+        cfg = PipelineConfig(delta)
         successes = 0
         pipeline_retained = []
         greedy_retained = []
