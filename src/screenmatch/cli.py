@@ -289,6 +289,7 @@ def _cmd_concentration(args) -> int:
 def _cmd_converge(args) -> int:
     dist = _read_file(args.dist, read_distribution_spec)
     spec = _read_file(args.spec, read_constraint_spec)
+    exp._check_dims(dist, spec)
     train_n = args.train_n if args.train_n is not None else args.n
     train = sample_instance(dist, train_n, derive_seed(args.seed, "net-train", 0))
     net = quantile_policy_net(train, spec, args.n, max_net_size=args.max_net)

@@ -113,6 +113,10 @@ class Instance:
     item ids equal their 0-based position, and no ids fall in the dummy
     range.
 
+    A sampled instance is valid by construction (see ``sample_instance``);
+    its ``ids`` and ``values`` are read-only, so writing into them raises
+    ``ValueError``.  ``take`` gives an ordinary, writable instance.
+
     ``Instance(items)`` builds a stream from ``Item`` objects, and ``items``
     (or iterating) gives the stream back as ``Item`` objects, built on first
     use.  A stream read from a file also keeps each item's line number.
@@ -121,7 +125,7 @@ class Instance:
     one entry, not a column: ``values`` is meant for checked instances.
     """
 
-    __slots__ = ("ids", "lines", "source", "_values", "_entries", "_items")
+    __slots__ = ("ids", "lines", "source", "_values", "_entries", "_items", "_sampled_d")
 
     def __init__(self, items: Iterable[Item] = ()) -> None:
         items = tuple(items)
@@ -134,6 +138,8 @@ class Instance:
         self._values = values
         self._entries = entries
         self._items = items
+        # the d of the distribution that drew this instance, None unless sampled
+        self._sampled_d = None
 
     @classmethod
     def from_values(cls, values: np.ndarray, ids: np.ndarray | None = None) -> "Instance":
@@ -383,17 +389,21 @@ def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
     uniforms begin with the same ones.  A membership that expects more
     than 2**20 uniforms per item is a ``ConfigError``, raised before
     anything is drawn.
+
+    The instance is valid by construction for any spec with at least
+    ``dist.d`` properties, so the rule set passes it at once; its arrays
+    are read-only, so it stays so.
     """
     if not isinstance(n, int) or n < 0:
         raise ConfigError(f"n must be a nonnegative integer, got {n!r}")
     rng = np.random.default_rng(seed)
     if dist.kind == "single-property-uniform":
-        return Instance.from_values(rng.random(n).reshape(n, 1))
+        return _sampled(rng.random(n).reshape(n, 1), dist.d)
     if dist.kind == "disjoint-properties-uniform":
         values = np.full((n, dist.d), np.nan)
         classes = rng.integers(0, dist.d, size=n)
         values[np.arange(n), classes] = rng.random(n)
-        return Instance.from_values(values)
+        return _sampled(values, dist.d)
     q = np.asarray(dist.membership, dtype=float)
     d = dist.d
     per_draw = (d + q.sum()) / _acceptance(q)
@@ -416,7 +426,17 @@ def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
         owned = uniforms.take(starts + j) < q[j]
         values[:, j] = np.where(owned, uniforms.take(taken, mode="clip"), np.nan)
         taken += owned
-    return Instance.from_values(values)
+    return _sampled(values, d)
+
+
+def _sampled(values: np.ndarray, d: int) -> Instance:
+    """The instance of a sampled value matrix: its arrays are made read-only,
+    and it is marked valid for any spec of at least d properties."""
+    inst = Instance.from_values(values)
+    values.flags.writeable = False
+    inst.ids.flags.writeable = False
+    inst._sampled_d = d
+    return inst
 
 
 @dataclass(frozen=True, slots=True)
@@ -451,7 +471,9 @@ def validate_items(items: Sequence[Item] | Instance, spec: ConstraintSpec) -> tu
     empty-props, unknown-property (an index that is not an int, a bool, or
     one outside 0..d-1) and value-out-of-range (NaN and infinities
     included, and a value that is not a number or is a bool).  Dummies are
-    not real items, so a dummy passed here is reported as dummy-id.
+    not real items, so a dummy passed here is reported as dummy-id.  A
+    sampled instance checked against a spec with at least its
+    distribution's d is valid by construction and returns () at once.
 
     The rules run on the instance's columns: numpy flags the items and
     entries that may break a rule, and only those are looked at one by
@@ -459,6 +481,26 @@ def validate_items(items: Sequence[Item] | Instance, spec: ConstraintSpec) -> tu
     above and of its properties.
     """
     inst = items if isinstance(items, Instance) else Instance(items)
+    if _valid_by_construction(inst, spec):
+        return ()
+    return _item_rules(inst, spec)
+
+
+def _valid_by_construction(inst: Instance, spec: ConstraintSpec) -> bool:
+    """True for a sampled instance, while its arrays are read-only, and a
+    spec with at least its distribution's d: its ids are positions, and
+    each row owns a property below that d, with a value in [0, 1]."""
+    d = inst._sampled_d
+    return (
+        d is not None
+        and spec.d >= d
+        and not inst.ids.flags.writeable
+        and not inst._values.flags.writeable
+    )
+
+
+def _item_rules(inst: Instance, spec: ConstraintSpec) -> tuple[Violation, ...]:
+    """The full pass of ``validate_items``' rules over ``inst``."""
     d, n, ids = spec.d, inst.n, inst.ids
     rows, props, vals, odd = inst.entries()
     duplicate = np.zeros(n, dtype=bool)
@@ -497,7 +539,9 @@ def validate_items(items: Sequence[Item] | Instance, spec: ConstraintSpec) -> tu
 
 def validate_instance(inst: Instance, spec: ConstraintSpec) -> tuple[Violation, ...]:
     """``validate_items`` plus the stream rule that ids equal positions."""
-    out = list(validate_items(inst, spec))
+    if _valid_by_construction(inst, spec):
+        return ()
+    out = list(_item_rules(inst, spec))
     moved = np.flatnonzero(inst.ids != np.arange(inst.n)).tolist()
     for pos, i in zip(moved, inst.ids[moved].tolist()):
         detail = f"id {i} at position {pos}"

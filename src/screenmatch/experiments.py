@@ -122,10 +122,14 @@ class ExperimentConfig:
                 )
         elif self.policy is not None:
             raise ConfigError(f"algorithm {self.algorithm!r} takes no fixed policy")
-        if self.dist.d != self.spec.d:
-            raise ConfigError(
-                f"distribution has d={self.dist.d} but spec has {self.spec.d} properties"
-            )
+        _check_dims(self.dist, self.spec)
+
+
+def _check_dims(dist: DistributionSpec, spec: ConstraintSpec) -> None:
+    """Refuse a distribution and a spec that disagree on d, before anything
+    is sampled: every experiment samples for the spec it solves."""
+    if dist.d != spec.d:
+        raise ConfigError(f"distribution has d={dist.d} but spec has {spec.d} properties")
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +184,7 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
         )
 
     inst = sample_instance(cfg.dist, cfg.n, stream_seed)
-    # the full-stream solve checks the stream (sampled ids are positions) and its subsets
+    # a sampled stream is valid by construction, so the solve makes no rule pass
     full = optimal_matching(inst, cfg.spec)
     if cfg.algorithm == "greedy":
         warmup = warmup_length(cfg.n, cfg.spec.k, cfg.delta)
@@ -326,6 +330,7 @@ def concentration_experiment(
     bound 2 exp(-alpha^2 / 2k)."""
     if not isinstance(trials, int) or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    _check_dims(dist, spec)
     _check_workers(workers)
     args = [(dist, spec, n, seed, s, e) for s, e in _split(trials, workers)]
     opts = np.concatenate(_map_blocks(_opt_block, args, workers))
@@ -404,7 +409,8 @@ def _net_stats(
 
 def _conv_trials(trial: tuple, label: str, start: int, stop: int):
     """``_net_stats`` of each trial in [start, stop).  The sampler's streams
-    are valid for any spec of the distribution's d, so none is checked."""
+    are valid by construction for a spec of the distribution's d, which
+    ``convergence_experiment`` requires, so ``_net_stats`` checks none."""
     dist, spec, n, seed, thr = trial
     for t in range(start, stop):
         yield _net_stats(sample_instance(dist, n, derive_seed(seed, label, t)), spec, thr)
@@ -467,8 +473,7 @@ def convergence_experiment(
         )
     if not isinstance(n, int) or n < spec.k:
         raise ConfigError(f"n must be an integer >= k={spec.k}, got {n!r}")
-    if dist.d != spec.d:
-        raise ConfigError(f"distribution has d={dist.d} but spec has {spec.d} properties")
+    _check_dims(dist, spec)
     _check_workers(workers)
     if len(net) == 0:
         raise ConfigError("policy net is empty")

@@ -89,8 +89,8 @@ def run_pipeline(
     full-stream optimum (diagnostic, computed offline).
 
     ``stream`` is checked here, once: the full-stream solve skips the
-    check.  ``train`` is checked by the learner, so no trial checks ``train``
-    twice.
+    check.  ``train`` is checked by the learner.  A trial's sampled train
+    and stream are valid by construction, so neither check costs it a pass.
     """
     require_valid(validate_instance(stream, spec), "stream")
 

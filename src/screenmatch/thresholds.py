@@ -107,9 +107,9 @@ def screen_with_policy(
 
     It trusts ``inst`` unchecked, and with ``spec`` it solves the retained
     rows unchecked too, because its callers check first and a check costs
-    as much as the screen: the ``screen`` command
-    checks its file, the pipeline its stream, and a policy-fixed trial its
-    stream, in the full-stream solve.
+    as much as the screen: the ``screen`` command checks its file and the
+    pipeline its stream, and a policy-fixed trial screens a stream it
+    sampled, valid by construction.
     """
     if spec is not None and policy.d != spec.d:
         raise ConfigError(f"policy has {policy.d} thresholds but spec has {spec.d} properties")

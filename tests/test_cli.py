@@ -288,6 +288,28 @@ class TestExperimentCommands:
         assert run(argv + ["--out", str(tmp / "o")]) == 1
         assert capsys.readouterr().err == "error: n must be an integer >= k=100, got 1\n"
 
+    @pytest.mark.parametrize("command", ["concentration", "converge"])
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3)),
+            DistributionSpec("single-property-uniform", 1),
+        ],
+        ids=["d3", "d1"],
+    )
+    def test_dist_and_spec_of_another_d_are_one(self, files, capsys, command, dist):
+        # refused before anything is sampled, as trials refuses them
+        tmp, _, _ = files
+        dist_path, spec = tmp / "dist_other.json", tmp / "spec2.json"
+        with open(dist_path, "w") as fh:
+            write_distribution_spec(dist, fh)
+        with open(spec, "w") as fh:
+            write_constraint_spec(ConstraintSpec((1, 1)), fh)
+        argv = [command, "--dist", str(dist_path), "--spec", str(spec), "--n", "20"]
+        assert run(argv + ["--trials", "3", "--out", str(tmp / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: distribution has d={dist.d} but spec has 2 properties\n"
+
     def test_trials_records_file(self, files):
         tmp, dist, spec = files
         rec = tmp / "rec.jsonl"

@@ -138,6 +138,55 @@ class TestSampling:
             assert [item.id for item in inst] == list(range(30))
             assert validate_instance(inst, ConstraintSpec(caps)) == ()
 
+    @given(
+        st.sampled_from(core.DIST_KINDS),
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.one_of(st.sampled_from((0.0, 1.0, 1e-3, 1.0 - 1e-3)), st.floats(1e-3, 1.0)),
+                min_size=d,
+                max_size=d,
+            )
+        ),
+        st.integers(0, 40),
+        st.integers(0, 2**32),
+    )
+    @example("overlap-bernoulli", [1e-3, 0.0], 2, 1)
+    @example("disjoint-properties-uniform", [0.5] * 4, 1, 0)
+    @example("single-property-uniform", [0.5], 0, 0)
+    def test_samples_are_valid_by_construction(self, kind, membership, n, seed):
+        # the rule set trials skip on sampled streams: every spec with at least
+        # the distribution's d finds an unmarked copy valid, and the arrays
+        # that would let a sample go stale refuse writes
+        d = 1 if kind == "single-property-uniform" else len(membership)
+        if kind == "overlap-bernoulli":
+            assume(max(membership) > 0.0)
+            dist = DistributionSpec(kind, d, tuple(membership))
+        else:
+            dist = DistributionSpec(kind, d)
+        inst = sample_instance(dist, n, seed)
+        copy = Instance.from_values(inst.values.copy(), inst.ids.copy())
+        for wider in range(d, 6):
+            assert validate_instance(copy, ConstraintSpec((1,) * wider)) == ()
+        for narrower in range(1, d):
+            spec = ConstraintSpec((1,) * narrower)
+            assert validate_instance(inst, spec) == validate_instance(copy, spec)
+        with pytest.raises(ValueError):
+            inst.values[:1] = 0.5
+        with pytest.raises(ValueError):
+            inst.ids[:1] = 0
+
+    def test_a_sample_checked_against_fewer_properties_gets_every_rule(self):
+        dist = DistributionSpec("overlap-bernoulli", 3, membership=(0.6, 0.3, 0.9))
+        report = validate_instance(sample_instance(dist, 30, 7), ConstraintSpec((1, 1)))
+        assert report and {v.kind for v in report} == {"unknown-property"}
+
+    def test_a_sample_made_writeable_again_gets_every_rule(self):
+        inst = sample_instance(DistributionSpec("disjoint-properties-uniform", 2), 30, 7)
+        inst.values.flags.writeable = True
+        inst.values[np.isfinite(inst.values)] = 1.5
+        report = validate_instance(inst, ConstraintSpec((1, 1)))
+        assert [v.kind for v in report] == ["value-out-of-range"] * 30
+
     def test_single_property_shape(self):
         inst = sample_instance(DistributionSpec("single-property-uniform", 1), 100, 3)
         for item in inst:

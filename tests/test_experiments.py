@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -17,15 +18,21 @@ from screenmatch import (
     DistributionSpec,
     Instance,
     Item,
+    PipelineConfig,
     ThresholdsPolicy,
     concentration_experiment,
     convergence_experiment,
+    greedy_screen,
+    learn_topm_thresholds,
+    optimal_matching,
     quantile_policy_net,
+    run_pipeline,
     run_trials,
     sample_instance,
 )
 import screenmatch.experiments as experiments
 from screenmatch.experiments import (
+    ALGORITHMS,
     CSV_COLUMNS,
     ExperimentConfig,
     _net_stats,
@@ -40,6 +47,21 @@ from helpers import TIE_GRID, rand_items
 D1 = DistributionSpec("single-property-uniform", 1)
 DISJOINT2 = DistributionSpec("disjoint-properties-uniform", 2)
 OVERLAP2 = DistributionSpec("overlap-bernoulli", 2, (0.6, 0.5))
+OVERLAP3 = DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3))
+
+# (dist, caps, n, delta, pipeline c0) of each pinned shape of trial records:
+# C4's at a small n, and the disjoint d=2 and overlap d=3 benchmark shapes
+RECORD_SHAPES = {
+    "c4": (D1, (10,), 2000, 1e-3, 1.5),
+    "disjoint-d2": (DISJOINT2, (2, 1), 500, 0.1, 1.0),
+    "overlap-d3": (OVERLAP3, (2, 2, 2), 300, 0.1, 1.0),
+}
+# sha256 of the records of every algorithm on each shape
+RECORDS_SHA256 = {
+    "c4": "34f9d27fac3cfc83e29ea88cf8ee18e2f701dda0419732d634d5c34a6dfac868",
+    "disjoint-d2": "f36481d0c3760116140f4bc66096756c20bc8e4c2a3afbdab0531dd33028a20f",
+    "overlap-d3": "c0c264af7a454a8161abc472e0086743111ff0ff5f8729081b19749df52ffb6c",
+}
 
 
 def grid_net(d, ts=(ABOVE, 0.7, 0.3, 0.0)):
@@ -127,6 +149,22 @@ def count_validated(monkeypatch):
 
     for mod in (core, matching, thresholds):
         monkeypatch.setattr(mod, "validate_items", counting)
+    return sizes
+
+
+def count_rule_passes(monkeypatch):
+    """Record the size of every full pass of the item rules: the work past
+    the return that spares an instance valid by construction."""
+    import screenmatch.core as core
+
+    sizes = []
+    real = core._item_rules
+
+    def counting(inst, spec):
+        sizes.append(inst.n)
+        return real(inst, spec)
+
+    monkeypatch.setattr(core, "_item_rules", counting)
     return sizes
 
 
@@ -294,32 +332,22 @@ class TestRunTrials:
         with pytest.raises(ConfigError, match="workers"):
             convergence_experiment(D1, ConstraintSpec((1,)), 10, 5, net, 1, workers=workers)
 
-    @pytest.mark.parametrize(
-        "algorithm, passes",
-        [
-            ("greedy", 1),
-            ("pipeline-exact-opt", 2),
-            ("policy-fixed", 1),
-        ],
-    )
-    def test_each_trial_checks_each_full_stream_once(self, monkeypatch, algorithm, passes):
-        # greedy checks its stream; the pipeline its stream and, in the learner,
-        # its train; policy-fixed its stream, even with a policy that keeps it all.
-        # Nothing else is checked: the solves of subsets of a stream skip the check
-        n, trials = 300, 3
+    @pytest.mark.parametrize("algorithm", ["greedy", "pipeline-exact-opt", "policy-fixed"])
+    def test_a_trial_makes_no_full_rule_pass(self, monkeypatch, algorithm):
+        # a trial checks only streams and trains it sampled, which are valid by
+        # construction; policy-fixed's policy keeps the whole stream
         policy = ThresholdsPolicy((0.0,)) if algorithm == "policy-fixed" else None
-        sizes = count_validated(monkeypatch)
+        sizes = count_rule_passes(monkeypatch)
         cfg = greedy_cfg(
-            spec=ConstraintSpec((3,)), n=n, trials=trials, algorithm=algorithm, policy=policy
+            spec=ConstraintSpec((3,)), n=300, trials=3, algorithm=algorithm, policy=policy
         )
         run_trials(cfg)
-        assert sizes.count(n) == passes * trials
-        assert len(sizes) == passes * trials
+        assert sizes == []
 
     def test_greedy_checks_per_trial_do_not_grow_with_the_solves(self, monkeypatch):
-        # the full-stream solve's check alone: the gated and final solves skip it
+        # no full rule pass at all: not the full-stream solve's, nor any gated solve's
         solves = count_gated_solves(monkeypatch)
-        sizes = count_validated(monkeypatch)
+        sizes = count_rule_passes(monkeypatch)
         passes = []
         for delta in (0.0, 0.5):
             solves.clear()
@@ -328,7 +356,27 @@ class TestRunTrials:
             run_trials(greedy_cfg(dist=OVERLAP2, spec=spec, n=300, trials=3, delta=delta))
             passes.append(len(sizes))
             assert len(solves) > 3 * 3
-        assert passes == [1 * 3, 1 * 3]
+        assert passes == [0, 0]
+
+    def test_entry_points_check_a_hand_built_stream_once(self, monkeypatch):
+        sizes = count_rule_passes(monkeypatch)
+        spec = ConstraintSpec((3,))
+        stream, train = (
+            Instance.from_values(sample_instance(D1, n, seed).values.copy())
+            for n, seed in ((50, 1), (40, 2))
+        )
+        calls = [
+            lambda: optimal_matching(stream, spec),
+            lambda: greedy_screen(stream, spec, 10),
+            lambda: learn_topm_thresholds(stream, spec, [5]),
+        ]
+        for call in calls:
+            sizes.clear()
+            call()
+            assert sizes == [50]
+        sizes.clear()
+        run_pipeline(train, stream, spec, PipelineConfig(0.1))
+        assert sorted(sizes) == [40, 50]
 
     @pytest.mark.parametrize(
         "dist, caps", [(D1, (3,)), (DISJOINT2, (2, 1))], ids=["d1", "disjoint-d2"]
@@ -585,3 +633,18 @@ class TestEmission:
         rows = [json.loads(line) for line in buf.getvalue().splitlines()]
         assert [r["trial"] for r in rows] == [0, 1, 2, 3]
         assert all(isinstance(r["success"], bool) for r in rows)
+
+    @pytest.mark.parametrize("shape", sorted(RECORD_SHAPES))
+    def test_trial_records_are_pinned(self, shape):
+        dist, caps, n, delta, c0 = RECORD_SHAPES[shape]
+        h = hashlib.sha256()
+        for algorithm in ALGORITHMS:
+            policy = ThresholdsPolicy((0.8,) * len(caps)) if algorithm == "policy-fixed" else None
+            cfg = greedy_cfg(
+                dist=dist, spec=ConstraintSpec(caps), n=n, delta=delta, trials=8,
+                algorithm=algorithm, c0=c0, policy=policy,
+            )
+            buf = io.StringIO()
+            write_records_jsonl(buf, run_trials(cfg).records)
+            h.update(buf.getvalue().encode())
+        assert h.hexdigest() == RECORDS_SHA256[shape]
