@@ -73,12 +73,11 @@ def _emit_json(obj, out: str | None) -> None:
         fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _parse_list(text: str, flag: str, kind: type) -> list:
+def _parse_ints(text: str, flag: str) -> list[int]:
     try:
-        return [kind(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError:
-        noun = "integers" if kind is int else "numbers"
-        raise ConfigError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
+        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _check_seed(seed: int, name: str) -> None:
@@ -151,7 +150,7 @@ def _cmd_learn(args) -> int:
     else:
         if args.m is None:
             raise ConfigError("--m is required with --method topm")
-        m = _parse_list(args.m, "--m", int)
+        m = _parse_ints(args.m, "--m")
         if len(m) == 1:
             m = m * spec.d
         policy = learn_topm_thresholds(train, spec, m)
@@ -182,11 +181,7 @@ def _cmd_pipeline(args) -> int:
     train = _read_file(args.train, read_instance)
     stream = _read_file(args.in_path, read_instance)
     spec = _read_file(args.spec, read_constraint_spec)
-    split = {}
-    if args.delta_split:
-        split["delta_split"] = tuple(_parse_list(args.delta_split, "--delta-split", float))
-    cfg = PipelineConfig(args.delta, args.c0, **split)
-    result = run_pipeline(train, stream, spec, cfg)
+    result = run_pipeline(train, stream, spec, PipelineConfig(args.delta, args.c0))
     _emit_json(result.to_json_obj(), args.out)
     _eprint(
         f"pipeline: retained {result.retained_final} (policy pass {result.retained_after_policy}),"
@@ -207,7 +202,8 @@ def _read_config(fh, source: str) -> dict:
     return _read_json(fh, source, "config", build)
 
 
-def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
+def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, str | None, int]:
+    """The run's config, then its CSV and records outputs and worker count."""
     file_cfg = _read_file(args.config, _read_config) if args.config else {}
 
     def pick(flag_value, key: str, default=None, kind: type = str):
@@ -245,7 +241,6 @@ def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
         algorithm=pick(args.algorithm, "algorithm", "greedy"),
         c0=pick(args.c0, "c0", 1.0, float),
         policy=policy,
-        out=pick(args.out, "out"),
     )
     workers = pick(args.workers, "workers", 1, int)
     try:
@@ -256,16 +251,16 @@ def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, int]:
         if args.config:
             raise ConfigError(f"{args.config}: {exc}") from exc
         raise
-    return cfg, pick(args.records, "records"), workers
+    return cfg, pick(args.out, "out"), pick(args.records, "records"), workers
 
 
 def _cmd_trials(args) -> int:
-    cfg, records_path, workers = _trials_config(args)
+    cfg, out, records_path, workers = _trials_config(args)
     stats = exp.run_trials(cfg, workers=workers)
     if records_path:
         with open(records_path, "w", encoding="utf-8") as fh:
             exp.write_records_jsonl(fh, stats.records)
-    with _open_out(cfg.out) as fh:
+    with _open_out(out) as fh:
         exp.write_aggregates_csv(fh, [exp.trial_stats_row(cfg, stats)])
     agg = stats.aggregates
     _eprint(
@@ -289,7 +284,7 @@ def _cmd_concentration(args) -> int:
 def _cmd_converge(args) -> int:
     dist = _read_file(args.dist, read_distribution_spec)
     spec = _read_file(args.spec, read_constraint_spec)
-    exp._check_dims(dist, spec)
+    exp._check_run(dist, spec, args.n, args.trials)
     train_n = args.train_n if args.train_n is not None else args.n
     train = sample_instance(dist, train_n, derive_seed(args.seed, "net-train", 0))
     net = quantile_policy_net(train, spec, args.n, max_net_size=args.max_net)
@@ -384,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact-opt",), default="exact-opt", help="accepts only exact-opt")
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--c0", type=float, default=1.0)
-    p.add_argument("--delta-split", default=None, help="three weights summing to 1")
     _add_common(p, seed=False)
     p.set_defaults(fn=_cmd_pipeline)
 

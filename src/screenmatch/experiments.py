@@ -89,6 +89,9 @@ _BLOCK = 256
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
+    """One ``run_trials`` run: what it samples, the algorithm it screens
+    with, and its parameters.  Where the results go is the caller's choice."""
+
     scenario: str
     dist: DistributionSpec
     spec: ConstraintSpec
@@ -99,15 +102,11 @@ class ExperimentConfig:
     algorithm: str = "greedy"
     c0: float = 1.0
     policy: ThresholdsPolicy | None = None
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.n, int) or self.n < self.spec.k:
-            raise ConfigError(f"n must be an integer >= k={self.spec.k}, got {self.n!r}")
+        _check_run(self.dist, self.spec, self.n, self.trials)
         if not (0.0 <= self.delta <= 1.0):
             raise ConfigError(f"delta must lie in [0, 1], got {self.delta!r}")
         if self.algorithm == "pipeline-exact-opt" and not (0.0 < self.delta < 1.0):
@@ -122,12 +121,17 @@ class ExperimentConfig:
                 )
         elif self.policy is not None:
             raise ConfigError(f"algorithm {self.algorithm!r} takes no fixed policy")
-        _check_dims(self.dist, self.spec)
 
 
-def _check_dims(dist: DistributionSpec, spec: ConstraintSpec) -> None:
-    """Refuse a distribution and a spec that disagree on d, before anything
-    is sampled: every experiment samples for the spec it solves."""
+def _check_run(dist: DistributionSpec, spec: ConstraintSpec, n: int, trials: int) -> None:
+    """The rule every experiment's run shares, checked before anything is
+    sampled: at least one trial, streams of at least k items, and a
+    distribution of the spec's d, since every experiment samples for the
+    spec it solves."""
+    if not isinstance(trials, int) or trials < 1:
+        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    if not isinstance(n, int) or n < spec.k:
+        raise ConfigError(f"n must be an integer >= k={spec.k}, got {n!r}")
     if dist.d != spec.d:
         raise ConfigError(f"distribution has d={dist.d} but spec has {spec.d} properties")
 
@@ -328,9 +332,7 @@ def concentration_experiment(
     """Sample the offline optimum ``trials`` times and tabulate tail mass
     beyond alpha(delta') = sqrt(2 k ln(2/delta')) against the sub-Gaussian
     bound 2 exp(-alpha^2 / 2k)."""
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
-    _check_dims(dist, spec)
+    _check_run(dist, spec, n, trials)
     _check_workers(workers)
     args = [(dist, spec, n, seed, s, e) for s, e in _split(trials, workers)]
     opts = np.concatenate(_map_blocks(_opt_block, args, workers))
@@ -465,15 +467,11 @@ def convergence_experiment(
     Each trial screens its stream through the whole net at once
     (``_net_stats``), for every shape of stream.
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    _check_run(dist, spec, n, trials)
     if not isinstance(calibration_factor, int) or calibration_factor < 1:
         raise ConfigError(
             f"calibration factor must be a positive integer, got {calibration_factor!r}"
         )
-    if not isinstance(n, int) or n < spec.k:
-        raise ConfigError(f"n must be an integer >= k={spec.k}, got {n!r}")
-    _check_dims(dist, spec)
     _check_workers(workers)
     if len(net) == 0:
         raise ConfigError("policy net is empty")

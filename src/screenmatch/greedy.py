@@ -150,8 +150,7 @@ def screen_entries(
     # a value below its property's low fails the exact check below: below the
     # floor on overlap streams, below a full heap's minimum on single-property ones
     lows = [-math.inf] * spec.d if single else _floors(held.reach, shift)
-    decided: dict[int, tuple[bool, float]] = {}  # index -> (retained, running) per decision
-    running = 0.0
+    runs: dict[int, float] = {}  # with trace: index -> the optimum's value once it is kept
     # blocks of k, 2k, 4k, ... arrivals from the first one past the warmup
     start, size = int(np.searchsorted(positions, warmup)), spec.k
     while start < len(entries):
@@ -170,22 +169,21 @@ def screen_entries(
                     continue
                 if len(heap) == spec.caps[p]:
                     lows[p] = heap[0][0]
-                if trace:
-                    # the heaps hold the optimum; fsum rounds exactly, as the solver's sum does
-                    running = math.fsum(e[0] for heap in heaps for e in heap)
             else:
                 if not any(v >= low for v, low in zip(row, lows)):
                     continue
-                # a rejected arrival leaves the optimum, and so the running value, unchanged
                 entry = (item_id, row, _weights(item_id, row, shift))
                 if not _path_step(held, entry, spec.caps):
-                    decided[i] = (False, running)
                     continue
                 lows = _floors(held.reach, shift)
-                if trace:
-                    running = math.fsum(y[1][p] for p, ys in enumerate(held) for y in ys)
             kept.append(i)
-            decided[i] = (True, running)
+            if trace:
+                # the heaps or M hold the optimum; fsum rounds exactly, as the solver's sum does
+                runs[i] = math.fsum(
+                    [e[0] for heap in heaps for e in heap]
+                    if single
+                    else [y[1][p] for p, ys in enumerate(held) for y in ys]
+                )
         start, size = start + size, 2 * size
     if single:
         best = _fill([[(i, v) for v, i in heap] for heap in heaps], spec.caps)
@@ -194,10 +192,11 @@ def screen_entries(
         best = _solve_assignment([i for i, _ in optimum], [row for _, row in optimum], spec)
     steps: list[TraceStep] | None = None
     if trace:
+        # a rejected arrival leaves the optimum, and so the running value, unchanged
         steps, running = [], 0.0
         for i, pos in enumerate(positions.tolist()):
-            retained, running = decided.get(i, (False, running))
-            steps.append(TraceStep(pos, pos, retained, running))
+            running = runs.get(i, running)
+            steps.append(TraceStep(pos, pos, i in runs, running))
     return kept, best, steps
 
 

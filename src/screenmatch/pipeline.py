@@ -6,9 +6,10 @@ The policy takes per-property top-(k + slack) thresholds, where the slack
 grows like sqrt(k log ...) so that with probability 1 - delta the filtered
 stream still contains a full-stream optimum.
 
-The failure budget delta is split across three sources (threshold
-coverage, retention-count convergence, greedy warmup); the warmup is
-counted in original stream positions, so filtering never shortens it.
+The failure budget delta is split in thirds across three sources
+(threshold coverage, retention-count convergence, greedy warmup); the
+warmup is counted in original stream positions, so filtering never
+shortens it.
 """
 
 from __future__ import annotations
@@ -32,31 +33,20 @@ __all__ = ["PipelineConfig", "PipelineResult", "run_pipeline"]
 
 @dataclass(frozen=True, slots=True)
 class PipelineConfig:
-    """Failure budget, slack constant, and the delta split.
+    """Failure budget and slack constant.
 
-    ``delta_split`` weights the budget across (threshold coverage,
-    convergence, greedy warmup); it must be nonnegative and sum to 1, and
-    the convergence weight, which the slack spends, must be positive.  The
-    coverage weight is checked but not yet spent: no learner takes a
-    coverage budget.
+    ``run_pipeline`` gives the slack's convergence and the greedy warmup a
+    third of ``delta`` each.  The coverage third is reserved: no learner
+    takes a coverage budget, so none spends it yet.
     """
 
     delta: float
     c0: float = 1.0
-    delta_split: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta!r}")
         _check_c0(self.c0)
-        # written so that a NaN weight fails both tests
-        if len(self.delta_split) != 3 or not all(w >= 0.0 for w in self.delta_split):
-            raise ConfigError(f"delta_split needs three nonnegative weights, got {self.delta_split}")
-        if not abs(sum(self.delta_split) - 1.0) <= 1e-12:
-            raise ConfigError(f"delta_split must sum to 1, got {self.delta_split}")
-        # the slack's budget delta * weight, which a subnormal weight can underflow
-        if not self.delta * self.delta_split[1] > 0.0:
-            raise ConfigError(f"delta_split leaves the convergence no budget, got {self.delta_split}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,15 +81,19 @@ def run_pipeline(
     ``stream`` is checked here, once: the full-stream solve skips the
     check.  ``train`` is checked by the learner.  A trial's sampled train
     and stream are valid by construction, so neither check costs it a pass.
+
+    The slack and the warmup each spend a third of ``cfg.delta``; the
+    coverage third is reserved (see ``PipelineConfig``).
     """
     require_valid(validate_instance(stream, spec), "stream")
 
     n, k = stream.n, spec.k
-    _, w_conv, w_warm = cfg.delta_split
-    slack = retention_slack(k, spec.d, max(n, k + 1), cfg.delta * w_conv, cfg.c0)
+    # delta * (1 / 3), not delta / 3: the two can differ in the last bit
+    third = cfg.delta * (1 / 3)
+    slack = retention_slack(k, spec.d, max(n, k + 1), third, cfg.c0)
     policy = learn_topm_thresholds(train, spec, [k + slack] * spec.d)
 
-    warmup = warmup_length(n, k, cfg.delta * w_warm)
+    warmup = warmup_length(n, k, third)
     survivors, _ = screen_with_policy(policy, stream)
     entries = Arrivals(survivors.ids, survivors.columns(spec.d))
     kept, final, _ = screen_entries(entries, spec, warmup)

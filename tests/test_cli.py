@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -15,7 +16,7 @@ from screenmatch import (
     write_constraint_spec,
     write_distribution_spec,
 )
-from screenmatch.cli import DEFAULT_SEED, run_cli
+from screenmatch.cli import DEFAULT_SEED, build_parser, run_cli
 
 
 @pytest.fixture
@@ -211,6 +212,17 @@ class TestExperimentCommands:
         header, row = csv_out.read_text().splitlines()
         assert row.split(",")[1] == "80"  # flag beats config file
 
+    def test_trials_config_names_the_csv_output(self, files, capsys):
+        tmp, dist, spec = files
+        cfg, csv_out = tmp / "cfg.json", tmp / "agg.csv"
+        keys = {"dist": dist, "spec": spec, "n": 50, "trials": 5, "out": str(csv_out)}
+        cfg.write_text(json.dumps(keys))
+        capsys.readouterr()
+        assert run(["trials", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        header, row = csv_out.read_text().splitlines()
+        assert header.startswith("scenario,n,") and row.split(",")[1] == "50"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -287,6 +299,15 @@ class TestExperimentCommands:
         argv = ["converge", "--dist", dist, "--spec", str(spec), "--n", "1", "--trials", "3"]
         assert run(argv + ["--out", str(tmp / "o")]) == 1
         assert capsys.readouterr().err == "error: n must be an integer >= k=100, got 1\n"
+
+    @pytest.mark.parametrize("command", ["trials", "concentration", "converge"])
+    def test_n_below_k_is_one(self, files, capsys, command):
+        # every experiment refuses it before a trial runs, concentration included
+        tmp, dist, spec = files
+        argv = [command, "--dist", dist, "--spec", spec, "--n", "0", "--trials", "5"]
+        assert run(argv + ["--out", str(tmp / "o")]) == 1
+        assert capsys.readouterr().err == "error: n must be an integer >= k=3, got 0\n"
+        assert not (tmp / "o").exists()
 
     @pytest.mark.parametrize("command", ["concentration", "converge"])
     @pytest.mark.parametrize(
@@ -574,18 +595,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and "c0" in err
         assert "Traceback" not in err
 
-    def test_zero_convergence_weight_is_one_and_names_delta_split(self, files, capsys):
+    def test_delta_split_is_a_usage_error(self, files, capsys):
+        # the pipeline splits delta in thirds; no flag weights them
         tmp, dist, spec = files
         stream = tmp / "s.jsonl"
         run(["gen", "--dist", dist, "--n", "20", "--out", str(stream)])
         argv = ["pipeline", "--train", str(stream), "--in", str(stream), "--spec", spec]
-        argv += ["--out", str(tmp / "o"), "--delta-split"]
+        argv += ["--out", str(tmp / "o")]
         capsys.readouterr()
-        assert run(argv + ["0.5,0,0.5"]) == 1
-        assert capsys.readouterr().err.startswith("error: delta_split leaves the convergence no budget")
-        # a coverage or warmup weight of 0 leaves the slack its budget
-        assert run(argv + ["0,0.5,0.5"]) == 0
-        assert run(argv + ["0.5,0.5,0"]) == 0
+        assert run(argv + ["--delta-split", "0.5,0,0.5"]) == 2
+        assert "--delta-split" in capsys.readouterr().err
+        assert run(argv) == 0
 
     @pytest.mark.parametrize(
         "text, err",
@@ -687,3 +707,14 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
     for name, body in files.items():
         (tmp_path / name).write_text(body)
     assert [(argv, run(argv)) for argv in commands] == [(argv, 0) for argv in commands]
+
+
+def test_readme_flags_exist():
+    # a flag the README names, outside its pip lines, is some subcommand's
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for line in text.splitlines() if not line.lstrip().startswith("pip ")]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    known = {flag for p in sub.choices.values() for a in p._actions for flag in a.option_strings}
+    assert "--delta" in named and "--no-build-isolation" not in named
+    assert sorted(named - known) == []

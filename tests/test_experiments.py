@@ -496,6 +496,10 @@ class TestConcentration:
         with pytest.raises(ConfigError):
             concentration_experiment(D1, ConstraintSpec((1,)), 5, 0, 1)
 
+    def test_n_below_k_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^n must be an integer >= k=3, got 2$"):
+            concentration_experiment(D1, ConstraintSpec((3,)), 2, 5, 1)
+
 
 class TestConvergence:
     def _uniform_train(self, n, seed):

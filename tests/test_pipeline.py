@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,11 +14,15 @@ from screenmatch import (
     PipelineConfig,
     derive_seed,
     greedy_screen,
+    learn_topm_thresholds,
     optimal_matching,
+    retention_slack,
     run_pipeline,
     sample_instance,
+    screen_with_policy,
     warmup_length,
 )
+from screenmatch.greedy import Arrivals, screen_entries
 
 from helpers import rand_instance
 
@@ -31,27 +36,45 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(delta)
 
-    def test_split_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(0.1, delta_split=(0.5, 0.5, 0.5))
-        with pytest.raises(ConfigError):
-            PipelineConfig(0.1, delta_split=(-0.1, 0.6, 0.5))
-        with pytest.raises(ConfigError):
-            PipelineConfig(0.1, delta_split=(math.nan, 0.5, 0.5))
-        PipelineConfig(0.1, delta_split=(0.5, 0.25, 0.25))
+    def test_fields_are_delta_and_c0(self):
+        # the budget splits in fixed thirds, so no field weights it
+        assert [f.name for f in dataclasses.fields(PipelineConfig)] == ["delta", "c0"]
+        with pytest.raises(TypeError):
+            PipelineConfig(0.1, delta_split=(0.5, 0.25, 0.25))
 
     def test_negative_c0(self):
         with pytest.raises(ConfigError):
             PipelineConfig(0.1, c0=-1.0)
 
-    def test_zero_convergence_weight_is_refused(self):
-        for split in ((0.5, 0.0, 0.5), (0.5, 5e-324, 0.5)):
-            with pytest.raises(ConfigError, match="delta_split"):
-                PipelineConfig(0.1, delta_split=split)
-        # the slack spends only the convergence weight
-        for split in ((0.0, 0.5, 0.5), (0.5, 0.5, 0.0)):
-            cfg = PipelineConfig(0.1, delta_split=split)
-            assert run_pipeline(TWO_ITEMS, TWO_ITEMS, SPEC_11, cfg).optimal_vs_fullstream
+    def test_slack_and_warmup_each_spend_a_third(self, monkeypatch):
+        # delta * (1 / 3), the product the pipeline takes, not delta / 3
+        dist = DistributionSpec("overlap-bernoulli", 2, (0.6, 0.5))
+        spec, n, delta, c0 = ConstraintSpec((2, 1)), 2000, 0.9, 1.0
+        train, stream = (sample_instance(dist, n, seed) for seed in (31, 32))
+        third = delta * (1 / 3)
+        slack = retention_slack(spec.k, spec.d, n, third, c0)
+        warmup = warmup_length(n, spec.k, third)
+        assert slack > 0 and warmup > 0
+        passes = []
+
+        def keeping(entries, spec, warmup, trace=False):
+            out = screen_entries(entries, spec, warmup, trace)
+            passes.append((entries, warmup, out[0]))
+            return out
+
+        monkeypatch.setattr("screenmatch.pipeline.screen_entries", keeping)
+        result = run_pipeline(train, stream, spec, PipelineConfig(delta, c0))
+        policy = learn_topm_thresholds(train, spec, [spec.k + slack] * spec.d)
+        assert result.policy == policy
+        survivors, _ = screen_with_policy(policy, stream)
+        kept, final, _ = screen_entries(
+            Arrivals(survivors.ids, survivors.columns(spec.d)), spec, warmup
+        )
+        ((entries, used, seen),) = passes
+        assert used == warmup
+        assert np.array_equal(entries.pos, survivors.ids)
+        assert seen == kept and result.retained_final == len(kept)
+        assert result.final_solution == final
 
 
 class TestSpecExamples:
