@@ -9,22 +9,23 @@ results in index order, so block boundaries never show in the output.
 ``convergence_experiment`` sums its calibration statistics per block, so
 it keeps blocks of a fixed size.
 
-Workers are forked once per process and reused: the first call that needs
-more than one worker starts the pool, later calls share it, and only a
-call that needs more workers than it has replaces it, as does a call that
-finds a worker of it dead.  The pool's size never shapes the blocks, so it
-never shows in the output either.
+With W workers the calling process works one block itself, and W - 1
+helper processes take the rest, each over one pipe, with no thread in the
+caller.  Helpers are forked once per process and reused: the first call
+that needs them forks them, later calls share them, and only a call that
+needs more helpers than there are replaces them, as does a call that
+finds one of them dead.  How many helpers there are never shapes the
+blocks, so it never shows in the output either.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import signal
 from dataclasses import asdict, dataclass
-from multiprocessing.connection import wait
 from typing import IO, Sequence
 
 import numpy as np
@@ -83,7 +84,7 @@ CSV_COLUMNS = (
 DELTA_PRIME_GRID = (0.2, 0.1, 0.05, 0.01)
 
 # convergence sums its statistics per block, so its floats depend on the
-# block boundaries: they stay fixed whatever the pool size
+# block boundaries: they stay fixed whatever the number of helpers
 _BLOCK = 256
 
 
@@ -220,47 +221,132 @@ def _split(total: int, workers: int) -> list[tuple[int, int]]:
     return _blocks(total, -(-total // workers))
 
 
-# this process's worker pool: (pid that forked it, its size, the executor)
-_pool: tuple[int, int, ProcessPoolExecutor] | None = None
+# this process's helpers: (pid that forked them, [(process, caller's pipe end), ...])
+_pool: tuple[int, list] | None = None
+
+
+def _run_blocks(fn, blocks: list) -> tuple[list, Exception | None]:
+    """``fn`` over ``blocks`` in order, up to the first that raises: the
+    results so far, and that exception or None."""
+    done = []
+    try:
+        for a in blocks:
+            done.append(fn(a))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _helper(conn, caller_ends: list, parent: int) -> None:
+    """A helper's loop: each (fn, blocks) message gets one ``_run_blocks``
+    reply.  It exits on EOF, on a stop message (None), or once ``parent``
+    is gone.  It first closes the caller's pipe ends the fork gave it, so
+    that the caller's exit shows every helper EOF."""
+    for end in caller_ends:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    while True:
+        while not conn.poll(1.0):
+            if os.getppid() != parent:
+                return
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        try:
+            conn.send(_run_blocks(*message))
+        except OSError:  # the caller is gone
+            return
+
+
+def _fork_helper(older: list) -> tuple:
+    """Fork one helper: its process, and the caller's end of its pipe.
+    ``older`` holds the caller's ends of the helpers forked before it."""
+    import multiprocessing  # only a run that forks pays for the import
+
+    ctx = multiprocessing.get_context("fork")
+    mine, theirs = ctx.Pipe()
+    proc = ctx.Process(target=_helper, args=(theirs, [*older, mine], os.getpid()), daemon=True)
+    proc.start()
+    theirs.close()
+    return proc, mine
 
 
 def _drop_pool() -> None:
-    """Shut this process's pool down and forget it; a forked child only
-    forgets the pool it inherited, whose workers are its parent's."""
+    """Stop this process's helpers and forget them; a forked child only
+    forgets the helpers it inherited, which are its parent's."""
     global _pool
     if _pool is not None and _pool[0] == os.getpid():
-        _pool[2].shutdown(wait=True)
+        for _, conn in _pool[1]:
+            with contextlib.suppress(OSError):  # a dead helper's pipe is broken
+                conn.send(None)
+            conn.close()
+        for proc, _ in _pool[1]:
+            proc.join(5.0)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
     _pool = None
 
 
-def _broken(executor: ProcessPoolExecutor) -> bool:
-    """True when a worker of ``executor`` has exited, though the executor
-    may not have noticed yet: a pool whose worker died while it was idle."""
-    sentinels = [p.sentinel for p in executor._processes.values()]
-    return bool(executor._broken or wait(sentinels, timeout=0))
+def _helpers(need: int) -> list:
+    """At least ``need`` live helpers of this process, forked if it has
+    fewer.  A helper never writes unasked, so a pipe with something to
+    read between calls is the EOF of a dead helper."""
+    global _pool
+    if (
+        _pool is None
+        or _pool[0] != os.getpid()
+        or len(_pool[1]) < need
+        or any(conn.poll() for _, conn in _pool[1])
+    ):
+        _drop_pool()
+        helpers: list = []
+        for _ in range(need):
+            helpers.append(_fork_helper([conn for _, conn in helpers]))
+        _pool = (os.getpid(), helpers)
+    return _pool[1]
 
 
 def _map_blocks(fn, args_list: list, workers: int) -> list:
-    """``fn`` over ``args_list`` in order, on this process's pool of workers.
+    """``fn`` over ``args_list`` in order, on this process and its helpers.
 
-    The pool outlives the call.  Interpreter exit shuts it down through
-    ``concurrent.futures``' own hook.
+    With s = min(workers, blocks), the caller runs blocks 0, s, 2s, ...
+    itself while helper j runs blocks j, j + s, ...: one message out and
+    one back per helper.  The helpers outlive the call; as daemons, they
+    are stopped by ``multiprocessing``'s own exit hook.  A helper that dies
+    during a call fails it with ``BrokenProcessPool``, and the next call
+    forks afresh.  A block's exception is raised once every reply is read.
     """
-    global _pool
     if workers == 1 or len(args_list) == 1:
         return [fn(a) for a in args_list]
-    # fork starts every worker at once, so never ask for more than there are blocks
-    size = min(workers, len(args_list))
-    if _pool is None or _pool[0] != os.getpid() or _pool[1] < size or _broken(_pool[2]):
-        # the old pool goes first, so no fork runs while its manager thread is live
-        _drop_pool()
-        _pool = (os.getpid(), size, ProcessPoolExecutor(max_workers=size))
+    s = min(workers, len(args_list))
+    helpers = _helpers(s - 1)[: s - 1]
+    in_step = False
     try:
-        return list(_pool[2].map(fn, args_list))
-    except BrokenProcessPool:
-        # a worker died during this call, so it fails; the next one forks a fresh pool
-        _drop_pool()
-        raise
+        for j, (_, conn) in enumerate(helpers, 1):
+            conn.send((fn, args_list[j::s]))
+        outcomes = [_run_blocks(fn, args_list[::s])]
+        outcomes += [conn.recv() for _, conn in helpers]
+        in_step = True
+    except (OSError, EOFError) as exc:
+        from concurrent.futures.process import BrokenProcessPool
+
+        raise BrokenProcessPool("a helper process died during the call") from exc
+    finally:
+        if not in_step:  # helpers may still be at work: none of them is reused
+            for proc, _ in helpers:
+                proc.kill()
+            _drop_pool()
+    out = []
+    for b in range(len(args_list)):
+        done, exc = outcomes[b % s]
+        if b // s == len(done):
+            raise exc
+        out.append(done[b // s])
+    return out
 
 
 def run_trials(cfg: ExperimentConfig, workers: int = 1) -> TrialStats:

@@ -251,16 +251,16 @@ def optimal_matching(items: Sequence[Item] | Instance, spec: ConstraintSpec) -> 
 def _solve(inst: Instance, spec: ConstraintSpec) -> Solution:
     """``optimal_matching`` without the item check, for an instance an entry
     point has already checked."""
-    k = spec.k
+    k, n = spec.k, inst.n
     values = inst.columns(spec.d)
-    # the pool: rows in the top k of some property by (value, id)
-    pooled = np.zeros(inst.n, dtype=bool)
-    for col in values.T:
-        owners = np.flatnonzero(col == col)
-        if owners.size > k:
-            owned = col[owners]
-            cut = owners.size - k
-            owners = owners[owned >= np.partition(owned, cut)[cut]]
+    # the pool: rows in the top k of some property by (value, id).  A row
+    # lacking p reads -1 in its column, below every value, so the k-th
+    # largest entry is the k-th owner's value, or -1 when there are fewer
+    pooled = np.zeros(n, dtype=bool)
+    for col in np.fmax(values.T, -1.0, order="C"):
+        floor = max(np.partition(col, n - k)[n - k], 0.0) if n > k else 0.0
+        owners = np.flatnonzero(col >= floor)
+        if owners.size > k:  # a tie at the k-th value
             owners = owners[np.lexsort((inst.ids[owners], col[owners]))[-k:]]
         pooled[owners] = True
     pool = np.flatnonzero(pooled)

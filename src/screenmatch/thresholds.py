@@ -140,7 +140,8 @@ def learn_optimal_thresholds(train: Instance, spec: ConstraintSpec) -> Threshold
 
 
 def _owned_values(train: Instance, d: int) -> list[np.ndarray]:
-    """Per property, the values of the items possessing it."""
+    """Per property, the values of the items possessing it, in new arrays
+    the caller may reorder."""
     return [col[col == col] for col in train.columns(d).T]
 
 
@@ -157,7 +158,11 @@ def learn_topm_thresholds(
     out = []
     for vals, rank in zip(_owned_values(train, spec.d), m):
         cut = vals.size - rank
-        out.append(float(np.partition(vals, cut)[cut]) if cut >= 0 else 0.0)
+        if cut < 0:
+            out.append(0.0)
+        else:
+            vals.partition(cut)  # in place: ``_owned_values`` hands back copies
+            out.append(float(vals[cut]))
     return ThresholdsPolicy(tuple(out))
 
 

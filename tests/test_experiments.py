@@ -6,7 +6,9 @@ import json
 import math
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
+import subprocess
+import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -69,44 +71,81 @@ def grid_net(d, ts=(ABOVE, 0.7, 0.3, 0.0)):
     return [ThresholdsPolicy(t) for t in itertools.product(ts, repeat=d)]
 
 
-def fake_pool(monkeypatch):
-    """Run pool work in this process; returns the (max_workers, blocks) of each
-    pool map.  Any cached pool goes first, and the fake one goes with the patch."""
-    import screenmatch.experiments as mod
+class _InProcessHelper:
+    """A stand-in for a forked helper that runs its blocks in this process
+    when its reply is read."""
 
-    mod._drop_pool()
-    monkeypatch.setattr(mod, "_pool", None)
-    pools = []
+    exitcode = 0
 
-    class FakePool:
-        _broken, _processes = False, {}  # no worker ever dies
+    def __init__(self, sent):
+        self.sent, self.message = sent, None
 
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
+    def send(self, message):
+        if message is not None:
+            self.sent.append([a[-2:] for a in message[1]])
+        self.message = message
 
-        def shutdown(self, wait=True):
-            pass
+    def recv(self):
+        return experiments._run_blocks(*self.message)
 
-        def map(self, fn, args_list):
-            pools.append((self.max_workers, [a[-2:] for a in args_list]))
-            return map(fn, args_list)
+    def poll(self):
+        return False  # it never dies
 
-    monkeypatch.setattr(mod, "ProcessPoolExecutor", FakePool)
-    return pools
+    def close(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
 
 
-def count_pools(monkeypatch):
-    """Start from no pool; returns the size of every pool started after."""
+def count_forks(monkeypatch, fork=None):
+    """Start from no helpers; returns the size of every helper set forked
+    after, one entry per set.  ``fork`` stands in for the real fork."""
     experiments._drop_pool()
-    started = []
+    sets = []
+    real = fork or experiments._fork_helper
 
-    class Counting(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def counting(older):
+        if older:
+            sets[-1] += 1
+        else:
+            sets.append(1)
+        return real(older)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Counting)
-    return started
+    monkeypatch.setattr(experiments, "_fork_helper", counting)
+    return sets
+
+
+def fake_helpers(monkeypatch):
+    """Run helper work in this process; returns the (start, stop) of every
+    block each message hands a helper, and the sizes of the helper sets
+    forked.  The fakes go with the patch."""
+    sent = []
+
+    def fork(older):
+        helper = _InProcessHelper(sent)
+        return helper, helper
+
+    sets = count_forks(monkeypatch, fork)
+    monkeypatch.setattr(experiments, "_pool", None)
+    return sent, sets
+
+
+def record_blocks(monkeypatch):
+    """Record the (start, stop) of every trial block run in this process."""
+    ran = []
+    real = experiments._trial_block
+
+    def recording(args):
+        ran.append(args[-2:])
+        return real(args)
+
+    monkeypatch.setattr(experiments, "_trial_block", recording)
+    return ran
+
+
+def _helper_pids():
+    return [proc.pid for proc, _ in experiments._pool[1]]
 
 
 def _die_in_worker(parent_pid):
@@ -116,6 +155,26 @@ def _die_in_worker(parent_pid):
 
 def _worker_pid(_):
     return os.getpid()
+
+
+def _raise_in_block(b):
+    if b:
+        raise ValueError(f"block {b} in {os.getpid()}")
+    return b
+
+
+def _gone(pid):
+    """True once ``pid`` has exited: no such process, or a zombie that no
+    one has reaped yet."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
 
 
 def count_gated_solves(monkeypatch):
@@ -244,7 +303,7 @@ class TestRunTrials:
         assert stats.aggregates.std_retained == 0.0
 
     def test_worker_count_does_not_change_results(self):
-        # 2 -> 3 -> 2 forks a pool, replaces it with a bigger one, then reuses that
+        # 2 -> 3 -> 2 forks one helper, replaces it with two, then reuses those
         counts = (1, 2, 3, 2)
         for trials in (7, 40):
             cfg = greedy_cfg(n=60, trials=trials)
@@ -266,61 +325,108 @@ class TestRunTrials:
                 assert all(c == convs[0] for c in convs)
 
     def test_a_later_call_reuses_the_pool(self, monkeypatch):
-        started = count_pools(monkeypatch)
+        started = count_forks(monkeypatch)
         cfg = greedy_cfg(n=60, trials=7)
         first = run_trials(cfg, workers=2)
-        pool = experiments._pool[2]
+        helpers = experiments._pool[1]
         assert run_trials(cfg, workers=2) == first
         concentration_experiment(D1, ConstraintSpec((2,)), 30, 7, 5, workers=2)
-        assert started == [2]
-        assert experiments._pool[2] is pool
+        assert started == [1]
+        assert experiments._pool[1] is helpers
 
     def test_a_call_needing_more_workers_replaces_the_pool(self, monkeypatch):
-        started = count_pools(monkeypatch)
+        started = count_forks(monkeypatch)
         cfg = greedy_cfg(n=60, trials=7)
         run_trials(cfg, workers=2)
-        small = experiments._pool[2]
+        (small, _), = experiments._pool[1]
         assert run_trials(cfg, workers=3) == run_trials(cfg)
-        assert started == [2, 3]
-        with pytest.raises(RuntimeError, match="shutdown"):
-            small.submit(abs, -1)
-        # a smaller need keeps the bigger pool
+        assert started == [1, 2]
+        small.join(10.0)
+        assert small.exitcode == 0  # stopped, not killed
+        # a smaller need keeps the bigger set
         run_trials(cfg, workers=2)
-        assert started == [2, 3]
+        assert started == [1, 2]
 
     def test_a_killed_worker_fails_its_call_only(self, monkeypatch):
-        started = count_pools(monkeypatch)
+        started = count_forks(monkeypatch)
         cfg = greedy_cfg(n=60, trials=7)
         run_trials(cfg, workers=2)
         with pytest.raises(BrokenProcessPool):
             experiments._map_blocks(_die_in_worker, [os.getpid()] * 2, 2)
         assert experiments._pool is None
         assert run_trials(cfg, workers=2) == run_trials(cfg)
-        assert started == [2, 2]
+        assert started == [1, 1]
 
     def test_an_idle_worker_death_spares_the_next_call(self, monkeypatch):
-        started = count_pools(monkeypatch)
+        started = count_forks(monkeypatch)
         cfg = greedy_cfg(n=60, trials=7)
         run_trials(cfg, workers=2)
-        pid = experiments._map_blocks(_worker_pid, [0, 1], 2)[0]
+        # the caller works block 0 itself, and the helper block 1
+        caller, pid = experiments._map_blocks(_worker_pid, [0, 1], 2)
+        assert caller == os.getpid() and _helper_pids() == [pid]
         os.kill(pid, signal.SIGKILL)
-        # wait for the exit, without reaping it from the pool
-        with contextlib.suppress(ChildProcessError):  # the pool reaped it first
+        # wait for the exit, without reaping it
+        with contextlib.suppress(ChildProcessError):  # reaped already
             os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         assert run_trials(cfg, workers=2) == run_trials(cfg)
-        assert started == [2, 2]
+        assert started == [1, 1]
+
+    def test_a_block_raising_in_a_helper_fails_its_call_only(self, monkeypatch):
+        started = count_forks(monkeypatch)
+        cfg = greedy_cfg(n=60, trials=7)
+        run_trials(cfg, workers=2)
+        with pytest.raises(ValueError, match=f"block 1 in {_helper_pids()[0]}"):
+            experiments._map_blocks(_raise_in_block, [0, 1], 2)
+        # the same helper, its pipe still in step
+        assert run_trials(cfg, workers=2) == run_trials(cfg)
+        assert started == [1]
 
     def test_blocks_follow_the_worker_count(self, monkeypatch):
-        pools = fake_pool(monkeypatch)
+        sent, started = fake_helpers(monkeypatch)
+        ran = record_blocks(monkeypatch)
         cfg = greedy_cfg(n=60, trials=7)
         assert run_trials(cfg, workers=2) == run_trials(cfg)
-        assert pools == [(2, [(0, 4), (4, 7)])]
+        # the caller works (0, 4) before it reads the helper's (4, 7)
+        assert started == [1] and sent == [[(4, 7)]]
+        assert ran == [(0, 4), (4, 7), (0, 7)]
 
     def test_pool_never_outnumbers_the_blocks(self, monkeypatch):
-        pools = fake_pool(monkeypatch)
+        sent, started = fake_helpers(monkeypatch)
         run_trials(greedy_cfg(n=60, trials=3), workers=64)
         concentration_experiment(D1, ConstraintSpec((1,)), 5, 3, 1, workers=64)
-        assert pools == [(3, [(0, 1), (1, 2), (2, 3)])] * 2
+        assert started == [2]
+        assert sent == [[(1, 2)], [(2, 3)]] * 2
+
+    def test_helpers_go_with_their_parent(self, tmp_path):
+        # a run at 3 workers prints its helpers' pids, then exits or is
+        # killed while they idle; either way no helper outlives it
+        script = (
+            "import os, signal, sys\n"
+            "import screenmatch.experiments as ex\n"
+            "from screenmatch import ConstraintSpec, DistributionSpec, run_trials\n"
+            "cfg = ex.ExperimentConfig('unit', DistributionSpec('single-property-uniform', 1),"
+            " ConstraintSpec((2,)), 60, 0.1, 7, 7)\n"
+            "run_trials(cfg, workers=3)\n"
+            "print(*(proc.pid for proc, _ in ex._pool[1]), flush=True)\n"
+            "if sys.argv[1] == 'kill':\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for mode, code in (("exit", 0), ("kill", -signal.SIGKILL)):
+            # the helpers hold the child's stdout, so a helper that stays
+            # makes the run time out instead of returning
+            done = subprocess.run(
+                [sys.executable, "-c", script, mode],
+                stdout=subprocess.PIPE, env=env, timeout=60, cwd=tmp_path,
+            )
+            assert done.returncode == code
+            pids = [int(p) for p in done.stdout.split()]
+            assert len(pids) == 2
+            deadline = time.monotonic() + 10.0
+            while not all(map(_gone, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert all(map(_gone, pids)), mode
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):

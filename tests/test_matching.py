@@ -122,6 +122,34 @@ class TestOracleEquivalence:
             unpruned = reference_assignment(inst.ids.tolist(), inst.columns(d).tolist(), spec)
             assert optimal_matching(items, spec) == unpruned
 
+    def test_pool_cut_matches_the_oracle(self):
+        # the pool's cut at each property's k-th value: ties at it, 0.0 and
+        # -0.0 at it, a property no row owns, and columns of at most k rows
+        rng = np.random.default_rng(1902)
+        grid = (0.0, -0.0, 0.5, 0.5, 1.0)
+        seen = {"tie": 0, "unowned": 0, "short": 0}
+        for t in range(400):
+            d = int(rng.integers(1, 4))
+            spec = rand_spec(rng, d_max=d, k_max=5)
+            while spec.d != d:
+                spec = rand_spec(rng, d_max=d, k_max=5)
+            n = int(rng.integers(0, 11))
+            values = rng.choice(grid, size=(n, d))
+            values[rng.random((n, d)) < 0.3] = np.nan
+            owners = list(range(d))
+            if d > 1 and t % 3 == 0:
+                values[:, owners.pop(int(rng.integers(d)))] = np.nan
+            for r in np.flatnonzero(np.isnan(values).all(axis=1)):
+                values[r, owners[int(rng.integers(len(owners)))]] = rng.choice(grid)
+            inst = Instance.from_values(values)
+            assert optimal_matching(inst, spec) == brute_force_matching(inst.items, spec)
+            for col in values.T:
+                owned = np.sort(col[col == col])[::-1]
+                seen["unowned"] += owned.size == 0
+                seen["short"] += 0 < owned.size <= spec.k
+                seen["tie"] += owned.size > spec.k and owned[spec.k] == owned[spec.k - 1]
+        assert all(seen.values()), seen
+
     def test_path_insertion_matches_the_hungarian_reference(self):
         # assignments and value bits past the brute-force guard: uniform,
         # tie-heavy and extreme values, every other pool on sparse ids

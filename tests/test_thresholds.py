@@ -195,6 +195,21 @@ class TestLearnTopM:
                 have = sum(1 for item in train if p in item.props)
                 assert stats.per_property[p] >= min(m[p], have)
 
+    def test_threshold_is_the_mth_largest_on_ties_and_zeros(self):
+        rng = np.random.default_rng(6)
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            values = rng.choice((0.0, -0.0, 0.25, 0.5, 0.5, 1.0), size=(30, d))
+            values[rng.random((30, d)) < 0.3] = np.nan
+            values[np.isnan(values).all(axis=1), 0] = 0.0
+            m = [int(x) for x in rng.integers(1, 35, size=d)]
+            policy = learn_topm_thresholds(
+                Instance.from_values(values), ConstraintSpec((1,) * d), m
+            )
+            for p in range(d):
+                owned = sorted(values[values[:, p] == values[:, p], p], reverse=True)
+                assert policy.t[p] == (owned[m[p] - 1] if m[p] <= len(owned) else 0.0)
+
     def test_m_validated(self):
         with pytest.raises(ConfigError):
             learn_topm_thresholds(TWO_ITEMS, SPEC_11, [1])
