@@ -561,17 +561,30 @@ def require_valid(violations: Sequence[Violation], what: str) -> None:
 
 
 def write_instance(inst: Instance, fh: IO[str]) -> None:
-    """One JSON object per line: {"id": ..., "props": [[p, v], ...]}."""
+    """One JSON object per line: {"id": ..., "props": [[p, v], ...]}, pairs
+    in ascending property order and values as ".17g".
+
+    The file is formatted in one pass: one printf template per record, by
+    its pair count, joined and applied once to the interleaved (id,
+    property, value, ...) fields.  ``%.17g`` is ``format(v, ".17g")``.
+    """
     rows, props, vals, _ = inst.entries()
     order = np.lexsort((props, rows))
-    pairs = [f"[{p}, {v:.17g}]" for p, v in zip(props[order].tolist(), vals[order].tolist())]
-    lines = []
-    at = 0
-    for i, count in zip(inst.ids.tolist(), np.bincount(rows, minlength=inst.n).tolist()):
-        lines.append(f'{{"id": {i}, "props": [{", ".join(pairs[at:at + count])}]}}\n')
-        at += count
+    counts = np.bincount(rows, minlength=inst.n)
+    # in text order: each record's id, then its pairs' properties and values
+    fields = np.empty(inst.n + 2 * len(rows), dtype=object)
+    at_id = np.arange(inst.n) + 2 * (np.cumsum(counts) - counts)
+    at_pair = rows[order] + 1 + 2 * np.arange(len(rows))
+    fields[at_id] = inst.ids
+    fields[at_pair] = props[order]
+    fields[at_pair + 1] = vals[order]
+    template = {
+        c: '{"id": %d, "props": [' + ", ".join(["[%d, %.17g]"] * c) + "]}\n"
+        for c in np.unique(counts).tolist()
+    }
+    text = "".join(map(template.__getitem__, counts.tolist())) % tuple(fields.tolist())
     # ".17g" round-trips every double, but JSON reads "-0" as the integer 0
-    fh.write("".join(lines).replace(", -0]", ", -0.0]"))
+    fh.write(text.replace(", -0]", ", -0.0]"))
 
 
 def _writer_form(atomic: bytes) -> re.Pattern:
@@ -599,31 +612,70 @@ _WRITER_FORM = _writer_form(b"+" if sys.version_info >= (3, 11) else b"")
 _NUMBER_BYTES = bytes(b if chr(b) in "0123456789.e+-" else 32 for b in range(256))
 
 
+def _ids_are_positions(buf: np.ndarray, starts: np.ndarray, text: np.ndarray) -> bool:
+    """Whether the digit run at ``starts[i]`` in ``buf`` spells i, for each
+    i; the digits are blanked in ``text``.  Every id of one length is
+    checked at once, with the length its position gives."""
+    n = len(starts)
+    for width in range(1, len(str(max(n - 1, 0))) + 1):
+        first = 10 ** (width - 1) if width > 1 else 0
+        stop = min(n, 10**width)
+        at = starts[first:stop, None] + np.arange(width)
+        digits = buf[at] - ord("0")
+        if (digits >= 10).any() or (buf[at[:, -1] + 1] - ord("0") < 10).any():
+            return False
+        if ((digits @ 10 ** np.arange(width - 1, -1, -1)) != np.arange(first, stop)).any():
+            return False
+        text[at] = ord(" ")
+    return True
+
+
+def _take_integers(buf: np.ndarray, starts: np.ndarray, text: np.ndarray) -> np.ndarray:
+    """The integers whose ASCII digits begin at ``starts`` in ``buf``, each
+    run ended by a non-digit; their digits are blanked in ``text``."""
+    out = np.zeros(len(starts), dtype=np.int64)
+    live = np.arange(len(starts))
+    at = starts
+    while len(live):
+        digit = buf[at] - ord("0")
+        more = digit < 10  # unsigned: every non-digit byte wraps past 9
+        live, at = live[more], at[more]
+        out[live] = out[live] * 10 + digit[more]
+        text[at] = ord(" ")
+        at = at + 1
+    return out
+
+
 def _read_writer_form(text: str) -> tuple | None:
     """(n, entries, line numbers) of a file in the writer's form, parsed in
-    bulk with no object per record; None for any other file."""
+    bulk with no object per record; None for any other file.
+
+    Ids and property indices are read from their digits (the form caps them
+    at 15, which int64 holds exactly), and their digits are blanked, so
+    numpy's float parse sees only the value literals.
+    """
     if not text.isascii():
         return None
     data = text.encode("ascii")
     if _WRITER_FORM.fullmatch(data) is None:
         return None
-    n = data.count(b"\n")
-    numbers = np.fromstring(data.translate(_NUMBER_BYTES), sep=" ")
-    # a record holds one "[" more than pairs, and one number more than twice its pairs
     buf = np.frombuffer(data, dtype=np.uint8)
-    opened = np.searchsorted(np.flatnonzero(buf == ord("[")), np.flatnonzero(buf == ord("\n")))
-    counts = np.diff(opened, prepend=0) - 1
-    at_id = 2 * (opened - counts - 1) - np.arange(n)
-    if not (numbers[at_id] == np.arange(n)).all():
+    ends = np.flatnonzero(buf == ord("\n"))
+    n = len(ends)
+    # each id follows its line's '{"id": '; each pair opens with "[" and a digit
+    id_at = np.concatenate(([0], ends[:-1] + 1))[:n] + len('{"id": ')
+    opened = np.flatnonzero(buf == ord("[")) + 1
+    pair_at = opened[buf[opened] - ord("0") < 10]
+    literals = np.frombuffer(bytearray(data.translate(_NUMBER_BYTES)), dtype=np.uint8)
+    if not _ids_are_positions(buf, id_at, literals):
         return None
-    not_id = np.ones(len(numbers), dtype=bool)
-    not_id[at_id] = False
-    pairs = numbers[not_id].reshape(-1, 2)
-    rows = np.repeat(np.arange(n), counts)
-    props = pairs[:, 0].astype(np.int64)
+    props = _take_integers(buf, pair_at, literals)
+    rows = np.searchsorted(ends, pair_at)
     if not ((props[1:] > props[:-1]) | (rows[1:] != rows[:-1])).all():
         return None
-    return n, (rows, props, pairs[:, 1].copy(), {}), np.arange(1, n + 1)
+    # numpy reads a blank text as one number, -1
+    vals = np.fromstring(literals.tobytes(), sep=" ") if len(props) else np.empty(0)
+    return n, (rows, props, vals, {}), np.arange(1, n + 1)
 
 
 def _read_lines(text: str, source: str) -> tuple[int, tuple, np.ndarray]:
@@ -674,8 +726,9 @@ def read_instance(fh: IO[str], source: str = "<instance>") -> Instance:
     """Parse a JSON Lines instance file; errors name the offending line.
 
     The text is read whole.  A file in exactly the form ``write_instance``
-    writes is parsed in bulk; any other goes line by line through
-    ``json.loads``.  Both give the same instance.
+    writes is parsed in bulk: ids and property indices from their digits,
+    and only the values by numpy's float parse.  Any other file goes line
+    by line through ``json.loads``.  Both give the same instance.
     """
     text = fh.read()
     n, entries, lines = _read_writer_form(text) or _read_lines(text, source)

@@ -269,6 +269,20 @@ def format_value(v: float) -> str:
     return "-0.0" if text == "-0" else text
 
 
+def reference_write(inst: Instance, fh) -> None:
+    """The instance writer one f-string at a time: one per pair, one per
+    record.  ``write_instance`` must write these bytes."""
+    rows, props, vals, _ = inst.entries()
+    order = np.lexsort((props, rows))
+    pairs = [f"[{p}, {v:.17g}]" for p, v in zip(props[order].tolist(), vals[order].tolist())]
+    lines = []
+    at = 0
+    for i, count in zip(inst.ids.tolist(), np.bincount(rows, minlength=inst.n).tolist()):
+        lines.append(f'{{"id": {i}, "props": [{", ".join(pairs[at:at + count])}]}}\n')
+        at += count
+    fh.write("".join(lines).replace(", -0]", ", -0.0]"))
+
+
 # Brute-force enumeration refuses anything bigger than this.
 BRUTE_FORCE_MAX_ITEMS = 10
 BRUTE_FORCE_MAX_SLOTS = 5

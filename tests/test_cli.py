@@ -64,6 +64,35 @@ class TestGenSolve:
         assert a.read_bytes() == b.read_bytes()
         assert DEFAULT_SEED == 12345
 
+    @pytest.mark.parametrize(
+        "dist, seed, digest",
+        [
+            (
+                DistributionSpec("single-property-uniform", 1),
+                31,
+                "1a40b28851a2e456da5a9e258f350cadb461cc646346fdb5f1fec076af415eb2",
+            ),
+            (
+                DistributionSpec("disjoint-properties-uniform", 3),
+                32,
+                "001905bd7c7835aa073587670d948066e557e844b57a7d3addb781234f214c98",
+            ),
+            (
+                DistributionSpec("overlap-bernoulli", 3, membership=(0.5, 0.4, 0.3)),
+                33,
+                "bd5d162235aef587ca8718e9727a5cb82f5ffa662032de8ddce9d4d3ce110a7d",
+            ),
+        ],
+        ids=["single", "disjoint", "overlap"],
+    )
+    def test_gen_golden_bytes(self, tmp_path, dist, seed, digest):
+        # the writer's bytes, pinned: n = 2*10^4 reaches five-digit ids
+        path, out = tmp_path / "dist.json", tmp_path / "out.jsonl"
+        with open(path, "w") as fh:
+            write_distribution_spec(dist, fh)
+        assert run(["gen", "--dist", str(path), "--n", "20000", "--seed", str(seed), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_stdout_carries_only_data(self, files, capsys):
         tmp, dist, spec = files
         out = tmp / "c.jsonl"

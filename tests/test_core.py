@@ -41,6 +41,7 @@ from helpers import (
     rand_items,
     reference_overlap_values,
     reference_violations,
+    reference_write,
 )
 
 
@@ -466,17 +467,40 @@ class TestColumns:
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+# 0-4 properties per row, in any insertion order, two-digit indices included
+rows_of_props = st.lists(
+    st.dictionaries(st.integers(0, 11), st.one_of(st.sampled_from(SPECIAL_VALUES), unit), max_size=4),
+    max_size=20,
+)
+
+
+def no_json(*args, **kwargs):
+    raise AssertionError("a writer-form file took the per-line path")
+
+
 class TestSerialization:
-    @given(st.lists(st.one_of(unit, st.just(-0.0)), min_size=0, max_size=20))
-    @example([0.0, -0.0, 1.0])
-    def test_instance_round_trip_bit_exact(self, values):
+    @given(rows_of_props)
+    @example([{0: 0.0}, {0: -0.0}, {0: 1.0}])
+    @example([{3: 0.5, 0: -0.0, 2: 5e-324, 1: 1.0}, {}, {10: 0.1}])
+    def test_instance_round_trip_bit_exact(self, rows):
         # compare bits: -0.0 == 0.0 would pass an Instance comparison
-        inst = Instance(tuple(Item(i, {0: v}) for i, v in enumerate(values)))
+        inst = Instance(tuple(Item(i, props) for i, props in enumerate(rows)))
         buf = io.StringIO()
         write_instance(inst, buf)
-        back = read_instance(io.StringIO(buf.getvalue()))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core.json, "loads", no_json)
+            back = read_instance(io.StringIO(buf.getvalue()))
         assert back.ids.tolist() == inst.ids.tolist()
         assert back.values.tobytes() == inst.values.tobytes()
+
+    @given(rows_of_props)
+    @example([{1: -0.0, 0: 5e-324}, {}, {11: 1e-05, 2: 0.1, 0: 0.5, 1: 1.0}])
+    def test_writer_writes_the_per_pair_reference_bytes(self, rows):
+        inst = Instance(tuple(Item(i, props) for i, props in enumerate(rows)))
+        got, want = io.StringIO(), io.StringIO()
+        write_instance(inst, got)
+        reference_write(inst, want)
+        assert got.getvalue() == want.getvalue()
 
     @given(st.one_of(unit, st.just(-0.0)))
     def test_format_value_round_trips(self, v):
@@ -579,12 +603,10 @@ class TestReaderPaths:
         for t in range(12):
             grid = (TIE_GRID, SPECIAL_VALUES, None)[t % 3]
             texts.append(writer_text(rand_items(rng, int(rng.integers(0, 60)), d, grid, max_props)))
+        # no value at all: numpy reads a blank text as one number
+        texts.append(writer_text([Item(i, {}) for i in range(3)]))
         assert any(", -0.0]" in text for text in texts)
         expected = [outcome(per_line, text) for text in texts]
-
-        def no_json(*args, **kwargs):
-            raise AssertionError("a writer-form file took the per-line path")
-
         monkeypatch.setattr(core.json, "loads", no_json)
         for text, want in zip(texts, expected):
             assert outcome(read_instance, text) == want
@@ -632,6 +654,39 @@ class TestReaderPaths:
     def test_perturbed_files_read_as_the_per_line_path_reads_them(self, name):
         text = self.PERTURBED[name]
         assert outcome(read_instance, text) == outcome(per_line, text)
+
+    def test_ids_at_digit_length_boundaries(self):
+        dist = DistributionSpec("overlap-bernoulli", 3, membership=(0.5, 0.4, 0.3))
+        buf = io.StringIO()
+        write_instance(sample_instance(dist, 1001, 3), buf)
+        text = buf.getvalue()
+        assert core._read_writer_form(text) is not None
+        assert outcome(read_instance, text) == outcome(per_line, text)
+        lines = text.split("\n")
+        # an id one digit short or long, and a long one whose digits begin right
+        for lineno, wrong in ((10, 19), (11, 1), (1001, 100), (101, 1000)):
+            right = lineno - 1
+            head = f'{{"id": {right}, '
+            assert lines[right].startswith(head)
+            edited = [*lines[:right], f'{{"id": {wrong}, ' + lines[right][len(head):], *lines[lineno:]]
+            copy = "\n".join(edited)
+            assert core._read_writer_form(copy) is None
+            assert outcome(read_instance, copy) == outcome(per_line, copy) == (
+                f"s.jsonl:{lineno}: item id {wrong} does not equal its position {right}"
+            )
+
+    def test_the_float_parse_sees_only_the_values(self, monkeypatch):
+        text = writer_text(rand_items(np.random.default_rng(9), 120, 12, SPECIAL_VALUES, 4))
+        parse, parsed = np.fromstring, []
+
+        def counted(*args, **kwargs):
+            numbers = parse(*args, **kwargs)
+            parsed.append(len(numbers))
+            return numbers
+
+        monkeypatch.setattr(np, "fromstring", counted)
+        inst = read_instance(io.StringIO(text))
+        assert parsed == [len(inst.entries()[0])]
 
     def test_the_bulk_path_takes_what_it_can_and_no_more(self):
         taken = {name for name, text in self.PERTURBED.items() if core._read_writer_form(text)}
