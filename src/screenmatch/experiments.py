@@ -11,11 +11,12 @@ it keeps blocks of a fixed size.
 
 With W workers the calling process works one block itself, and W - 1
 helper processes take the rest, each over one pipe, with no thread in the
-caller.  Helpers are forked once per process and reused: the first call
-that needs them forks them, later calls share them, and only a call that
-needs more helpers than there are replaces them, as does a call that
-finds one of them dead.  How many helpers there are never shapes the
-blocks, so it never shows in the output either.
+caller.  Past the CPUs the process may run on, fewer helpers take the
+blocks in turn.  Helpers are forked once per process and reused: the
+first call that needs them forks them, later calls share them, and only
+a call that needs more helpers than there are replaces them, as does a
+call that finds one of them dead.  How many helpers there are never
+shapes the blocks, so it never shows in the output either.
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
             t,
             result.retained_final,
             result.final_solution.value,
-            result.final_solution.value + result.value_gap,
+            result.opt_value,
             result.optimal_vs_fullstream,
             retained_after_policy=result.retained_after_policy,
             value_gap=result.value_gap,
@@ -310,19 +311,28 @@ def _helpers(need: int) -> list:
     return _pool[1]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; a helper past them only adds a fork."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _map_blocks(fn, args_list: list, workers: int) -> list:
     """``fn`` over ``args_list`` in order, on this process and its helpers.
 
-    With s = min(workers, blocks), the caller runs blocks 0, s, 2s, ...
-    itself while helper j runs blocks j, j + s, ...: one message out and
-    one back per helper.  The helpers outlive the call; as daemons, they
-    are stopped by ``multiprocessing``'s own exit hook.  A helper that dies
-    during a call fails it with ``BrokenProcessPool``, and the next call
-    forks afresh.  A block's exception is raised once every reply is read.
+    With s = min(workers, blocks, ``_cpus()``), the caller runs blocks 0,
+    s, 2s, ... itself while helper j runs blocks j, j + s, ...: one
+    message out and one back per helper.  The helpers outlive the call; as
+    daemons, they are stopped by ``multiprocessing``'s own exit hook.  A
+    helper that dies during a call fails it with ``BrokenProcessPool``, and
+    the next call forks afresh.  A block's exception is raised once every
+    reply is read.
     """
-    if workers == 1 or len(args_list) == 1:
+    s = min(workers, len(args_list), _cpus())
+    if s == 1:
         return [fn(a) for a in args_list]
-    s = min(workers, len(args_list))
     helpers = _helpers(s - 1)[: s - 1]
     in_step = False
     try:

@@ -30,7 +30,8 @@ Since id + 1 < B, an arrival is kept at p only if its value exceeds
 every arrival owns a single property (d = 1, and disjoint streams) the
 properties do not compete: the optimum is the top ``caps[p]`` of each
 property, the solver's own single-property rule, and a min-heap of the
-top ``caps[p]`` (value, id) pairs per property is the whole decision.
+top ``caps[p]`` (value, id) pairs per property, started as ``caps[p]``
+empty slots (-inf, -1) that every arrival beats, is the whole decision.
 
 No ``Item`` is built: the pass returns the indices of the kept arrivals
 and M as a ``Solution``.  On single-property streams that is the heaps
@@ -39,8 +40,8 @@ M's at most k items, which by the pool lemma is the optimum over the kept
 items, layer 4 included.  Arrivals come as value rows and are gated a
 block at a time, from the first arrival past the warmup, in blocks of k,
 2k, 4k, ... arrivals: one column per property, numpy drops every arrival
-of the block whose values all lie below the floors, or the minima of full
-heaps, at the block's start.  These only rise within a block (the
+of the block whose values all lie below the floors, or the heaps' minima,
+at the block's start.  These only rise within a block (the
 potentials never rise as items are kept, since the weighted rank of a
 matroid is submodular), so the arrivals this drops are ones the exact
 check would reject too, and only the rest reach it one by one.  As the
@@ -141,14 +142,14 @@ def screen_entries(
     positions, values = entries.pos, entries.values
     # a checked arrival owns some property, so each owns one when the owned entries add up to m
     single = np.count_nonzero(values == values) == len(values)
-    heaps: list[list[tuple[float, int]]] = [[] for _ in range(spec.d)]
+    heaps = [[(-math.inf, -1)] * cap for cap in spec.caps]
     kept: list[int] = []
     # overlap streams: the optimum M, its real items per property, and its potentials
     held = Held(spec.d)
     # B = 2^(shift - 1074) exceeds the id terms of k + 1 items
     shift = 1074 + ((spec.k + 1) * (int(positions.max(initial=0)) + 2)).bit_length()
     # a value below its property's low fails the exact check below: below the
-    # floor on overlap streams, below a full heap's minimum on single-property ones
+    # floor on overlap streams, below the heap's minimum on single-property ones
     lows = [-math.inf] * spec.d if single else _floors(held.reach, shift)
     runs: dict[int, float] = {}  # with trace: index -> the optimum's value once it is kept
     # blocks of k, 2k, 4k, ... arrivals from the first one past the warmup
@@ -161,14 +162,10 @@ def screen_entries(
             if single:
                 ((p, v),) = [(p, v) for p, v in enumerate(row) if v == v]
                 heap = heaps[p]
-                if len(heap) < spec.caps[p]:
-                    heapq.heappush(heap, (v, item_id))
-                elif (v, item_id) > heap[0]:
-                    heapq.heapreplace(heap, (v, item_id))
-                else:
+                if (v, item_id) < heap[0]:
                     continue
-                if len(heap) == spec.caps[p]:
-                    lows[p] = heap[0][0]
+                heapq.heapreplace(heap, (v, item_id))
+                lows[p] = heap[0][0]
             else:
                 if not any(v >= low for v, low in zip(row, lows)):
                     continue
@@ -180,13 +177,13 @@ def screen_entries(
             if trace:
                 # the heaps or M hold the optimum; fsum rounds exactly, as the solver's sum does
                 runs[i] = math.fsum(
-                    [e[0] for heap in heaps for e in heap]
+                    [e[0] for heap in heaps for e in heap if e[1] >= 0]
                     if single
                     else [y[1][p] for p, ys in enumerate(held) for y in ys]
                 )
         start, size = start + size, 2 * size
     if single:
-        best = _fill([[(i, v) for v, i in heap] for heap in heaps], spec.caps)
+        best = _fill([[(i, v) for v, i in heap if i >= 0] for heap in heaps], spec.caps)
     else:
         optimum = sorted((y[0], y[1]) for ys in held for y in ys)
         best = _solve_assignment([i for i, _ in optimum], [row for _, row in optimum], spec)

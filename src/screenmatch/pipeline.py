@@ -57,6 +57,7 @@ class PipelineResult:
     final_solution: Solution
     optimal_vs_fullstream: bool
     value_gap: float
+    opt_value: float  # as solved: final value + value_gap can round off it
 
     def to_json_obj(self) -> dict:
         return {
@@ -106,4 +107,5 @@ def run_pipeline(
         final_solution=final,
         optimal_vs_fullstream=_reaches_optimum(stream, final, full),
         value_gap=full.value - final.value,
+        opt_value=full.value,
     )

@@ -247,7 +247,7 @@ def quantile_policy_net(
     size = math.prod(len(g) for g in per_property)
     if size > max_net_size:
         raise NetSizeError(
-            f"policy net would hold {size} policies; raise max_net_size to at least {size}"
+            f"policy net would hold {size} policies, more than the cap of {max_net_size}"
         )
     return tuple(ThresholdsPolicy(ts) for ts in itertools.product(*per_property))
 

@@ -10,6 +10,7 @@ import pytest
 from screenmatch import (
     ConstraintSpec,
     DistributionSpec,
+    greedy_screen,
     optimal_matching,
     read_instance,
     sample_instance,
@@ -114,6 +115,20 @@ class TestGreedyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["warmup"] == 8  # floor(0.5 * 50 / 3)
         assert payload["retained"] == len(payload["retained_ids"])
+
+    def test_warmup_flag_wins_over_delta(self, files, capsys):
+        tmp, dist, spec = files
+        out = tmp / "c.jsonl"
+        run(["gen", "--dist", dist, "--n", "50", "--out", str(out)])
+        capsys.readouterr()
+        argv = ["greedy", "--in", str(out), "--spec", spec, "--warmup", "3"]
+        assert run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run(argv + ["--delta", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out) == payload
+        with open(out) as fh:
+            ref = greedy_screen(read_instance(fh), ConstraintSpec((3,)), 3)
+        assert payload["warmup"] == 3 and payload["retained_ids"] == list(ref.retained_ids)
 
     def test_trace_flag(self, files, capsys):
         tmp, dist, spec = files
@@ -592,6 +607,63 @@ class TestExitCodes:
         assert run(["screen", "--in", str(inst), "--policy", str(policy)]) == 1
         assert f"{policy}: malformed policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "m, err",
+        [([], "--m is required with --method topm"),
+         (["--m", "x"], "--m expects comma-separated integers, got 'x'")],
+        ids=["missing", "not-integers"],
+    )
+    def test_topm_ranks_must_be_given_as_integers(self, files, capsys, m, err):
+        tmp, dist, spec = files
+        train = tmp / "train.jsonl"
+        run(["gen", "--dist", dist, "--n", "20", "--out", str(train)])
+        capsys.readouterr()
+        assert run(["learn", "--in", str(train), "--spec", spec, "--method", "topm"] + m) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("command", ["learn", "converge"])
+    def test_net_size_refusal_names_the_cap(self, files, capsys, command):
+        tmp, dist, spec = files
+        train = tmp / "train.jsonl"
+        run(["gen", "--dist", dist, "--n", "50", "--seed", "3", "--out", str(train)])
+        argv = {
+            "learn": ["learn", "--in", str(train), "--method", "net"],
+            "converge": ["converge", "--dist", dist, "--n", "50", "--trials", "3"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv + ["--spec", spec, "--max-net", "0", "--out", str(tmp / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: policy net would hold 32 policies, more than the cap of 0\n"
+
+    def test_trials_config_that_is_no_object_is_one(self, files, capsys):
+        tmp, _, _ = files
+        cfg = tmp / "cfg.json"
+        cfg.write_text("[1, 2]\n")
+        assert run(["trials", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: config must be a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "drop, err",
+        [("--spec", "--dist and --spec"), ("--n", "--n and --trials"), ("--trials", "--n and --trials")],
+    )
+    def test_trials_without_a_needed_flag_is_one(self, files, capsys, drop, err):
+        tmp, dist, spec = files
+        flags = {"--dist": dist, "--spec": spec, "--n": "10", "--trials": "2"}
+        argv = [part for flag, value in flags.items() if flag != drop for part in (flag, value)]
+        assert run(["trials", *argv, "--out", str(tmp / "o")]) == 1
+        assert capsys.readouterr().err == f"error: trials needs {err} (flags or config file)\n"
+        assert not (tmp / "o").exists()
+
+    def test_screen_policy_of_another_d_than_the_spec_is_one(self, files, capsys):
+        tmp, dist, spec = files
+        inst, policy = tmp / "c.jsonl", tmp / "pol.json"
+        run(["gen", "--dist", dist, "--n", "20", "--out", str(inst)])
+        policy.write_text('{"t": [0.5, 0.5]}\n')
+        capsys.readouterr()
+        assert run(["screen", "--in", str(inst), "--policy", str(policy), "--spec", spec]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: policy has 2 thresholds but spec has 1 properties\n"
+
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -694,7 +766,9 @@ def test_every_command_checks_the_items_it_reads(tmp_path, capsys, record, comma
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("record", ["[[0, NaN]]", "[[-1, 0.5]]", "[[1000000000, 0.5]]"])
+@pytest.mark.parametrize(
+    "record", ["[[0, NaN]]", "[[-1, 0.5]]", "[[1000000000, 0.5]]", f"[[{10**30}, 0.5]]"]
+)
 @pytest.mark.parametrize("command", ["solve", "greedy", "screen"])
 def test_item_rule_errors_name_file_and_line(tmp_path, capsys, record, command):
     """A NaN value is an error, not a missing property, and a far property

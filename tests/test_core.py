@@ -370,7 +370,7 @@ class TestValidation:
         report = validate_items([Item(0, {p: 0.5})], self.SPEC)
         assert [v.kind for v in report] == ["unknown-property"]
 
-    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), -0.1])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), -0.1, 10**400])
     def test_infinite_and_negative_values(self, value):
         report = validate_items([Item(0, {0: value})], self.SPEC)
         assert [v.kind for v in report] == ["value-out-of-range"]
@@ -534,6 +534,19 @@ class TestSerialization:
     def test_read_enforces_positional_ids(self):
         with pytest.raises(InputError):
             read_instance(io.StringIO('{"id": 3, "props": [[0, 0.5]]}\n'))
+
+    @pytest.mark.parametrize("item_id", ["0.0", '"0"'])
+    def test_read_refuses_an_id_that_is_no_integer(self, item_id):
+        text = f'{{"id": {item_id}, "props": [[0, 0.5]]}}\n'
+        with pytest.raises(InputError, match="^s.jsonl:1: item id must be an integer$"):
+            read_instance(io.StringIO(text), source="s.jsonl")
+
+    def test_property_index_beyond_int64_reads_back_whole(self):
+        text = f'{{"id": 0, "props": [[{10**30}, 0.5]]}}\n'
+        inst = read_instance(io.StringIO(text), source="s.jsonl")
+        assert inst.items == (Item(0, {10**30: 0.5}),)
+        report = validate_instance(inst, ConstraintSpec((1,)))
+        assert [(v.kind, v.where) for v in report] == [("unknown-property", "s.jsonl:1")]
 
     def test_read_names_source(self):
         with pytest.raises(InputError, match="stream.jsonl"):

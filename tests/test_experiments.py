@@ -99,9 +99,11 @@ class _InProcessHelper:
 
 
 def count_forks(monkeypatch, fork=None):
-    """Start from no helpers; returns the size of every helper set forked
-    after, one entry per set.  ``fork`` stands in for the real fork."""
+    """Start from no helpers, with no CPU cap below 64 workers; returns the
+    size of every helper set forked after, one entry per set.  ``fork``
+    stands in for the real fork."""
     experiments._drop_pool()
+    monkeypatch.setattr(experiments, "_cpus", lambda: 64)
     sets = []
     real = fork or experiments._fork_helper
 
@@ -302,8 +304,9 @@ class TestRunTrials:
         stats = run_trials(greedy_cfg(trials=1))
         assert stats.aggregates.std_retained == 0.0
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
         # 2 -> 3 -> 2 forks one helper, replaces it with two, then reuses those
+        monkeypatch.setattr(experiments, "_cpus", lambda: 64)
         counts = (1, 2, 3, 2)
         for trials in (7, 40):
             cfg = greedy_cfg(n=60, trials=trials)
@@ -397,6 +400,16 @@ class TestRunTrials:
         assert started == [2]
         assert sent == [[(1, 2)], [(2, 3)]] * 2
 
+    def test_helpers_are_capped_at_the_cpus(self, monkeypatch):
+        sent, started = fake_helpers(monkeypatch)
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+        cfg = greedy_cfg(n=10, trials=1000)
+        stats = run_trials(cfg, workers=1000)
+        # 1000 blocks of one trial: the caller works the even ones, one helper the odd ones
+        assert started == [1] and sent == [[(b, b + 1) for b in range(1, 1000, 2)]]
+        assert all(run_trials(cfg, workers=w) == stats for w in (1, 2, 4, 64))
+        assert started == [1]
+
     def test_helpers_go_with_their_parent(self, tmp_path):
         # a run at 3 workers prints its helpers' pids, then exits or is
         # killed while they idle; either way no helper outlives it
@@ -406,6 +419,7 @@ class TestRunTrials:
             "from screenmatch import ConstraintSpec, DistributionSpec, run_trials\n"
             "cfg = ex.ExperimentConfig('unit', DistributionSpec('single-property-uniform', 1),"
             " ConstraintSpec((2,)), 60, 0.1, 7, 7)\n"
+            "ex._cpus = lambda: 64\n"
             "run_trials(cfg, workers=3)\n"
             "print(*(proc.pid for proc, _ in ex._pool[1]), flush=True)\n"
             "if sys.argv[1] == 'kill':\n"
@@ -574,6 +588,18 @@ class TestRunTrials:
         )
         assert p.aggregates.mean_retained < g.aggregates.mean_retained
         assert p.records[0].retained_after_policy is not None
+
+    def test_pipeline_records_the_full_optimum_value(self):
+        # both algorithms screen the same stream in a trial.  Trial 285 keeps
+        # less than half the optimum, where value + (opt - value) rounds off opt
+        shared = dict(spec=ConstraintSpec((3,)), n=6, delta=0.9, trials=400, c0=0.0)
+        g, p = (
+            run_trials(greedy_cfg(algorithm=a, **shared)).records
+            for a in ("greedy", "pipeline-exact-opt")
+        )
+        assert p[285].value < p[285].opt_value / 2
+        assert p[285].opt_value == g[285].opt_value == 1.948408854460374
+        assert [r.opt_value for r in p] == [r.opt_value for r in g]
 
     def test_policy_fixed_algorithm(self):
         cfg = greedy_cfg(
