@@ -3,11 +3,13 @@ uniform convergence of policy statistics over a policy net.
 
 Every trial derives its own sub-seed from (root seed, purpose label, trial
 index), so results are reproducible bit-for-bit and independent of the
-worker count.  ``run_trials`` and ``concentration_experiment`` deal their
-trials out as one contiguous block per worker and merge the per-trial
-results in index order, so block boundaries never show in the output.
-``convergence_experiment`` sums its calibration statistics per block, so
-it keeps blocks of a fixed size.
+worker count.  Each experiment is one per-trial function, which
+``_trial_block`` folds over a block of trials: into a list of the trials'
+results, or into their sum.  ``run_trials`` and ``concentration_experiment``
+deal their trials out as one contiguous block per worker and merge the
+per-trial results in index order, so block boundaries never show in the
+output.  ``convergence_experiment`` sums its calibration statistics per
+block, so it keeps blocks of a fixed size.
 
 With W workers the calling process works one block itself, and W - 1
 helper processes take the rest, each over one pipe, with no thread in the
@@ -27,6 +29,7 @@ import math
 import os
 import signal
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import IO, Sequence
 
 import numpy as np
@@ -203,9 +206,10 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
     return TrialRecord(t, retained, sol.value, full.value, _reaches_optimum(inst, sol, full))
 
 
-def _trial_block(args: tuple[ExperimentConfig, int, int]) -> list[TrialRecord]:
-    cfg, start, stop = args
-    return [_one_trial(cfg, t) for t in range(start, stop)]
+def _trial_block(args: tuple):
+    """``fold`` of ``fn(t)`` over the trials t in [start, stop)."""
+    fn, fold, start, stop = args
+    return fold(fn(t) for t in range(start, stop))
 
 
 def _check_workers(workers: int) -> None:
@@ -366,10 +370,8 @@ def run_trials(cfg: ExperimentConfig, workers: int = 1) -> TrialStats:
     and aggregates are identical for any worker count.
     """
     _check_workers(workers)
-    args = [(cfg, s, e) for s, e in _split(cfg.trials, workers)]
-    records: list[TrialRecord] = []
-    for block in _map_blocks(_trial_block, args, workers):
-        records.extend(block)
+    args = [(partial(_one_trial, cfg), list, s, e) for s, e in _split(cfg.trials, workers)]
+    records = [r for block in _map_blocks(_trial_block, args, workers) for r in block]
     retained = np.array([r.retained for r in records], dtype=float)
     opts = np.array([r.opt_value for r in records], dtype=float)
     agg = Aggregates(
@@ -408,13 +410,9 @@ class ConcentrationStats:
         return asdict(self)
 
 
-def _opt_block(args: tuple[DistributionSpec, ConstraintSpec, int, int, int, int]) -> np.ndarray:
-    dist, spec, n, seed, start, stop = args
-    out = np.empty(stop - start, dtype=float)
-    for i, t in enumerate(range(start, stop)):
-        inst = sample_instance(dist, n, derive_seed(seed, "opt", t))
-        out[i] = optimal_matching(inst, spec).value
-    return out
+def _opt_value(dist: DistributionSpec, spec: ConstraintSpec, n: int, seed: int, t: int) -> float:
+    inst = sample_instance(dist, n, derive_seed(seed, "opt", t))
+    return optimal_matching(inst, spec).value
 
 
 def concentration_experiment(
@@ -430,8 +428,9 @@ def concentration_experiment(
     bound 2 exp(-alpha^2 / 2k)."""
     _check_run(dist, spec, n, trials)
     _check_workers(workers)
-    args = [(dist, spec, n, seed, s, e) for s, e in _split(trials, workers)]
-    opts = np.concatenate(_map_blocks(_opt_block, args, workers))
+    opt_value = partial(_opt_value, dist, spec, n, seed)
+    args = [(opt_value, list, s, e) for s, e in _split(trials, workers)]
+    opts = np.concatenate(_map_blocks(_trial_block, args, workers))
     k = spec.k
     mean = float(opts.mean())
     rows = []
@@ -505,13 +504,11 @@ def _net_stats(
     return totals, per_prop, vals
 
 
-def _conv_trials(trial: tuple, label: str, start: int, stop: int):
-    """``_net_stats`` of each trial in [start, stop).  The sampler's streams
-    are valid by construction for a spec of the distribution's d, which
+def _conv_stats(dist, spec, n, seed, thr, label: str, t: int) -> tuple[np.ndarray, ...]:
+    """``_net_stats`` of trial t.  The sampler's streams are valid by
+    construction for a spec of the distribution's d, which
     ``convergence_experiment`` requires, so ``_net_stats`` checks none."""
-    dist, spec, n, seed, thr = trial
-    for t in range(start, stop):
-        yield _net_stats(sample_instance(dist, n, derive_seed(seed, label, t)), spec, thr)
+    return _net_stats(sample_instance(dist, n, derive_seed(seed, label, t)), spec, thr)
 
 
 def _sum_in_order(parts) -> tuple[np.ndarray, ...]:
@@ -525,21 +522,13 @@ def _sum_in_order(parts) -> tuple[np.ndarray, ...]:
     return total
 
 
-def _conv_cal_block(args) -> tuple[np.ndarray, ...]:
-    trial, start, stop = args
-    return _sum_in_order(_conv_trials(trial, "conv-cal", start, stop))
-
-
-def _conv_eval_block(args) -> np.ndarray:
-    """One row per trial: the three worst deviations, then the all-zero
-    policy's count and value (NaN without one)."""
-    trial, rho, rho_prop, nu, zero_idx, start, stop = args
-    rows = []
-    for counts, per_prop, vals in _conv_trials(trial, "conv-eval", start, stop):
-        zero = (counts[zero_idx], vals[zero_idx]) if zero_idx >= 0 else (math.nan,) * 2
-        devs = (counts - rho, per_prop - rho_prop, vals - nu)
-        rows.append([np.max(np.abs(dev)) for dev in devs] + list(zero))
-    return np.array(rows)
+def _conv_deviations(stats, rho, rho_prop, nu, zero_idx: int, t: int) -> list:
+    """Trial t's row: the three worst deviations of its ``stats(t)``, then
+    the all-zero policy's count and value (NaN without one)."""
+    counts, per_prop, vals = stats(t)
+    zero = (counts[zero_idx], vals[zero_idx]) if zero_idx >= 0 else (math.nan,) * 2
+    devs = (counts - rho, per_prop - rho_prop, vals - nu)
+    return [np.max(np.abs(dev)) for dev in devs] + list(zero)
 
 
 def _quantiles(a: np.ndarray) -> dict[str, float]:
@@ -576,16 +565,18 @@ def convergence_experiment(
             raise ConfigError(f"net policy has {policy.d} thresholds, spec has {spec.d}")
     thr = np.array([policy.t for policy in net], dtype=float)
 
-    trial = (dist, spec, n, seed, thr)
     cal_trials = calibration_factor * trials
-    cal_args = [(trial, s, e) for s, e in _blocks(cal_trials, _BLOCK)]
-    sums = _sum_in_order(_map_blocks(_conv_cal_block, cal_args, workers))
+    cal_stats = partial(_conv_stats, dist, spec, n, seed, thr, "conv-cal")
+    cal_args = [(cal_stats, _sum_in_order, s, e) for s, e in _blocks(cal_trials, _BLOCK)]
+    sums = _sum_in_order(_map_blocks(_trial_block, cal_args, workers))
     rho, rho_prop, nu = (x / cal_trials for x in sums)
 
     zeros = np.flatnonzero((thr == 0.0).all(axis=1))
     zero_idx = int(zeros[0]) if zeros.size else -1
-    eval_args = [(trial, rho, rho_prop, nu, zero_idx, s, e) for s, e in _blocks(trials, _BLOCK)]
-    rows = np.concatenate(_map_blocks(_conv_eval_block, eval_args, workers))
+    eval_stats = partial(_conv_stats, dist, spec, n, seed, thr, "conv-eval")
+    deviations = partial(_conv_deviations, eval_stats, rho, rho_prop, nu, zero_idx)
+    eval_args = [(deviations, list, s, e) for s, e in _blocks(trials, _BLOCK)]
+    rows = np.array([row for b in _map_blocks(_trial_block, eval_args, workers) for row in b])
     dev_count, dev_prop, dev_val, zero_counts, zero_vals = np.ascontiguousarray(rows.T)
 
     k, d = spec.k, spec.d

@@ -198,13 +198,19 @@ def retention_slack(k: int, d: int, n: int, delta: float, c0: float = 1.0) -> in
 
 def _retention_scale(k: int, d: int, n: int, delta: float, c0: float = 1.0) -> float:
     """``retention_slack`` before rounding up, unchecked; needs n >= k."""
-    return c0 * math.sqrt(k * (math.log(max(d, 2)) * math.log(n / k) + math.log(1 / delta)))
+    return c0 * math.sqrt(k * (math.log(max(d, 2)) * math.log(n / k) + _log_inverse(delta)))
+
+
+def _log_inverse(delta: float) -> float:
+    """ln(1/delta); -ln(delta), a bit off at times, only where 1/delta overflows."""
+    inverse = 1 / delta
+    return math.log(inverse) if inverse < math.inf else -math.log(delta)
 
 
 def value_slack(k: int, d: int, delta: float, c0: float = 1.0) -> float:
     """Additive value-error scale: c0 * sqrt(k * (d * ln(max(k,2)) + ln(1/delta)))."""
     _check_slack_args(k, d, delta, c0)
-    return c0 * math.sqrt(k * (d * math.log(max(k, 2)) + math.log(1 / delta)))
+    return c0 * math.sqrt(k * (d * math.log(max(k, 2)) + _log_inverse(delta)))
 
 
 def quantile_policy_net(

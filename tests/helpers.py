@@ -292,22 +292,22 @@ class OversizeError(RuntimeError):
     """Brute-force enumeration refused: instance exceeds the size guard."""
 
 
-def _enumeration_key(chosen: list[tuple[Item, int]]):
-    value = Fraction(0)
-    idsum = 0
-    for item, prop in chosen:
-        if not is_dummy_id(item.id):
-            value += Fraction(item.props[prop])
-            idsum += item.id
-    ids = tuple(sorted(item.id for item, _ in chosen))
-    pairs = tuple(sorted((item.id, prop) for item, prop in chosen))
-    return (-value, -idsum, ids, pairs)
+def _units(v) -> int:
+    """The value ``v`` as an exact count of 2^-1074, the spacing of the
+    subnormal doubles, of which every double in [0, 1] is a multiple."""
+    count = Fraction(v) * 2**1074
+    if count.denominator != 1:
+        raise ValueError(f"value {v!r} is not a multiple of 2^-1074")
+    return count.numerator
 
 
 def brute_force_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solution:
     """Enumerate every feasible assignment and return the best under the
-    same four-layer order as ``optimal_matching``.  Exact rational
-    arithmetic throughout; refuses instances beyond the size guard.
+    same four-layer order as ``optimal_matching``: the largest value sum,
+    then the largest real id sum, then the smallest sorted ids, then the
+    smallest sorted (id, property) pairs.  Exact integer arithmetic
+    throughout, value and id sums carried down the enumeration; refuses
+    instances beyond the size guard.
     """
     items = list(items)
     if len(items) > BRUTE_FORCE_MAX_ITEMS or spec.k > BRUTE_FORCE_MAX_SLOTS:
@@ -317,31 +317,44 @@ def brute_force_matching(items: Sequence[Item], spec: ConstraintSpec) -> Solutio
         )
     require_valid(validate_items(items, spec), "items")
     pool = sorted(items, key=lambda it: it.id) + list(dummy_items(spec))
+    ids = [item.id for item in pool]
+    # dummies add nothing to the value and id sums
+    real_ids = [0 if is_dummy_id(i) else i for i in ids]
+    units = [
+        {p: 0 if is_dummy_id(item.id) else _units(v) for p, v in item.props.items()}
+        for item in pool
+    ]
     eligible = [
         [idx for idx, item in enumerate(pool) if p in item.props] for p in range(spec.d)
     ]
 
     best_key = None
-    best: list[tuple[Item, int]] | None = None
 
-    def recurse(p: int, used: set[int], acc: list[tuple[Item, int]]) -> None:
-        nonlocal best_key, best
+    def recurse(p: int, used: set[int], acc: list[tuple[int, int]], value: int, idsum: int) -> None:
+        nonlocal best_key
         if p == spec.d:
-            key = _enumeration_key(acc)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = list(acc)
+            # the sorted ids and pairs are built only where the sums do not decide
+            if best_key is None or (-value, -idsum) <= best_key[:2]:
+                chosen = sorted(acc)
+                key = (-value, -idsum, tuple(i for i, _ in chosen), tuple(chosen))
+                if best_key is None or key < best_key:
+                    best_key = key
             return
         free = [idx for idx in eligible[p] if idx not in used]
         for combo in itertools.combinations(free, spec.caps[p]):
-            for idx in combo:
-                used.add(idx)
-                acc.append((pool[idx], p))
-            recurse(p + 1, used, acc)
-            for idx in combo:
-                used.remove(idx)
-                acc.pop()
+            used.update(combo)
+            acc.extend((ids[idx], p) for idx in combo)
+            recurse(
+                p + 1,
+                used,
+                acc,
+                value + sum(units[idx][p] for idx in combo),
+                idsum + sum(real_ids[idx] for idx in combo),
+            )
+            used.difference_update(combo)
+            del acc[len(acc) - len(combo) :]
 
-    recurse(0, set(), [])
-    assert best is not None
-    return _finish((item.id, p, item.props[p]) for item, p in best)
+    recurse(0, set(), [], 0, 0)
+    assert best_key is not None
+    props = {item.id: item.props for item in pool}
+    return _finish((i, p, props[i][p]) for i, p in best_key[3])

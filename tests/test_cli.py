@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import re
 import shlex
@@ -12,10 +13,12 @@ from screenmatch import (
     DistributionSpec,
     greedy_screen,
     optimal_matching,
+    quantile_policy_net,
     read_instance,
     sample_instance,
     write_constraint_spec,
     write_distribution_spec,
+    write_policy,
 )
 from screenmatch.cli import DEFAULT_SEED, build_parser, run_cli
 
@@ -197,6 +200,24 @@ class TestLearnScreenPipeline:
         assert 2 <= len(lines) <= 10 * 3 + 2
         for line in lines:
             json.loads(line)
+
+    def test_learn_net_stream_n_is_the_net_s_stream_length(self, files):
+        tmp, dist, spec = files
+        train = tmp / "train.jsonl"
+        run(["gen", "--dist", dist, "--n", "200", "--out", str(train)])
+        with open(train) as fh:
+            inst = read_instance(fh)
+        argv = ["learn", "--in", str(train), "--spec", spec, "--method", "net"]
+        texts = []
+        for stream_n in (50, 200):
+            net_file = tmp / f"net{stream_n}.jsonl"
+            assert run(argv + ["--stream-n", str(stream_n), "--out", str(net_file)]) == 0
+            expected = io.StringIO()
+            for policy in quantile_policy_net(inst, ConstraintSpec((3,)), stream_n):
+                write_policy(policy, expected)
+            assert net_file.read_text() == expected.getvalue()
+            texts.append(expected.getvalue())
+        assert texts[0] != texts[1]
 
     def test_pipeline_command(self, files, capsys):
         tmp, dist, spec = files
@@ -410,6 +431,25 @@ class TestExperimentCommands:
         assert payload["net_size"] >= 2
         header = (tmp / "agg.csv").read_text().splitlines()[0]
         assert header.startswith("scenario,n,k,d,delta")
+
+    def test_converge_on_no_training_items_nets_the_all_zero_policy(self, files, capsys):
+        _, dist, spec = files
+        argv = ["converge", "--dist", dist, "--spec", spec, "--n", "20", "--trials", "3"]
+        capsys.readouterr()
+        assert run(argv + ["--train-n", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["net_size"] == 1
+        assert payload["all_zero_retained_mean"] == 20.0
+
+    @pytest.mark.parametrize("command", ["trials", "converge"])
+    def test_scenario_is_the_first_cell_of_the_csv_row(self, files, command):
+        tmp, dist, spec = files
+        csv = tmp / "agg.csv"
+        argv = [command, "--dist", dist, "--spec", spec, "--n", "20", "--trials", "3"]
+        argv += ["--scenario", "shape-7", "--out" if command == "trials" else "--csv", str(csv)]
+        assert run(argv) == 0
+        header, row = csv.read_text().splitlines()
+        assert header.split(",")[0] == "scenario" and row.split(",")[0] == "shape-7"
 
 
 class TestExitCodes:
@@ -695,6 +735,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "c0" in err
         assert "Traceback" not in err
+
+    def test_a_subnormal_delta_runs_the_pipeline(self, files, capsys):
+        # its slack third, 3.3e-311, has no finite reciprocal
+        tmp, dist, spec = files
+        stream, out = tmp / "s.jsonl", tmp / "o.json"
+        run(["gen", "--dist", dist, "--n", "20", "--out", str(stream)])
+        argv = ["pipeline", "--train", str(stream), "--in", str(stream), "--spec", spec]
+        capsys.readouterr()
+        assert run(argv + ["--delta", "1e-310", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.startswith("pipeline: ")
+        assert json.loads(out.read_text())["optimal_vs_fullstream"] is True
 
     def test_delta_split_is_a_usage_error(self, files, capsys):
         # the pipeline splits delta in thirds; no flag weights them

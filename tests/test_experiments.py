@@ -393,6 +393,21 @@ class TestRunTrials:
         assert started == [1] and sent == [[(4, 7)]]
         assert ran == [(0, 4), (4, 7), (0, 7)]
 
+    def test_every_experiment_runs_its_blocks_through_the_trial_block(self, monkeypatch):
+        # perfbench counts blocks by wrapping _trial_block
+        fake_helpers(monkeypatch)
+        ran = record_blocks(monkeypatch)
+        run_trials(greedy_cfg(n=60, trials=7), workers=3)
+        assert ran == [(0, 3), (3, 6), (6, 7)]
+        ran.clear()
+        concentration_experiment(D1, ConstraintSpec((1,)), 5, 7, 1, workers=3)
+        assert ran == [(0, 3), (3, 6), (6, 7)]
+        ran.clear()
+        net = grid_net(1)
+        convergence_experiment(D1, ConstraintSpec((1,)), 5, 300, net, 1, 1, workers=3)
+        # calibration, then evaluation
+        assert ran == [(0, 256), (256, 300)] * 2
+
     def test_pool_never_outnumbers_the_blocks(self, monkeypatch):
         sent, started = fake_helpers(monkeypatch)
         run_trials(greedy_cfg(n=60, trials=3), workers=64)

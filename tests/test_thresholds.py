@@ -227,6 +227,16 @@ class TestSlackFormulas:
         assert value_slack(100, 1, 0.01, 1.0) == pytest.approx(30.348542587702926)
         assert value_slack(1, 1, 1.0, 1.0) == pytest.approx(math.sqrt(math.log(2)))
         assert value_slack(7, 3, 0.5, 0.0) == 0.0
+        # ln(1/0.1), whose last bit -ln(0.1) misses, and so does this slack
+        assert value_slack(1, 2, 0.1) == math.sqrt(2 * math.log(2) + math.log(1 / 0.1))
+        assert value_slack(1, 2, 0.1) != math.sqrt(2 * math.log(2) - math.log(0.1))
+
+    def test_a_subnormal_delta_gets_a_finite_retention_slack(self):
+        # 1/delta overflows below 2^-1024, where -ln(delta) stands in for ln(1/delta)
+        assert retention_slack(10, 1, 10000, 5e-309) == 85
+
+    def test_a_subnormal_delta_gets_a_finite_value_slack(self):
+        assert value_slack(10, 1, 1e-320) == math.sqrt(10 * (math.log(10) - math.log(1e-320)))
 
     def test_argument_guards(self):
         with pytest.raises(ConfigError):
