@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
+from dataclasses import asdict
 
 from .core import (
     ConfigError,
     ConstraintSpec,
     InputError,
     _read_json,
+    _write_json,
     read_constraint_spec,
     read_distribution_spec,
     read_instance,
@@ -70,7 +71,7 @@ def _read_file(path: str, reader):
 
 def _emit_json(obj, out: str | None) -> None:
     with _open_out(out) as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        _write_json(obj, fh)
 
 
 def _parse_ints(text: str, flag: str) -> list[int]:
@@ -80,10 +81,12 @@ def _parse_ints(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
-def _check_seed(seed: int, name: str) -> None:
-    """Refuse a negative seed, which the samplers cannot take."""
-    if seed < 0:
-        raise ConfigError(f"{name} must be a nonnegative integer, got {seed}")
+def _check_count(value: int, name: str, least: int = 0) -> None:
+    """Refuse a count below ``least`` by its flag's name: a negative seed, or
+    a size that its sampler or net cannot take."""
+    if value < least:
+        kind = "positive" if least else "nonnegative"
+        raise ConfigError(f"{name} must be a {kind} integer, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +128,7 @@ def _cmd_greedy(args) -> int:
         "final_solution": res.final_solution.to_json_obj(),
     }
     if args.trace:
-        obj["trace"] = [
-            {"step": s.step, "item_id": s.item_id, "retained": s.retained, "running_value": s.running_value}
-            for s in res.trace
-        ]
+        obj["trace"] = [asdict(step) for step in res.trace]
     _emit_json(obj, args.out)
     _eprint(f"greedy: retained {len(res.retained_ids)} of {inst.n} (warmup={warmup})")
     return 0
@@ -139,6 +139,7 @@ def _cmd_learn(args) -> int:
     spec = _read_file(args.spec, read_constraint_spec)
     if args.method == "net":
         stream_n = args.stream_n if args.stream_n is not None else train.n
+        _check_count(stream_n, "--stream-n", 1)
         net = quantile_policy_net(train, spec, stream_n, max_net_size=args.max_net)
         with _open_out(args.out) as fh:
             for policy in net:
@@ -244,7 +245,7 @@ def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, str | None, 
     )
     workers = pick(args.workers, "workers", 1, int)
     try:
-        _check_seed(fields["seed"], "seed")
+        _check_count(fields["seed"], "seed")
         cfg = exp.ExperimentConfig(**fields)
         exp._check_workers(workers)
     except ConfigError as exc:
@@ -286,6 +287,7 @@ def _cmd_converge(args) -> int:
     spec = _read_file(args.spec, read_constraint_spec)
     exp._check_run(dist, spec, args.n, args.trials)
     train_n = args.train_n if args.train_n is not None else args.n
+    _check_count(train_n, "--train-n")
     train = sample_instance(dist, train_n, derive_seed(args.seed, "net-train", 0))
     net = quantile_policy_net(train, spec, args.n, max_net_size=args.max_net)
     stats = exp.convergence_experiment(
@@ -432,7 +434,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if getattr(args, "seed", None) is not None:
-            _check_seed(args.seed, "--seed")
+            _check_count(args.seed, "--seed")
         return args.fn(args)
     except (OSError, ValueError, RuntimeError) as exc:
         _eprint(f"error: {exc}")

@@ -738,8 +738,12 @@ def read_instance(fh: IO[str], source: str = "<instance>") -> Instance:
 
 
 def write_constraint_spec(spec: ConstraintSpec, fh: IO[str]) -> None:
-    json.dump({"caps": list(spec.caps)}, fh, sort_keys=True)
-    fh.write("\n")
+    _write_json({"caps": list(spec.caps)}, fh)
+
+
+def _write_json(obj, fh: IO[str]) -> None:
+    """``obj`` as one JSON line, keys sorted; ``_read_json`` reads it back."""
+    fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _read_json(fh: IO[str], source: str, what: str, build):
@@ -770,8 +774,7 @@ def write_distribution_spec(dist: DistributionSpec, fh: IO[str]) -> None:
     obj: dict = {"kind": dist.kind, "d": dist.d}
     if dist.membership is not None:
         obj["membership"] = list(dist.membership)
-    json.dump(obj, fh, sort_keys=True)
-    fh.write("\n")
+    _write_json(obj, fh)
 
 
 def read_distribution_spec(fh: IO[str], source: str = "<dist>") -> DistributionSpec:

@@ -24,7 +24,6 @@ shapes the blocks, so it never shows in the output either.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import os
 import signal
@@ -39,6 +38,7 @@ from .core import (
     ConstraintSpec,
     DistributionSpec,
     Instance,
+    _write_json,
     derive_seed,
     sample_instance,
 )
@@ -609,14 +609,6 @@ def convergence_experiment(
 # emission
 
 
-def _csv_cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def trial_stats_row(cfg: ExperimentConfig, stats: TrialStats) -> dict:
     agg = stats.aggregates
     return {
@@ -655,11 +647,15 @@ def convergence_row(scenario: str, delta: float, stats: ConvergenceStats) -> dic
 
 
 def write_aggregates_csv(fh: IO[str], rows: Sequence[dict]) -> None:
-    fh.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        fh.write(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS) + "\n")
+    """The header, then one line per row.  None is the empty cell, and a cell
+    holding a comma, a double quote or a newline is quoted, as RFC 4180 quotes."""
+    import csv  # only a run that writes a CSV pays for the import
+
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
 
 
 def write_records_jsonl(fh: IO[str], records: Sequence[TrialRecord]) -> None:
     for r in records:
-        fh.write(json.dumps(r.to_json_obj(), sort_keys=True) + "\n")
+        _write_json(r.to_json_obj(), fh)

@@ -22,7 +22,6 @@ from .matching import Solution, _reaches_optimum, _solve
 from .thresholds import (
     ThresholdsPolicy,
     _check_c0,
-    is_above,
     learn_topm_thresholds,
     retention_slack,
     screen_with_policy,
@@ -61,7 +60,7 @@ class PipelineResult:
 
     def to_json_obj(self) -> dict:
         return {
-            "policy": {"t": ["ABOVE" if is_above(x) else x for x in self.policy.t]},
+            "policy": self.policy.to_json_obj(),
             "retained_after_policy": self.retained_after_policy,
             "retained_final": self.retained_final,
             "final_solution": self.final_solution.to_json_obj(),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -21,7 +20,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .core import (
-    ConfigError, ConstraintSpec, Instance, _read_json, is_dummy_id, require_valid, validate_items
+    ConfigError, ConstraintSpec, Instance, _read_json, _write_json, is_dummy_id, require_valid,
+    validate_items,
 )
 from .matching import _solve, optimal_matching
 
@@ -69,6 +69,10 @@ class ThresholdsPolicy:
     @property
     def d(self) -> int:
         return len(self.t)
+
+    def to_json_obj(self) -> dict:
+        """``ABOVE`` is written as the string "ABOVE"; ``read_policy`` is the inverse."""
+        return {"t": ["ABOVE" if is_above(x) else x for x in self.t]}
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,9 +263,7 @@ def quantile_policy_net(
 
 
 def write_policy(policy: ThresholdsPolicy, fh: IO[str]) -> None:
-    encoded = ["ABOVE" if is_above(x) else x for x in policy.t]
-    json.dump({"t": encoded}, fh, sort_keys=True)
-    fh.write("\n")
+    _write_json(policy.to_json_obj(), fh)
 
 
 def read_policy(fh: IO[str], source: str = "<policy>") -> ThresholdsPolicy:

@@ -1,9 +1,13 @@
 import argparse
+import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,6 +100,25 @@ class TestGenSolve:
             write_distribution_spec(dist, fh)
         assert run(["gen", "--dist", str(path), "--n", "20000", "--seed", str(seed), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_the_module_runs_the_cli(self, files):
+        # the README's walkthrough goes through python -m screenmatch
+        tmp, dist, _ = files
+        out = tmp / "c.jsonl"
+        assert run(["gen", "--dist", dist, "--n", "10", "--out", str(out)]) == 0
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def module(*argv):
+            cmd = [sys.executable, "-m", "screenmatch", *argv]
+            return subprocess.run(cmd, capture_output=True, env=env, timeout=60, cwd=tmp)
+
+        done = module("gen", "--dist", dist, "--n", "10")
+        assert done.returncode == 0 and done.stdout == out.read_bytes()
+        assert module().returncode == 2
+        done = module("gen", "--dist", dist, "--n", "10", "--seed", "-1")
+        assert done.returncode == 1
+        assert done.stderr == b"error: --seed must be a nonnegative integer, got -1\n"
 
     def test_stdout_carries_only_data(self, files, capsys):
         tmp, dist, spec = files
@@ -338,6 +361,29 @@ class TestExperimentCommands:
             err = capsys.readouterr().err
             assert err == f"error: {cfg}: seed must be a nonnegative integer, got -1\n"
 
+    @pytest.mark.parametrize(
+        "command, flag, value, err",
+        [
+            ("converge", "--train-n", "-1", "--train-n must be a nonnegative integer, got -1"),
+            ("learn", "--stream-n", "0", "--stream-n must be a positive integer, got 0"),
+        ],
+        ids=["converge", "learn"],
+    )
+    def test_a_size_below_its_least_is_one_and_names_its_flag(
+        self, files, capsys, command, flag, value, err
+    ):
+        tmp, dist, spec = files
+        train = tmp / "train.jsonl"
+        run(["gen", "--dist", dist, "--n", "20", "--out", str(train)])
+        argv = {
+            "converge": ["converge", "--dist", dist, "--n", "20", "--trials", "3"],
+            "learn": ["learn", "--in", str(train), "--method", "net"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv + ["--spec", spec, flag, value, "--out", str(tmp / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not (tmp / "o").exists()
+
     @pytest.mark.parametrize("command", ["trials", "concentration", "converge"])
     def test_workers_below_one_is_one(self, files, capsys, command):
         tmp, dist, spec = files
@@ -444,12 +490,16 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("command", ["trials", "converge"])
     def test_scenario_is_the_first_cell_of_the_csv_row(self, files, command):
         tmp, dist, spec = files
-        csv = tmp / "agg.csv"
+        path = tmp / "agg.csv"
         argv = [command, "--dist", dist, "--spec", spec, "--n", "20", "--trials", "3"]
-        argv += ["--scenario", "shape-7", "--out" if command == "trials" else "--csv", str(csv)]
-        assert run(argv) == 0
-        header, row = csv.read_text().splitlines()
-        assert header.split(",")[0] == "scenario" and row.split(",")[0] == "shape-7"
+        argv += ["--out" if command == "trials" else "--csv", str(path)]
+        # a comma or a quote in the scenario is quoted, and shifts no column
+        for scenario in ["shape-7", 'a,"b"']:
+            assert run(argv + ["--scenario", scenario]) == 0
+            with open(path, newline="") as fh:
+                header, row = csv.reader(fh)
+            assert len(header) == len(row) == 13
+            assert header[0] == "scenario" and row[0] == scenario
 
 
 class TestExitCodes:

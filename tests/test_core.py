@@ -98,6 +98,11 @@ class TestDistributionSpec:
         with pytest.raises(ConfigError):
             DistributionSpec("zipf", 1)
 
+    @pytest.mark.parametrize("d", [0, -1, 1.0])
+    def test_d_below_one_or_not_an_integer(self, d):
+        with pytest.raises(ConfigError, match="d must be a positive integer"):
+            DistributionSpec("disjoint-properties-uniform", d)
+
 
 class TestDeriveSeed:
     def test_stable(self):
@@ -456,6 +461,12 @@ class TestColumns:
         assert inst.values.shape == (50, 3)
         for item, row in zip(inst, inst.values):
             assert item.props == {p: v for p, v in enumerate(row.tolist()) if not math.isnan(v)}
+
+    def test_equals_only_an_instance_and_shows_its_size(self):
+        inst = Instance((Item(0, {0: 0.5}),))
+        assert inst == Instance((Item(0, {0: 0.5}),))
+        assert not (inst == 5) and inst != 5
+        assert repr(inst) == "Instance(n=1)"
 
     def test_take_keeps_ids(self):
         inst = sample_instance(DistributionSpec("single-property-uniform", 1), 10, 4)

@@ -261,6 +261,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             greedy_cfg(algorithm="policy-fixed")
         greedy_cfg(algorithm="policy-fixed", policy=ThresholdsPolicy((0.5,)))
+        with pytest.raises(ConfigError, match="policy has 2 thresholds but spec has 1 properties"):
+            greedy_cfg(algorithm="policy-fixed", policy=ThresholdsPolicy((0.5, 0.5)))
 
     def test_policy_only_for_policy_fixed(self):
         with pytest.raises(ConfigError):
@@ -378,8 +380,10 @@ class TestRunTrials:
         started = count_forks(monkeypatch)
         cfg = greedy_cfg(n=60, trials=7)
         run_trials(cfg, workers=2)
-        with pytest.raises(ValueError, match=f"block 1 in {_helper_pids()[0]}"):
-            experiments._map_blocks(_raise_in_block, [0, 1], 2)
+        # the caller works the first block, the helper the second
+        for blocks, raiser in [([0, 1], _helper_pids()[0]), ([1, 0], os.getpid())]:
+            with pytest.raises(ValueError, match=f"block 1 in {raiser}"):
+                experiments._map_blocks(_raise_in_block, blocks, 2)
         # the same helper, its pipe still in step
         assert run_trials(cfg, workers=2) == run_trials(cfg)
         assert started == [1]
@@ -424,6 +428,12 @@ class TestRunTrials:
         assert started == [1] and sent == [[(b, b + 1) for b in range(1, 1000, 2)]]
         assert all(run_trials(cfg, workers=w) == stats for w in (1, 2, 4, 64))
         assert started == [1]
+
+    @pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+    def test_cpus_without_an_affinity_call_are_the_cpu_count(self, monkeypatch, count, cpus):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert experiments._cpus() == cpus
 
     def test_helpers_go_with_their_parent(self, tmp_path):
         # a run at 3 workers prints its helpers' pids, then exits or is
@@ -764,18 +774,20 @@ class TestLowerBound:
 
 class TestEmission:
     def test_csv_header_and_blank_cells(self):
-        cfg = greedy_cfg(trials=3)
-        stats = run_trials(cfg)
-        buf = io.StringIO()
-        write_aggregates_csv(buf, [trial_stats_row(cfg, stats)])
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == (
-            "scenario,n,k,d,delta,trials,mean_retained,std_retained,"
-            "success_rate,mean_opt,std_opt,max_dev_count,max_dev_value"
-        )
-        cells = lines[1].split(",")
-        assert len(cells) == len(CSV_COLUMNS)
-        assert cells[-2:] == ["", ""]
+        # a library caller may pass numpy's float, whose repr is np.float64(0.1)
+        for delta in [0.1, np.float64(0.1)]:
+            cfg = greedy_cfg(trials=3, delta=delta)
+            stats = run_trials(cfg)
+            buf = io.StringIO()
+            write_aggregates_csv(buf, [trial_stats_row(cfg, stats)])
+            lines = buf.getvalue().splitlines()
+            assert lines[0] == (
+                "scenario,n,k,d,delta,trials,mean_retained,std_retained,"
+                "success_rate,mean_opt,std_opt,max_dev_count,max_dev_value"
+            )
+            cells = lines[1].split(",")
+            assert len(cells) == len(CSV_COLUMNS)
+            assert cells[4] == "0.1" and cells[-2:] == ["", ""]
 
     def test_records_jsonl_parses(self):
         stats = run_trials(greedy_cfg(trials=4))

@@ -247,6 +247,10 @@ class TestSlackFormulas:
             retention_slack(5, 1, 10, 0.0)
         with pytest.raises(ConfigError):
             value_slack(5, 1, 0.1, -1.0)
+        with pytest.raises(ConfigError, match="d must be a positive integer, got 0"):
+            retention_slack(5, 0, 10, 0.1)
+        with pytest.raises(ConfigError, match="d must be a positive integer, got 0"):
+            value_slack(5, 0, 0.1)
 
 
 class TestQuantileNet:
@@ -266,6 +270,10 @@ class TestQuantileNet:
         train = Instance(tuple(Item(i, {0: float(v)}) for i, v in enumerate(rng.random(500))))
         net = quantile_policy_net(train, ConstraintSpec((1,)), 500)
         assert len(net) <= 12
+
+    def test_stream_length_below_one_is_refused(self):
+        with pytest.raises(ConfigError, match="n must be a positive integer, got 0"):
+            quantile_policy_net(TWO_ITEMS, SPEC_11, 0)
 
     def test_empty_train_degenerates(self):
         net = quantile_policy_net(Instance(()), SPEC_11, 100)
