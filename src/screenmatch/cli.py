@@ -17,6 +17,7 @@ from .core import (
     ConfigError,
     ConstraintSpec,
     InputError,
+    _check_count,
     _read_json,
     _write_json,
     read_constraint_spec,
@@ -81,14 +82,6 @@ def _parse_ints(text: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
-def _check_count(value: int, name: str, least: int = 0) -> None:
-    """Refuse a count below ``least`` by its flag's name: a negative seed, or
-    a size that its sampler or net cannot take."""
-    if value < least:
-        kind = "positive" if least else "nonnegative"
-        raise ConfigError(f"{name} must be a {kind} integer, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
@@ -138,7 +131,7 @@ def _cmd_learn(args) -> int:
     train = _read_file(args.in_path, read_instance)
     spec = _read_file(args.spec, read_constraint_spec)
     if args.method == "net":
-        stream_n = args.stream_n if args.stream_n is not None else train.n
+        stream_n = args.stream_n if args.stream_n is not None else max(train.n, 1)
         _check_count(stream_n, "--stream-n", 1)
         net = quantile_policy_net(train, spec, stream_n, max_net_size=args.max_net)
         with _open_out(args.out) as fh:
@@ -247,7 +240,7 @@ def _trials_config(args) -> tuple[exp.ExperimentConfig, str | None, str | None, 
     try:
         _check_count(fields["seed"], "seed")
         cfg = exp.ExperimentConfig(**fields)
-        exp._check_workers(workers)
+        _check_count(workers, "workers", 1)
     except ConfigError as exc:
         if args.config:
             raise ConfigError(f"{args.config}: {exc}") from exc

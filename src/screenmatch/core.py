@@ -64,6 +64,14 @@ class InputError(ValueError):
     """Input data is invalid: malformed file, or items violating a spec."""
 
 
+def _check_count(value: int, name: str, least: int = 0) -> None:
+    """Refuse a count that is not an int of at least ``least`` (0 or 1),
+    naming it: a size, a seed, a trial or worker count, or its flag."""
+    if not isinstance(value, int) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def is_dummy_id(item_id: int) -> bool:
     """True when the id falls in the reserved dummy range."""
     return item_id >= DUMMY_ID_BASE
@@ -300,8 +308,7 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.kind not in DIST_KINDS:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ConfigError(f"d must be a positive integer, got {self.d!r}")
+        _check_count(self.d, "d", 1)
         if self.kind == "single-property-uniform" and self.d != 1:
             raise ConfigError("single-property-uniform requires d == 1")
         if self.kind == "overlap-bernoulli":
@@ -394,8 +401,7 @@ def sample_instance(dist: DistributionSpec, n: int, seed: int) -> Instance:
     ``dist.d`` properties, so the rule set passes it at once; its arrays
     are read-only, so it stays so.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ConfigError(f"n must be a nonnegative integer, got {n!r}")
+    _check_count(n, "n")
     rng = np.random.default_rng(seed)
     if dist.kind == "single-property-uniform":
         return _sampled(rng.random(n).reshape(n, 1), dist.d)

@@ -38,6 +38,7 @@ from .core import (
     ConstraintSpec,
     DistributionSpec,
     Instance,
+    _check_count,
     _write_json,
     derive_seed,
     sample_instance,
@@ -133,8 +134,7 @@ def _check_run(dist: DistributionSpec, spec: ConstraintSpec, n: int, trials: int
     sampled: at least one trial, streams of at least k items, and a
     distribution of the spec's d, since every experiment samples for the
     spec it solves."""
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    _check_count(trials, "trials", 1)
     if not isinstance(n, int) or n < spec.k:
         raise ConfigError(f"n must be an integer >= k={spec.k}, got {n!r}")
     if dist.d != spec.d:
@@ -210,11 +210,6 @@ def _trial_block(args: tuple):
     """``fold`` of ``fn(t)`` over the trials t in [start, stop)."""
     fn, fold, start, stop = args
     return fold(fn(t) for t in range(start, stop))
-
-
-def _check_workers(workers: int) -> None:
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
 
 
 def _blocks(total: int, size: int) -> list[tuple[int, int]]:
@@ -369,7 +364,7 @@ def run_trials(cfg: ExperimentConfig, workers: int = 1) -> TrialStats:
     ``workers`` (at least 1) only controls process parallelism; records
     and aggregates are identical for any worker count.
     """
-    _check_workers(workers)
+    _check_count(workers, "workers", 1)
     args = [(partial(_one_trial, cfg), list, s, e) for s, e in _split(cfg.trials, workers)]
     records = [r for block in _map_blocks(_trial_block, args, workers) for r in block]
     retained = np.array([r.retained for r in records], dtype=float)
@@ -427,7 +422,7 @@ def concentration_experiment(
     beyond alpha(delta') = sqrt(2 k ln(2/delta')) against the sub-Gaussian
     bound 2 exp(-alpha^2 / 2k)."""
     _check_run(dist, spec, n, trials)
-    _check_workers(workers)
+    _check_count(workers, "workers", 1)
     opt_value = partial(_opt_value, dist, spec, n, seed)
     args = [(opt_value, list, s, e) for s, e in _split(trials, workers)]
     opts = np.concatenate(_map_blocks(_trial_block, args, workers))
@@ -553,11 +548,8 @@ def convergence_experiment(
     (``_net_stats``), for every shape of stream.
     """
     _check_run(dist, spec, n, trials)
-    if not isinstance(calibration_factor, int) or calibration_factor < 1:
-        raise ConfigError(
-            f"calibration factor must be a positive integer, got {calibration_factor!r}"
-        )
-    _check_workers(workers)
+    _check_count(calibration_factor, "calibration factor", 1)
+    _check_count(workers, "workers", 1)
     if len(net) == 0:
         raise ConfigError("policy net is empty")
     for policy in net:
@@ -648,10 +640,15 @@ def convergence_row(scenario: str, delta: float, stats: ConvergenceStats) -> dic
 
 def write_aggregates_csv(fh: IO[str], rows: Sequence[dict]) -> None:
     """The header, then one line per row.  None is the empty cell, and a cell
-    holding a comma, a double quote or a newline is quoted, as RFC 4180 quotes."""
+    holding a comma, a double quote, a newline or a carriage return is quoted,
+    as RFC 4180 quotes."""
     import csv  # only a run that writes a CSV pays for the import
+    from types import SimpleNamespace
 
-    writer = csv.writer(fh, lineterminator="\n")
+    # the writer quotes a cell that holds a character of its terminator, so
+    # it ends each line in "\r\n", and the file gets "\n" in its place
+    lines = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+    writer = csv.writer(lines, lineterminator="\r\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
 

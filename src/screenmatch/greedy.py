@@ -57,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigError, ConstraintSpec, InputError, Instance, require_valid, validate_instance
+    ConfigError, ConstraintSpec, InputError, Instance, _check_count, require_valid,
+    validate_instance,
 )
 from .matching import Held, Solution, _fill, _path_step, _solve_assignment, _weights
 from .thresholds import _clears
@@ -88,10 +89,8 @@ def warmup_length(n: int, k: int, delta: float) -> int:
     The float ``delta`` is taken at its exact binary value, so the floor
     never drifts across an integer boundary through rounding.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ConfigError(f"n must be a nonnegative integer, got {n!r}")
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError(f"k must be a positive integer, got {k!r}")
+    _check_count(n, "n")
+    _check_count(k, "k", 1)
     if not (0.0 <= delta <= 1.0):
         raise ConfigError(f"delta must lie in [0, 1], got {delta!r}")
     num, den = float(delta).as_integer_ratio()

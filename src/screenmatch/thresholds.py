@@ -20,8 +20,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .core import (
-    ConfigError, ConstraintSpec, Instance, _read_json, _write_json, is_dummy_id, require_valid,
-    validate_items,
+    ConfigError, ConstraintSpec, Instance, _check_count, _read_json, _write_json, is_dummy_id,
+    require_valid, validate_items,
 )
 from .matching import _solve, optimal_matching
 
@@ -171,10 +171,8 @@ def learn_topm_thresholds(
 
 
 def _check_slack_args(k: int, d: int, delta: float, c0: float) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(d, int) or d < 1:
-        raise ConfigError(f"d must be a positive integer, got {d!r}")
+    _check_count(k, "k", 1)
+    _check_count(d, "d", 1)
     if not (0.0 < delta <= 1.0):
         raise ConfigError(f"delta must lie in (0, 1], got {delta!r}")
     _check_c0(c0)
@@ -232,8 +230,7 @@ def quantile_policy_net(
     appended.  An empty training sample yields the single all-zero policy.  Raises
     ``NetSizeError`` when the product would exceed ``max_net_size``.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"n must be a positive integer, got {n!r}")
+    _check_count(n, "n", 1)
     require_valid(validate_items(train, spec), "train")
     d = spec.d
     if train.n == 0:

@@ -242,6 +242,15 @@ class TestLearnScreenPipeline:
             texts.append(expected.getvalue())
         assert texts[0] != texts[1]
 
+    def test_learn_net_on_an_empty_training_file_writes_the_all_zero_policy(self, files):
+        tmp, _, spec = files
+        train = tmp / "empty.jsonl"
+        train.write_text("")
+        net_file = tmp / "net.jsonl"
+        argv = ["learn", "--in", str(train), "--spec", spec, "--method", "net"]
+        assert run(argv + ["--out", str(net_file)]) == 0
+        assert net_file.read_text() == '{"t": [0.0]}\n'
+
     def test_pipeline_command(self, files, capsys):
         tmp, dist, spec = files
         train, stream = tmp / "train.jsonl", tmp / "s.jsonl"
@@ -493,8 +502,9 @@ class TestExperimentCommands:
         path = tmp / "agg.csv"
         argv = [command, "--dist", dist, "--spec", spec, "--n", "20", "--trials", "3"]
         argv += ["--out" if command == "trials" else "--csv", str(path)]
-        # a comma or a quote in the scenario is quoted, and shifts no column
-        for scenario in ["shape-7", 'a,"b"']:
+        # a comma, a quote or a carriage return in the scenario is quoted,
+        # and shifts no column or row
+        for scenario in ["shape-7", 'a,"b"', "a\rb"]:
             assert run(argv + ["--scenario", scenario]) == 0
             with open(path, newline="") as fh:
                 header, row = csv.reader(fh)

@@ -30,7 +30,7 @@ from screenmatch import (
     write_instance,
 )
 import screenmatch.core as core
-from screenmatch.core import DUMMY_ID_BASE, require_valid
+from screenmatch.core import DUMMY_ID_BASE, _check_count, require_valid
 
 from helpers import (
     SPECIAL_VALUES,
@@ -100,8 +100,32 @@ class TestDistributionSpec:
 
     @pytest.mark.parametrize("d", [0, -1, 1.0])
     def test_d_below_one_or_not_an_integer(self, d):
-        with pytest.raises(ConfigError, match="d must be a positive integer"):
+        with pytest.raises(ConfigError, match=rf"^d must be a positive integer, got {d!r}$"):
             DistributionSpec("disjoint-properties-uniform", d)
+
+
+class TestCheckCount:
+    # a bool is an int; a numpy integer is not
+    @pytest.mark.parametrize("value, least", [(0, 0), (1, 1), (True, 1), (False, 0)])
+    def test_an_int_of_at_least_its_least_passes(self, value, least):
+        _check_count(value, "n", least)
+
+    @pytest.mark.parametrize(
+        "value, least, kind",
+        [
+            (-1, 0, "nonnegative"),
+            (0, 1, "positive"),
+            (False, 1, "positive"),
+            (1.0, 0, "nonnegative"),
+            ("3", 0, "nonnegative"),
+            (None, 1, "positive"),
+            (np.int64(3), 0, "nonnegative"),
+        ],
+    )
+    def test_anything_else_is_refused_by_name(self, value, least, kind):
+        with pytest.raises(ConfigError) as exc:
+            _check_count(value, "--size", least)
+        assert str(exc.value) == f"--size must be a {kind} integer, got {value!r}"
 
 
 class TestDeriveSeed:
@@ -229,7 +253,7 @@ class TestSampling:
                 assert 0.0 <= v <= 1.0
 
     def test_negative_n(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^n must be a nonnegative integer, got -1$"):
             sample_instance(DistributionSpec("single-property-uniform", 1), -1, 0)
 
     @pytest.mark.parametrize(

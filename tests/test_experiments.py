@@ -250,7 +250,7 @@ class TestConfigValidation:
             greedy_cfg(algorithm="magic")
 
     def test_trials_positive(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^trials must be a positive integer, got 0$"):
             greedy_cfg(trials=0)
 
     def test_n_at_least_k(self):
@@ -470,11 +470,12 @@ class TestRunTrials:
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_rejected(self, workers):
         net = [ThresholdsPolicy((0.0,))]
-        with pytest.raises(ConfigError, match="workers"):
+        err = rf"^workers must be a positive integer, got {workers}$"
+        with pytest.raises(ConfigError, match=err):
             run_trials(greedy_cfg(), workers=workers)
-        with pytest.raises(ConfigError, match="workers"):
+        with pytest.raises(ConfigError, match=err):
             concentration_experiment(D1, ConstraintSpec((1,)), 5, 3, 1, workers=workers)
-        with pytest.raises(ConfigError, match="workers"):
+        with pytest.raises(ConfigError, match=err):
             convergence_experiment(D1, ConstraintSpec((1,)), 10, 5, net, 1, workers=workers)
 
     @pytest.mark.parametrize("algorithm", ["greedy", "pipeline-exact-opt", "policy-fixed"])
@@ -650,7 +651,7 @@ class TestConcentration:
             assert row.bound == pytest.approx(row.delta_prime)
 
     def test_trials_validated(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^trials must be a positive integer, got 0$"):
             concentration_experiment(D1, ConstraintSpec((1,)), 5, 0, 1)
 
     def test_n_below_k_is_refused(self):
@@ -704,6 +705,11 @@ class TestConvergence:
             ({"calibration_factor": -1}, "calibration factor"),
             ({"n": 1}, "n must be"),
             ({"dist": DISJOINT2}, "distribution has d=2"),
+            pytest.param(
+                {"calibration_factor": 2.0},
+                r"^calibration factor must be a positive integer, got 2\.0$",
+                id="calibration-factor-not-an-integer",
+            ),
         ],
     )
     def test_bad_arguments_rejected(self, kw, what):

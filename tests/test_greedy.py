@@ -58,11 +58,22 @@ class TestWarmupLength:
         assert warmup_length(10, 1, 0.3) == 2
 
     @pytest.mark.parametrize(
-        "bad", [(-1, 1, 0.5), (10, 0, 0.5), (10, 1, 1.5), (10, 1, -0.1), (10, 1, float("nan"))]
+        "bad",
+        [
+            ((-1, 1, 0.5), "n must be a nonnegative integer, got -1"),
+            ((10, 0, 0.5), "k must be a positive integer, got 0"),
+            ((10, 1, 1.5), "delta must lie in [0, 1], got 1.5"),
+            ((10, 1, -0.1), "delta must lie in [0, 1], got -0.1"),
+            ((10, 1, float("nan")), "delta must lie in [0, 1], got nan"),
+            ((10.0, 1, 0.5), "n must be a nonnegative integer, got 10.0"),
+            ((10, 1.0, 0.5), "k must be a positive integer, got 1.0"),
+        ],
     )
     def test_rejects(self, bad):
-        with pytest.raises(ConfigError):
-            warmup_length(*bad)
+        args, err = bad
+        with pytest.raises(ConfigError) as exc:
+            warmup_length(*args)
+        assert str(exc.value) == err
 
 
 class TestHandSimulations:

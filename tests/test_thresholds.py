@@ -239,7 +239,7 @@ class TestSlackFormulas:
         assert value_slack(10, 1, 1e-320) == math.sqrt(10 * (math.log(10) - math.log(1e-320)))
 
     def test_argument_guards(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^k must be a positive integer, got 0$"):
             retention_slack(0, 1, 10, 0.1)
         with pytest.raises(ConfigError):
             retention_slack(5, 1, 5, 0.1)
@@ -247,9 +247,9 @@ class TestSlackFormulas:
             retention_slack(5, 1, 10, 0.0)
         with pytest.raises(ConfigError):
             value_slack(5, 1, 0.1, -1.0)
-        with pytest.raises(ConfigError, match="d must be a positive integer, got 0"):
+        with pytest.raises(ConfigError, match=r"^d must be a positive integer, got 0$"):
             retention_slack(5, 0, 10, 0.1)
-        with pytest.raises(ConfigError, match="d must be a positive integer, got 0"):
+        with pytest.raises(ConfigError, match=r"^d must be a positive integer, got 0$"):
             value_slack(5, 0, 0.1)
 
 
@@ -272,7 +272,7 @@ class TestQuantileNet:
         assert len(net) <= 12
 
     def test_stream_length_below_one_is_refused(self):
-        with pytest.raises(ConfigError, match="n must be a positive integer, got 0"):
+        with pytest.raises(ConfigError, match=r"^n must be a positive integer, got 0$"):
             quantile_policy_net(TWO_ITEMS, SPEC_11, 0)
 
     def test_empty_train_degenerates(self):
