@@ -133,6 +133,7 @@ def _cmd_learn(args) -> int:
     if args.method == "net":
         stream_n = args.stream_n if args.stream_n is not None else max(train.n, 1)
         _check_count(stream_n, "--stream-n", 1)
+        _check_count(args.max_net, "--max-net", 1)
         net = quantile_policy_net(train, spec, stream_n, max_net_size=args.max_net)
         with _open_out(args.out) as fh:
             for policy in net:
@@ -281,6 +282,7 @@ def _cmd_converge(args) -> int:
     exp._check_run(dist, spec, args.n, args.trials)
     train_n = args.train_n if args.train_n is not None else args.n
     _check_count(train_n, "--train-n")
+    _check_count(args.max_net, "--max-net", 1)
     train = sample_instance(dist, train_n, derive_seed(args.seed, "net-train", 0))
     net = quantile_policy_net(train, spec, args.n, max_net_size=args.max_net)
     stats = exp.convergence_experiment(

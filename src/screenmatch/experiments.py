@@ -47,7 +47,8 @@ from .greedy import Arrivals, screen_entries, warmup_length
 from .matching import _reaches_optimum, _solve, optimal_matching
 from .pipeline import PipelineConfig, run_pipeline
 from .thresholds import (
-    ThresholdsPolicy, _check_c0, _clears, _retention_scale, screen_with_policy, value_slack
+    ThresholdsPolicy, _check_c0, _check_width, _clears, _retention_scale, screen_with_policy,
+    value_slack,
 )
 
 __all__ = [
@@ -121,10 +122,7 @@ class ExperimentConfig:
         if self.algorithm == "policy-fixed":
             if self.policy is None:
                 raise ConfigError("policy-fixed needs an explicit policy")
-            if self.policy.d != self.spec.d:
-                raise ConfigError(
-                    f"policy has {self.policy.d} thresholds but spec has {self.spec.d} properties"
-                )
+            _check_width(self.policy, self.spec)
         elif self.policy is not None:
             raise ConfigError(f"algorithm {self.algorithm!r} takes no fixed policy")
 
@@ -198,7 +196,7 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
     if cfg.algorithm == "greedy":
         warmup = warmup_length(cfg.n, cfg.spec.k, cfg.delta)
         entries = Arrivals(inst.ids, inst.columns(cfg.spec.d))
-        kept, sol, _ = screen_entries(entries, cfg.spec, warmup)
+        kept, sol = screen_entries(entries, cfg.spec, warmup)
         retained = len(kept)
     else:
         screened, stats = screen_with_policy(cfg.policy, inst)
@@ -553,8 +551,7 @@ def convergence_experiment(
     if len(net) == 0:
         raise ConfigError("policy net is empty")
     for policy in net:
-        if policy.d != spec.d:
-            raise ConfigError(f"net policy has {policy.d} thresholds, spec has {spec.d}")
+        _check_width(policy, spec)
     thr = np.array([policy.t for policy in net], dtype=float)
 
     cal_trials = calibration_factor * trials
@@ -574,9 +571,7 @@ def convergence_experiment(
     k, d = spec.k, spec.d
     count_unit = _retention_scale(k, d, n, 0.05)
     value_unit = value_slack(k, d, 0.05)
-    q95_count = float(np.quantile(dev_count, 0.95))
-    q95_val = float(np.quantile(dev_val, 0.95))
-
+    count_dev, value_dev = _quantiles(dev_count), _quantiles(dev_val)
     has_zero = zero_idx >= 0
     return ConvergenceStats(
         net_size=len(net),
@@ -585,11 +580,11 @@ def convergence_experiment(
         n=n,
         k=k,
         d=d,
-        count_dev=_quantiles(dev_count),
+        count_dev=count_dev,
         prop_count_dev=_quantiles(dev_prop),
-        value_dev=_quantiles(dev_val),
-        fitted_c0_count=q95_count / count_unit,
-        fitted_c0_value=q95_val / value_unit,
+        value_dev=value_dev,
+        fitted_c0_count=count_dev["p95"] / count_unit,
+        fitted_c0_value=value_dev["p95"] / value_unit,
         all_zero_retained_mean=float(zero_counts.mean()) if has_zero else None,
         all_zero_retained_std=_sample_std(zero_counts) if has_zero else None,
         all_zero_value_mean=float(zero_vals.mean()) if has_zero else None,

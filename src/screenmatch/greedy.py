@@ -46,7 +46,8 @@ potentials never rise as items are kept, since the weighted rank of a
 matroid is submodular), so the arrivals this drops are ones the exact
 check would reject too, and only the rest reach it one by one.  As the
 floors tighten, the blocks grow, and the arrivals that reach the exact
-check stay about as many as the ones it keeps.
+check stay about as many as the ones it keeps.  The pass only decides:
+``greedy_screen`` builds its trace afterwards from the kept arrivals.
 """
 
 from __future__ import annotations
@@ -106,9 +107,6 @@ class Arrivals:
     pos: np.ndarray
     values: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.pos)
-
     def __iter__(self):
         return zip(self.pos.tolist(), self.values)
 
@@ -125,8 +123,7 @@ def screen_entries(
     entries: Arrivals,
     spec: ConstraintSpec,
     warmup: int,
-    trace: bool = False,
-) -> tuple[list[int], Solution, list[TraceStep] | None]:
+) -> tuple[list[int], Solution]:
     """Greedy pass over ``Arrivals``; an arrival's id is its position.
 
     Returns the indices into ``entries`` of the kept arrivals, in arrival
@@ -135,8 +132,8 @@ def screen_entries(
     ``warmup``, so a filtered subsequence keeps its original stream
     geometry.  Its callers (``greedy_screen``, the combined pipeline and
     the greedy trial) have checked the items, so nothing here checks them
-    again.  A step's ``running_value`` is the optimum value over the items
-    kept so far.
+    again.  The pass only decides: ``greedy_screen`` builds a trace from
+    the kept arrivals it returns.
     """
     positions, values = entries.pos, entries.values
     # a checked arrival owns some property, so each owns one when the owned entries add up to m
@@ -150,10 +147,9 @@ def screen_entries(
     # a value below its property's low fails the exact check below: below the
     # floor on overlap streams, below the heap's minimum on single-property ones
     lows = [-math.inf] * spec.d if single else _floors(held.reach, shift)
-    runs: dict[int, float] = {}  # with trace: index -> the optimum's value once it is kept
     # blocks of k, 2k, 4k, ... arrivals from the first one past the warmup
     start, size = int(np.searchsorted(positions, warmup)), spec.k
-    while start < len(entries):
+    while start < len(positions):
         survivors = _clears(values[start : start + size], lows)[0].nonzero()[0] + start
         for i, item_id, row in zip(
             survivors.tolist(), positions[survivors].tolist(), values[survivors].tolist()
@@ -173,27 +169,13 @@ def screen_entries(
                     continue
                 lows = _floors(held.reach, shift)
             kept.append(i)
-            if trace:
-                # the heaps or M hold the optimum; fsum rounds exactly, as the solver's sum does
-                runs[i] = math.fsum(
-                    [e[0] for heap in heaps for e in heap if e[1] >= 0]
-                    if single
-                    else [y[1][p] for p, ys in enumerate(held) for y in ys]
-                )
         start, size = start + size, 2 * size
     if single:
         best = _fill([[(i, v) for v, i in heap if i >= 0] for heap in heaps], spec.caps)
     else:
         optimum = sorted((y[0], y[1]) for ys in held for y in ys)
         best = _solve_assignment([i for i, _ in optimum], [row for _, row in optimum], spec)
-    steps: list[TraceStep] | None = None
-    if trace:
-        # a rejected arrival leaves the optimum, and so the running value, unchanged
-        steps, running = [], 0.0
-        for i, pos in enumerate(positions.tolist()):
-            running = runs.get(i, running)
-            steps.append(TraceStep(pos, pos, i in runs, running))
-    return kept, best, steps
+    return kept, best
 
 
 def greedy_screen(
@@ -204,16 +186,29 @@ def greedy_screen(
 ) -> GreedyResult:
     """Screen a full stream; returns kept ids and the optimum over them.
 
+    With ``trace``, each arrival gets one step: its position, whether it
+    was kept, and the optimum's value over the items kept so far.  The
+    trace is built after the pass, by path steps over the kept arrivals.
+
     Raises ``InputError`` when the stream fails validation or the warmup
     exceeds the stream length.
     """
     require_valid(validate_instance(stream, spec), "stream")
     if not isinstance(warmup, int) or warmup < 0 or warmup > stream.n:
         raise InputError(f"warmup must lie in 0..{stream.n}, got {warmup!r}")
-    entries = Arrivals(stream.ids, stream.columns(spec.d))
-    kept, final, steps = screen_entries(entries, spec, warmup, trace)
-    return GreedyResult(
-        retained_ids=tuple(stream.ids[kept].tolist()),
-        final_solution=final,
-        trace=tuple(steps) if steps is not None else None,
-    )
+    values = stream.columns(spec.d)
+    kept, final = screen_entries(Arrivals(stream.ids, values), spec, warmup)
+    steps: list[TraceStep] = []
+    if trace:
+        # ids are positions; a rejected arrival left the optimum as it was, so
+        # each kept one enters again and ``held`` is the optimum it entered
+        held, running = Held(spec.d), 0.0
+        shift = 1074 + ((spec.k + 1) * (stream.n + 1)).bit_length()
+        rows = dict(zip(kept, values[kept].tolist()))
+        for i in range(stream.n):
+            if i in rows:
+                _path_step(held, (i, rows[i], _weights(i, rows[i], shift)), spec.caps)
+                # fsum rounds exactly, as the solver's sum does
+                running = math.fsum([y[1][p] for p, ys in enumerate(held) for y in ys])
+            steps.append(TraceStep(i, i, i in rows, running))
+    return GreedyResult(tuple(stream.ids[kept].tolist()), final, tuple(steps) if trace else None)

@@ -96,7 +96,7 @@ def run_pipeline(
     warmup = warmup_length(n, k, third)
     survivors, _ = screen_with_policy(policy, stream)
     entries = Arrivals(survivors.ids, survivors.columns(spec.d))
-    kept, final, _ = screen_entries(entries, spec, warmup)
+    kept, final = screen_entries(entries, spec, warmup)
 
     full = _solve(stream, spec)
     return PipelineResult(

@@ -23,7 +23,7 @@ from .core import (
     ConfigError, ConstraintSpec, Instance, _check_count, _read_json, _write_json, is_dummy_id,
     require_valid, validate_items,
 )
-from .matching import _solve, optimal_matching
+from .matching import optimal_matching
 
 __all__ = [
     "ABOVE",
@@ -85,6 +85,12 @@ class RetentionStats:
     value: float | None
 
 
+def _check_width(policy: ThresholdsPolicy, spec: ConstraintSpec) -> None:
+    """A policy screening for ``spec`` holds one threshold per property."""
+    if policy.d != spec.d:
+        raise ConfigError(f"policy has {policy.d} thresholds but spec has {spec.d} properties")
+
+
 def _clears(values: np.ndarray, floors: Sequence[float]) -> tuple[np.ndarray, list[np.ndarray]]:
     """The screening rule on an (m, d) value matrix: per property p, the rows
     whose value at p is >= ``floors[p]`` (NaN never is), and the rows that
@@ -109,19 +115,17 @@ def screen_with_policy(
     comparison per property column (``_clears``), the rule every screening
     gate applies.
 
-    It trusts ``inst`` unchecked, and with ``spec`` it solves the retained
-    rows unchecked too, because its callers check first and a check costs
-    as much as the screen: the ``screen`` command checks its file and the
-    pipeline its stream, and a policy-fixed trial screens a stream it
-    sampled, valid by construction.
+    It trusts ``inst`` unchecked, because its callers check first and a
+    check costs as much as the screen: the ``screen`` command checks its
+    file and the pipeline its stream, and a policy-fixed trial screens a
+    stream it sampled, valid by construction.  With ``spec``, the retained
+    rows are solved by ``optimal_matching``, which checks them.
     """
-    if spec is not None and policy.d != spec.d:
-        raise ConfigError(f"policy has {policy.d} thresholds but spec has {spec.d} properties")
+    if spec is not None:
+        _check_width(policy, spec)
     passed, hits = _clears(inst.columns(policy.d), policy.t)
     retained = inst.take(passed)
-    value = None
-    if spec is not None:
-        value = _solve(retained, spec).value
+    value = None if spec is None else optimal_matching(retained, spec).value
     stats = RetentionStats(tuple(int(np.count_nonzero(h)) for h in hits), retained.n, value)
     return retained, stats
 
@@ -231,6 +235,7 @@ def quantile_policy_net(
     ``NetSizeError`` when the product would exceed ``max_net_size``.
     """
     _check_count(n, "n", 1)
+    _check_count(max_net_size, "max_net_size", 1)
     require_valid(validate_items(train, spec), "train")
     d = spec.d
     if train.n == 0:

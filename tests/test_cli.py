@@ -209,7 +209,8 @@ class TestLearnScreenPipeline:
         assert run(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0 < payload["total"] < 300 and payload["value"] > 0
-        assert sizes == [300]
+        # the file once, and the solver its survivors
+        assert sizes == [300, payload["total"]]
 
     def test_learn_net_writes_one_policy_per_line(self, files, capsys):
         tmp, dist, spec = files
@@ -375,8 +376,11 @@ class TestExperimentCommands:
         [
             ("converge", "--train-n", "-1", "--train-n must be a nonnegative integer, got -1"),
             ("learn", "--stream-n", "0", "--stream-n must be a positive integer, got 0"),
+            ("converge", "--max-net", "-1", "--max-net must be a positive integer, got -1"),
+            ("learn", "--max-net", "0", "--max-net must be a positive integer, got 0"),
+            ("learn", "--max-net", "-5", "--max-net must be a positive integer, got -5"),
         ],
-        ids=["converge", "learn"],
+        ids=["converge", "learn", "converge-max-net", "learn-max-net", "learn-max-net-negative"],
     )
     def test_a_size_below_its_least_is_one_and_names_its_flag(
         self, files, capsys, command, flag, value, err
@@ -731,9 +735,9 @@ class TestExitCodes:
             "converge": ["converge", "--dist", dist, "--n", "50", "--trials", "3"],
         }[command]
         capsys.readouterr()
-        assert run(argv + ["--spec", spec, "--max-net", "0", "--out", str(tmp / "o")]) == 1
+        assert run(argv + ["--spec", spec, "--max-net", "1", "--out", str(tmp / "o")]) == 1
         err = capsys.readouterr().err
-        assert err == "error: policy net would hold 32 policies, more than the cap of 0\n"
+        assert err == "error: policy net would hold 32 policies, more than the cap of 1\n"
 
     def test_trials_config_that_is_no_object_is_one(self, files, capsys):
         tmp, _, _ = files

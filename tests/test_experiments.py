@@ -564,7 +564,7 @@ class TestRunTrials:
         inst = sample_instance(dist, 1000, 31)
         assert _solve(inst, spec).value > 0
         assert len(built) == 0, "_solve"
-        kept, _, _ = screen_entries(Arrivals(inst.ids, inst.columns(3)), spec, 16)
+        kept, _ = screen_entries(Arrivals(inst.ids, inst.columns(3)), spec, 16)
         assert len(kept) > spec.k
         assert len(built) == 0, "screen_entries"
         cfg = greedy_cfg(dist=dist, spec=spec, n=1000, trials=1, algorithm="pipeline-exact-opt")
@@ -709,6 +709,11 @@ class TestConvergence:
                 {"calibration_factor": 2.0},
                 r"^calibration factor must be a positive integer, got 2\.0$",
                 id="calibration-factor-not-an-integer",
+            ),
+            pytest.param(
+                {"net": [ThresholdsPolicy((0.0,)), ThresholdsPolicy((0.0, 0.0))]},
+                r"^policy has 2 thresholds but spec has 1 properties$",
+                id="net-policy-width",
             ),
         ],
     )

@@ -124,6 +124,21 @@ class TestTrace:
                     kept.append(inst.items[step.item_id])
                 assert step.running_value == optimal_matching(kept, spec).value
 
+    @pytest.mark.parametrize("shape", ["d1", "disjoint-d2", "overlap-d3"])
+    def test_tracing_leaves_the_decisions_as_they_are(self, shape):
+        # the trace replays the kept arrivals after the pass
+        dist, caps, n, delta = CONTENDER_SHAPES[shape]
+        spec = ConstraintSpec(caps)
+        for t in range(3):
+            inst = sample_instance(dist, n, 9600 + t)
+            warmup = warmup_length(n, spec.k, delta) if t else 0
+            plain = greedy_screen(inst, spec, warmup)
+            traced = greedy_screen(inst, spec, warmup, trace=True)
+            assert traced.retained_ids == plain.retained_ids
+            assert traced.final_solution == plain.final_solution
+            assert [s.item_id for s in traced.trace if s.retained] == list(plain.retained_ids)
+            assert traced.trace[-1].running_value == plain.final_solution.value
+
     def test_trace_off_by_default(self):
         res = greedy_screen(stream_of([0.2]), ConstraintSpec((1,)), 0)
         assert res.trace is None
@@ -152,7 +167,7 @@ class TestInvariants:
             warmup = int(rng.integers(0, n + 1))
             entries = [(item.id, item) for item in items]
             inst = Instance(items)
-            fast, _, _ = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup)
+            fast, _ = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup)
             slow = reference_screen(entries, spec, warmup)
             assert inst.ids[fast].tolist() == [i.id for i in slow]
 
@@ -165,12 +180,11 @@ class TestInvariants:
             items = rand_items(rng, n, d, value_grid=TIE_GRID if t % 2 else None)
             spec = ConstraintSpec(tuple(int(c) for c in rng.integers(1, 4, size=d)))
             warmup = int(rng.integers(0, n // 4 + 1))
-            inst = Instance(items)
-            fast, _, steps = screen_entries(Arrivals(inst.ids, inst.columns(d)), spec, warmup, True)
+            res = greedy_screen(Instance(items), spec, warmup, trace=True)
             slow = [i.id for i in reference_screen([(i.id, i) for i in items], spec, warmup)]
-            assert inst.ids[fast].tolist() == slow
+            assert list(res.retained_ids) == slow
             kept = []
-            for step, item in zip(steps, items):
+            for step, item in zip(res.trace, items):
                 if step.retained:
                     kept.append(item)
                 assert step.running_value == optimal_matching(kept, spec).value
@@ -201,7 +215,7 @@ class TestInvariants:
         k = spec.k
         warmup = warmup_length(1000, k, 0.1)
         values = inst.columns(3)
-        kept, _, _ = screen_entries(Arrivals(inst.ids, values), spec, warmup)
+        kept, _ = screen_entries(Arrivals(inst.ids, values), spec, warmup)
         kept_ids = set(inst.ids[kept].tolist())
         heaps = [[] for _ in range(3)]
         gate_passes = 0
@@ -280,7 +294,7 @@ class TestFinalOptimum:
         # tie layer 4 sends the smaller id to the smaller property
         stream = Instance([Item(0, {0: 0.5, 1: 0.5}), Item(1, {0: 0.5, 1: 0.5})])
         spec = ConstraintSpec((1, 1))
-        kept, best, _ = screen_entries(Arrivals(stream.ids, stream.columns(2)), spec, 0)
+        kept, best = screen_entries(Arrivals(stream.ids, stream.columns(2)), spec, 0)
         assert kept == [0, 1]
         assert best == optimal_matching(stream, spec)
         assert best.assignment == ((0, 0), (1, 1))
@@ -296,8 +310,8 @@ class TestFinalOptimum:
         screened = []
         real = pipeline.screen_entries
 
-        def keeping(entries, spec, warmup, trace=False):
-            out = real(entries, spec, warmup, trace)
+        def keeping(entries, spec, warmup):
+            out = real(entries, spec, warmup)
             kept = Instance.from_values(entries.values[out[0]], entries.pos[out[0]])
             assert out[1] == optimal_matching(kept, spec)
             screened.append((entries.pos, kept))
@@ -327,19 +341,24 @@ class TestFinalOptimum:
 
 def screen_matches_reference(positions: np.ndarray, values: np.ndarray, spec, warmup: int):
     """Hold ``screen_entries`` on arrivals at ``positions`` (their ids) to
-    the ungated reference: the kept arrivals, every trace step and the
-    returned optimum."""
+    the ungated reference: the kept arrivals and the returned optimum; on a
+    full stream (positions 0..n-1), ``greedy_screen``'s every trace step too."""
     items = [
         Item(pos, {p: v for p, v in enumerate(row) if v == v})
         for pos, row in zip(positions.tolist(), values.tolist())
     ]
-    kept, best, steps = screen_entries(Arrivals(positions, values), spec, warmup, True)
+    kept, best = screen_entries(Arrivals(positions, values), spec, warmup)
     slow = reference_screen(list(zip(positions.tolist(), items)), spec, warmup)
     assert positions[kept].tolist() == [item.id for item in slow]
     assert best == optimal_matching(slow, spec)
-    assert [(s.step, s.item_id) for s in steps] == [(pos, pos) for pos in positions.tolist()]
+    if not np.array_equal(positions, np.arange(len(positions))):
+        return
+    res = greedy_screen(Instance.from_values(values), spec, warmup, trace=True)
+    assert res.retained_ids == tuple(item.id for item in slow)
+    assert res.final_solution == best
+    assert [(s.step, s.item_id) for s in res.trace] == [(pos, pos) for pos in positions.tolist()]
     so_far = []
-    for step, item in zip(steps, items):
+    for step, item in zip(res.trace, items):
         assert step.retained == (item in slow)
         so_far += [item] if step.retained else []
         assert step.running_value == optimal_matching(so_far, spec).value
@@ -380,11 +399,11 @@ class TestGateEdges:
     def test_empty_arrivals(self, shape):
         d = GATE_SHAPES[shape][0]
         spec = ConstraintSpec((1,) * d)
-        kept, best, steps = screen_entries(
-            Arrivals(np.arange(0), np.empty((0, d))), spec, 0, True
-        )
-        assert (kept, steps) == ([], [])
+        kept, best = screen_entries(Arrivals(np.arange(0), np.empty((0, d))), spec, 0)
+        assert kept == []
         assert best == optimal_matching([], spec)
+        res = greedy_screen(Instance.from_values(np.empty((0, d))), spec, 0, trace=True)
+        assert (res.retained_ids, res.trace, res.final_solution) == ((), (), best)
 
     def test_survivors_skip_past_the_warmup(self, shape):
         # a policy's survivors: ascending positions with gaps, the warmup
@@ -426,7 +445,7 @@ def test_contenders_scale_with_the_kept_arrivals(monkeypatch, shape):
     for t in range(20):
         inst = sample_instance(dist, n, 9500 + t)
         contenders.clear()
-        kept, _, _ = screen_entries(Arrivals(inst.ids, inst.columns(spec.d)), spec, warmup)
+        kept, _ = screen_entries(Arrivals(inst.ids, inst.columns(spec.d)), spec, warmup)
         assert sum(contenders) <= 2 * len(kept) + spec.k
         assert len(contenders) == (-(-(n - warmup) // spec.k)).bit_length()
 
@@ -486,8 +505,8 @@ class TestPathStep:
         values = np.array([[5e-324, 5e-324]] + [[0.0, 0.0]] * 40)
         spec = ConstraintSpec((1, 1))
         assert path_steps_match_full_solves(values, spec, 0) == 2
-        _, _, steps = screen_entries(Arrivals(np.arange(41), values), spec, 0, True)
-        assert [s.running_value for s in steps] == [5e-324] * 41
+        res = greedy_screen(Instance.from_values(values), spec, 0, trace=True)
+        assert [s.running_value for s in res.trace] == [5e-324] * 41
 
     @pytest.mark.parametrize("first", [0.0, -0.0, 5e-324])
     def test_id_zero_at_warmup_zero_enters_ahead_of_a_dummy(self, first):
@@ -496,7 +515,7 @@ class TestPathStep:
         values = np.array([[first, np.nan], [0.0, 0.0], [np.nan, 0.5]])
         spec = ConstraintSpec((1, 1))
         assert path_steps_match_full_solves(values, spec, 0) == 2
-        kept, _, _ = screen_entries(Arrivals(np.arange(3), values), spec, 0)
+        kept, _ = screen_entries(Arrivals(np.arange(3), values), spec, 0)
         assert kept[0] == 0
 
 
@@ -641,9 +660,9 @@ def test_overlap_greedy_golden_digest():
             if t % 2:
                 values = np.round(values * 4) / 4
             warmup = warmup_length(400, spec.k, 0.1) if t < 4 else t - 4
-            kept, _, steps = screen_entries(Arrivals(inst.ids, values), spec, warmup, True)
-            h.update(f"{kept}\n".encode())
-            for s in steps:
+            res = greedy_screen(Instance.from_values(values), spec, warmup, trace=True)
+            h.update(f"{list(res.retained_ids)}\n".encode())
+            for s in res.trace:
                 h.update(f"{s.step}|{s.item_id}|{s.retained}|{s.running_value.hex()}\n".encode())
     assert h.hexdigest() == "0693127413785d965ac2620ec89d9dbbf7a68ab1548e0c04a9d2eb52a9acaedd"
 

@@ -57,8 +57,8 @@ class TestConfig:
         assert slack > 0 and warmup > 0
         passes = []
 
-        def keeping(entries, spec, warmup, trace=False):
-            out = screen_entries(entries, spec, warmup, trace)
+        def keeping(entries, spec, warmup):
+            out = screen_entries(entries, spec, warmup)
             passes.append((entries, warmup, out[0]))
             return out
 
@@ -67,7 +67,7 @@ class TestConfig:
         policy = learn_topm_thresholds(train, spec, [spec.k + slack] * spec.d)
         assert result.policy == policy
         survivors, _ = screen_with_policy(policy, stream)
-        kept, final, _ = screen_entries(
+        kept, final = screen_entries(
             Arrivals(survivors.ids, survivors.columns(spec.d)), spec, warmup
         )
         ((entries, used, seen),) = passes

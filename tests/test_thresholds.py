@@ -9,6 +9,7 @@ from screenmatch import (
     ConfigError,
     ConstraintSpec,
     DistributionSpec,
+    InputError,
     Instance,
     Item,
     NetSizeError,
@@ -114,6 +115,21 @@ class TestScreenWithPolicy:
             assert {i.id for i in retained} == set().union(*per)
             assert stats.total == len(set().union(*per))
             assert stats.total <= sum(stats.per_property)
+
+    @pytest.mark.parametrize(
+        "items, kind",
+        [
+            ([Item(0, {0: 7.0})], "value-out-of-range"),
+            ([Item(0, {0: 0.9}), Item(0, {0: 0.5})], "duplicate-id"),
+        ],
+        ids=["value-out-of-range", "duplicate-id"],
+    )
+    def test_survivors_are_checked_before_they_are_solved(self, items, kind):
+        # the screen itself trusts its stream; solving the survivors checks them
+        inst, policy = Instance(items), ThresholdsPolicy((0.0,))
+        assert screen_with_policy(policy, inst)[1].total == len(items)
+        with pytest.raises(InputError, match=f"^invalid items: 1 violation\\(s\\), first is {kind} "):
+            screen_with_policy(policy, inst, ConstraintSpec((1,)))
 
     def test_value_none_without_spec(self):
         _, stats = screen_with_policy(ThresholdsPolicy((0.0,)), Instance((Item(0, {0: 0.5}),)))
@@ -274,6 +290,13 @@ class TestQuantileNet:
     def test_stream_length_below_one_is_refused(self):
         with pytest.raises(ConfigError, match=r"^n must be a positive integer, got 0$"):
             quantile_policy_net(TWO_ITEMS, SPEC_11, 0)
+
+    @pytest.mark.parametrize("cap", [0, -5, 2.0])
+    def test_a_cap_below_one_is_refused(self, cap):
+        # no net holds fewer than one policy, so no such cap can be met
+        with pytest.raises(ConfigError) as exc:
+            quantile_policy_net(TWO_ITEMS, SPEC_11, 10, max_net_size=cap)
+        assert str(exc.value) == f"max_net_size must be a positive integer, got {cap!r}"
 
     def test_empty_train_degenerates(self):
         net = quantile_policy_net(Instance(()), SPEC_11, 100)
