@@ -43,6 +43,8 @@ from .thresholds import (
 from . import experiments as exp
 
 DEFAULT_SEED = 12345
+# the pipeline's threshold rank is exact, so it has no slack for c0 to scale
+C0_HELP = "accepted and checked (nonnegative, finite), unused by the pipeline"
 
 
 def _eprint(*parts) -> None:
@@ -375,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--mode", choices=("exact-opt",), default="exact-opt", help="accepts only exact-opt")
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--c0", type=float, default=1.0)
+    p.add_argument("--c0", type=float, default=1.0, help=C0_HELP)
     _add_common(p, seed=False)
     p.set_defaults(fn=_cmd_pipeline)
 
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--algorithm", choices=exp.ALGORITHMS, default=None)
-    p.add_argument("--c0", type=float, default=None)
+    p.add_argument("--c0", type=float, default=None, help=C0_HELP)
     p.add_argument("--policy", default=None, help="fixed policy file (policy-fixed)")
     p.add_argument("--records", default=None, help="per-trial records output (JSON lines)")
     p.add_argument("--workers", type=int, default=None)

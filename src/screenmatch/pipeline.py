@@ -2,14 +2,11 @@
 policy on a training sample, then run the online greedy pass over the
 policy-filtered stream.
 
-The policy takes per-property top-(k + slack) thresholds, where the slack
-grows like sqrt(k log ...) so that with probability 1 - delta the filtered
-stream still contains a full-stream optimum.
-
-The failure budget delta is split in thirds across three sources
-(threshold coverage, retention-count convergence, greedy warmup); the
-warmup is counted in original stream positions, so filtering never
-shortens it.
+The policy takes per-property top-m thresholds, with m the exact,
+distribution-free ``coverage_rank`` of the whole failure budget delta, so
+that with probability at least 1 - delta the filtered stream still holds
+the full-stream optimum.  The pass over the survivors has no warmup: it
+keeps every item of their optimum, so coverage is its only failure source.
 """
 
 from __future__ import annotations
@@ -17,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ConfigError, ConstraintSpec, Instance, require_valid, validate_instance
-from .greedy import Arrivals, screen_entries, warmup_length
+from .greedy import Arrivals, screen_entries
 from .matching import Solution, _reaches_optimum, _solve
 from .thresholds import (
     ThresholdsPolicy,
     _check_c0,
+    coverage_rank,
     learn_topm_thresholds,
-    retention_slack,
     screen_with_policy,
 )
 
@@ -32,11 +29,11 @@ __all__ = ["PipelineConfig", "PipelineResult", "run_pipeline"]
 
 @dataclass(frozen=True, slots=True)
 class PipelineConfig:
-    """Failure budget and slack constant.
+    """The failure budget, which ``run_pipeline`` spends whole on coverage.
 
-    ``run_pipeline`` gives the slack's convergence and the greedy warmup a
-    third of ``delta`` each.  The coverage third is reserved: no learner
-    takes a coverage budget, so none spends it yet.
+    ``c0`` shapes nothing: the rank is exact, so no slack is fitted.  It is
+    still accepted and checked (nonnegative and finite), because callers
+    that predate the exact rank pass it.
     """
 
     delta: float
@@ -82,21 +79,41 @@ def run_pipeline(
     check.  ``train`` is checked by the learner.  A trial's sampled train
     and stream are valid by construction, so neither check costs it a pass.
 
-    The slack and the warmup each spend a third of ``cfg.delta``; the
-    coverage third is reserved (see ``PipelineConfig``).
+    With m = ``coverage_rank(train.n, stream.n, k, d, cfg.delta)``, the
+    policy takes each property's m-th largest training value, and the pass
+    over its survivors has warmup 0.  When train and stream are drawn
+    i.i.d. from one distribution, the result is optimal with probability
+    at least 1 - ``cfg.delta``:
+
+    1. Per property p, score each item by its value at p, or -1 if it
+       lacks p.  The training and stream scores are exchangeable, so with
+       ties broken at random the number of stream scores among the top
+       k + m - 1 is Hyp(n_train + n_stream, n_stream, k + m - 1), whatever
+       the distribution (Gumbel and von Schelling 1950; Wilks 1941).  When
+       at least k of them are the stream's, at most m - 1 are training
+       scores, so the stream's top k by (value, id) all clear the m-th
+       largest training value.  A union over the d properties bounds the
+       chance that some property misses by the rank's budget.
+    2. Ties only add survivors: a value equal to the threshold clears it
+       (``>=``), so the survivors hold those of every random tie order.
+    3. When every property's top k by (value, id) survives, the pool lemma
+       (``matching``) puts the full optimum among the survivors, and it is
+       their optimum too.
+    4. With warmup 0, the pass keeps every item of the survivors' optimum:
+       by prefix consistency, an item in the optimum of a set is in the
+       optimum of each subset that holds it, here the items kept before it
+       plus itself.  So the pass ends on the survivors' optimum.
+    5. A property with fewer than m owners in training gets threshold 0,
+       so every owner survives, and step 1 needs a real m-th value only
+       where one exists.
     """
     require_valid(validate_instance(stream, spec), "stream")
 
-    n, k = stream.n, spec.k
-    # delta * (1 / 3), not delta / 3: the two can differ in the last bit
-    third = cfg.delta * (1 / 3)
-    slack = retention_slack(k, spec.d, max(n, k + 1), third, cfg.c0)
-    policy = learn_topm_thresholds(train, spec, [k + slack] * spec.d)
-
-    warmup = warmup_length(n, k, third)
+    m = coverage_rank(train.n, stream.n, spec.k, spec.d, cfg.delta)
+    policy = learn_topm_thresholds(train, spec, [m] * spec.d)
     survivors, _ = screen_with_policy(policy, stream)
     entries = Arrivals(survivors.ids, survivors.columns(spec.d))
-    kept, final = screen_entries(entries, spec, warmup)
+    kept, final = screen_entries(entries, spec, 0)
 
     full = _solve(stream, spec)
     return PipelineResult(

@@ -5,8 +5,10 @@ clears that property's threshold.
 sentinel; a finite threshold t retains values >= t, equality included.
 Two learners are provided: thresholds read off an optimal assignment of a
 training sample (the minimum assigned value per property), and top-m order
-statistics per property.  ``quantile_policy_net`` builds the grid of
-empirical quantile policies used by the convergence experiments.
+statistics per property.  ``coverage_rank`` is the top-m rank whose
+thresholds cover a stream's top k with a given probability, for any
+distribution.  ``quantile_policy_net`` builds the grid of empirical
+quantile policies used by the convergence experiments.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import IO, Sequence
 
 import numpy as np
@@ -34,6 +37,7 @@ __all__ = [
     "screen_with_policy",
     "learn_optimal_thresholds",
     "learn_topm_thresholds",
+    "coverage_rank",
     "retention_slack",
     "value_slack",
     "quantile_policy_net",
@@ -174,6 +178,51 @@ def learn_topm_thresholds(
     return ThresholdsPolicy(tuple(out))
 
 
+@functools.lru_cache(maxsize=1024, typed=True)  # typed: 5.0 must not hit 5's answer unchecked
+def coverage_rank(n_train: int, n_stream: int, k: int, d: int, budget: float) -> int:
+    """The least m >= k with d * P(Hyp(n_train + n_stream, n_stream, k + m - 1)
+    <= k - 1) <= ``budget``, or max(k, n_train + 1) when no m <= n_train
+    meets it (as at n_stream < k).
+
+    The hypergeometric term is the chance that fewer than k of the top
+    k + m - 1 among n_train + n_stream exchangeable scores belong to the
+    stream (Gumbel and von Schelling 1950; Wilks 1941): the chance that a
+    top-m training threshold misses one of the stream's top k.  The sums
+    are exact, in integers against ``Fraction(budget)``.  The tail falls as
+    m grows, so m is found by doubling, then bisection.  Every trial of a
+    run asks the same question, so the answers are cached.
+    """
+    _check_count(n_train, "n_train")
+    _check_count(n_stream, "n_stream")
+    _check_count(k, "k", 1)
+    _check_count(d, "d", 1)
+    if not (0.0 < budget < 1.0):
+        raise ConfigError(f"budget must lie in (0, 1), got {budget!r}")
+    # at m = n_train + 1 the top k + m - 1 scores hold at least k of the stream's
+    top = max(k, n_train + 1)
+    if n_stream < k:
+        return top
+    num, den = Fraction(budget).as_integer_ratio()
+
+    def misses(m: int) -> bool:
+        # j training scores among the top k + m - 1 leave fewer than k for the
+        # stream when j >= m; C(n_train, j) steps to C(n_train, j + 1) exactly
+        draws, ways, low = k + m - 1, math.comb(n_train, m), 0
+        for j in range(m, min(n_train, draws) + 1):
+            low += math.comb(n_stream, draws - j) * ways
+            ways = ways * (n_train - j) // (j + 1)
+        return d * low * den > num * math.comb(n_train + n_stream, draws)
+
+    miss, step = k - 1, 1
+    while miss + step < top and misses(miss + step):
+        miss, step = miss + step, 2 * step
+    hit = min(miss + step, top)
+    while hit - miss > 1:
+        mid = (miss + hit) // 2
+        miss, hit = (mid, hit) if misses(mid) else (miss, mid)
+    return hit
+
+
 def _check_slack_args(k: int, d: int, delta: float, c0: float) -> None:
     _check_count(k, "k", 1)
     _check_count(d, "d", 1)
@@ -271,6 +320,8 @@ def write_policy(policy: ThresholdsPolicy, fh: IO[str]) -> None:
 def read_policy(fh: IO[str], source: str = "<policy>") -> ThresholdsPolicy:
     def build(obj) -> ThresholdsPolicy:
         given = obj["t"]
+        if type(given) is not list:  # an object's keys would read as thresholds
+            raise TypeError(f"thresholds must be a JSON array, got {given!r}")
         t = tuple(ABOVE if x == "ABOVE" else x for x in given)
         if any(type(x) is not float and type(x) is not int for x in t):
             raise TypeError(f'thresholds must be numbers or "ABOVE", got {given!r}')

@@ -43,7 +43,7 @@ def run(argv):
 
 
 # sha256 of the pipeline output on the seeded files of test_pipeline_runs_the_training_set_screen
-PIPELINE_SHA256 = "273ed0f60552d9479550b3425d82d73afb2b6f66892f346de2aa077f13a5931b"
+PIPELINE_SHA256 = "6a75c2c3c7c97dd77ab7602cf5c94d34a24663fed1fb322842cf19f8015314e3"
 
 
 class TestGenSolve:
@@ -711,6 +711,18 @@ class TestExitCodes:
         assert run(["screen", "--in", str(inst), "--policy", str(policy)]) == 1
         assert f"{policy}: malformed policy" in capsys.readouterr().err
 
+    def test_policy_thresholds_must_be_an_array(self, files, tmp_path, capsys):
+        # an object's keys are not thresholds: {"ABOVE": 0.3} is not the policy (ABOVE,)
+        tmp, dist, _ = files
+        inst = tmp / "c.jsonl"
+        run(["gen", "--dist", dist, "--n", "5", "--out", str(inst)])
+        policy = tmp_path / "object_policy.json"
+        policy.write_text('{"t": {"ABOVE": 0.3}}\n')
+        capsys.readouterr()
+        assert run(["screen", "--in", str(inst), "--policy", str(policy)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {policy}: malformed policy (thresholds must be a JSON array")
+
     @pytest.mark.parametrize(
         "m, err",
         [([], "--m is required with --method topm"),
@@ -795,13 +807,18 @@ class TestExitCodes:
         if command == "trials":
             argv += ["--algorithm", "pipeline-exact-opt"]
         capsys.readouterr()
+        if c0 == "1e308":
+            # finite, so it passes the check; the exact rank computes nothing from it
+            assert run(argv) == 0
+            assert "error" not in capsys.readouterr().err
+            return
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "c0" in err
         assert "Traceback" not in err
 
     def test_a_subnormal_delta_runs_the_pipeline(self, files, capsys):
-        # its slack third, 3.3e-311, has no finite reciprocal
+        # 1/delta overflows a float; the rank's exact sums take the budget as a fraction
         tmp, dist, spec = files
         stream, out = tmp / "s.jsonl", tmp / "o.json"
         run(["gen", "--dist", dist, "--n", "20", "--out", str(stream)])
@@ -812,7 +829,7 @@ class TestExitCodes:
         assert json.loads(out.read_text())["optimal_vs_fullstream"] is True
 
     def test_delta_split_is_a_usage_error(self, files, capsys):
-        # the pipeline splits delta in thirds; no flag weights them
+        # the pipeline spends delta whole on coverage; no flag splits it
         tmp, dist, spec = files
         stream = tmp / "s.jsonl"
         run(["gen", "--dist", dist, "--n", "20", "--out", str(stream)])

@@ -58,11 +58,24 @@ RECORD_SHAPES = {
     "disjoint-d2": (DISJOINT2, (2, 1), 500, 0.1, 1.0),
     "overlap-d3": (OVERLAP3, (2, 2, 2), 300, 0.1, 1.0),
 }
-# sha256 of the records of every algorithm on each shape
+# sha256 of the records of each algorithm on each shape, so that a change
+# to one algorithm's records re-pins that algorithm's digests alone
 RECORDS_SHA256 = {
-    "c4": "34f9d27fac3cfc83e29ea88cf8ee18e2f701dda0419732d634d5c34a6dfac868",
-    "disjoint-d2": "f36481d0c3760116140f4bc66096756c20bc8e4c2a3afbdab0531dd33028a20f",
-    "overlap-d3": "c0c264af7a454a8161abc472e0086743111ff0ff5f8729081b19749df52ffb6c",
+    "c4": {
+        "greedy": "2406cf9d0a3f2b9edff1d9967a87ac5c132b4a0cbc711e61cbc131646f7ba2e0",
+        "pipeline-exact-opt": "d3d002a59e2e9a1295fb6eb00524cbfaeb7191561a134a88d8c48c100e09bc30",
+        "policy-fixed": "f0236d4d5f9a9f7a6dc97a4c00a72b6f65926f8a181ac55c7d5919d40f612fcc",
+    },
+    "disjoint-d2": {
+        "greedy": "d14537a37a3ee40cbbfcb746ef7ea036d5d9a57a9cd0539224d9e1bf6fa8f8ba",
+        "pipeline-exact-opt": "59013b36b5d4f4e00e9011df016a89c3642185f55b205ecbe38d4a1d34410af7",
+        "policy-fixed": "af5cac967c17bf59a30601d29df31b54e68706a0b158e60f42b368f12d77fdaf",
+    },
+    "overlap-d3": {
+        "greedy": "bd860f3b9a048d7cdc53d9234e873ba601a6e4df796bd69ddd6d025853335953",
+        "pipeline-exact-opt": "a40c859d6a1909010e80915b24372a8e87626f6481d955b461eedc4b74feaf3c",
+        "policy-fixed": "49a0941cc98accd1686b3899145875f0dd28c514449e57223dbee9e5fac9043d",
+    },
 }
 
 
@@ -811,7 +824,7 @@ class TestEmission:
     @pytest.mark.parametrize("shape", sorted(RECORD_SHAPES))
     def test_trial_records_are_pinned(self, shape):
         dist, caps, n, delta, c0 = RECORD_SHAPES[shape]
-        h = hashlib.sha256()
+        digests = {}
         for algorithm in ALGORITHMS:
             policy = ThresholdsPolicy((0.8,) * len(caps)) if algorithm == "policy-fixed" else None
             cfg = greedy_cfg(
@@ -820,5 +833,5 @@ class TestEmission:
             )
             buf = io.StringIO()
             write_records_jsonl(buf, run_trials(cfg).records)
-            h.update(buf.getvalue().encode())
-        assert h.hexdigest() == RECORDS_SHA256[shape]
+            digests[algorithm] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digests == RECORDS_SHA256[shape]

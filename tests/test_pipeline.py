@@ -12,11 +12,11 @@ from screenmatch import (
     Instance,
     Item,
     PipelineConfig,
+    coverage_rank,
     derive_seed,
     greedy_screen,
     learn_topm_thresholds,
     optimal_matching,
-    retention_slack,
     run_pipeline,
     sample_instance,
     screen_with_policy,
@@ -37,7 +37,7 @@ class TestConfig:
             PipelineConfig(delta)
 
     def test_fields_are_delta_and_c0(self):
-        # the budget splits in fixed thirds, so no field weights it
+        # the whole budget buys the coverage rank, so no field weights it
         assert [f.name for f in dataclasses.fields(PipelineConfig)] == ["delta", "c0"]
         with pytest.raises(TypeError):
             PipelineConfig(0.1, delta_split=(0.5, 0.25, 0.25))
@@ -46,15 +46,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(0.1, c0=-1.0)
 
-    def test_slack_and_warmup_each_spend_a_third(self, monkeypatch):
-        # delta * (1 / 3), the product the pipeline takes, not delta / 3
+    def test_policy_takes_the_coverage_rank_and_the_pass_warmup_0(self, monkeypatch):
+        # the whole delta buys the rank, and c0 shapes nothing
         dist = DistributionSpec("overlap-bernoulli", 2, (0.6, 0.5))
-        spec, n, delta, c0 = ConstraintSpec((2, 1)), 2000, 0.9, 1.0
+        spec, n, delta = ConstraintSpec((2, 1)), 2000, 0.9
         train, stream = (sample_instance(dist, n, seed) for seed in (31, 32))
-        third = delta * (1 / 3)
-        slack = retention_slack(spec.k, spec.d, n, third, c0)
-        warmup = warmup_length(n, spec.k, third)
-        assert slack > 0 and warmup > 0
+        m = coverage_rank(n, n, spec.k, spec.d, delta)
+        assert m > spec.k and warmup_length(n, spec.k, delta) > 0
         passes = []
 
         def keeping(entries, spec, warmup):
@@ -63,15 +61,19 @@ class TestConfig:
             return out
 
         monkeypatch.setattr("screenmatch.pipeline.screen_entries", keeping)
-        result = run_pipeline(train, stream, spec, PipelineConfig(delta, c0))
-        policy = learn_topm_thresholds(train, spec, [spec.k + slack] * spec.d)
+        results = [
+            run_pipeline(train, stream, spec, PipelineConfig(delta, c0)) for c0 in (0.0, 1e308)
+        ]
+        assert results[0] == results[1]
+        result = results[0]
+        policy = learn_topm_thresholds(train, spec, [m] * spec.d)
         assert result.policy == policy
         survivors, _ = screen_with_policy(policy, stream)
         kept, final = screen_entries(
-            Arrivals(survivors.ids, survivors.columns(spec.d)), spec, warmup
+            Arrivals(survivors.ids, survivors.columns(spec.d)), spec, 0
         )
-        ((entries, used, seen),) = passes
-        assert used == warmup
+        (entries, used, seen), _ = passes
+        assert used == 0
         assert np.array_equal(entries.pos, survivors.ids)
         assert seen == kept and result.retained_final == len(kept)
         assert result.final_solution == final
@@ -161,7 +163,7 @@ class TestStructuralInvariants:
         text = json.dumps(obj, sort_keys=True)
         back = json.loads(text)
         assert back["retained_final"] == 2
-        # k + slack ranks outnumber the two training items, so every threshold is 0
+        # the coverage rank outnumbers the two training items, so every threshold is 0
         assert back["policy"]["t"] == [0.0, 0.0]
 
 
@@ -188,3 +190,30 @@ class TestStatistical:
         floor = 0.95 - 3 * math.sqrt(0.05 * 0.95 / trials)
         assert rate >= floor
         assert np.mean(pipeline_retained) < np.mean(greedy_retained)
+
+
+COVERAGE_SHAPES = {
+    "single": (DistributionSpec("single-property-uniform", 1), (3,)),
+    "disjoint": (DistributionSpec("disjoint-properties-uniform", 2), (2, 1)),
+    "overlap": (DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3)), (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(COVERAGE_SHAPES))
+def test_trial_fails_exactly_when_an_optimal_item_is_screened_out(shape):
+    # with continuous values the optimum is unique, and with warmup 0
+    # coverage is the pipeline's only failure source
+    dist, caps = COVERAGE_SHAPES[shape]
+    spec = ConstraintSpec(caps)
+    n, cfg = 200, PipelineConfig(0.5)
+    failures = 0
+    for t in range(300):
+        train = sample_instance(dist, n, derive_seed(505, f"{shape}-train", t))
+        stream = sample_instance(dist, n, derive_seed(505, f"{shape}-stream", t))
+        result = run_pipeline(train, stream, spec, cfg)
+        survivors, _ = screen_with_policy(result.policy, stream)
+        full = optimal_matching(stream, spec)
+        covered = set(full.real_ids()) <= set(survivors.ids.tolist())
+        assert result.optimal_vs_fullstream == covered
+        failures += not covered
+    assert failures > 0

@@ -1,5 +1,7 @@
 import io
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from screenmatch import (
     Item,
     NetSizeError,
     ThresholdsPolicy,
+    coverage_rank,
     is_above,
     learn_optimal_thresholds,
     learn_topm_thresholds,
@@ -50,6 +53,13 @@ class TestPolicyObject:
         back = read_policy(io.StringIO(buf.getvalue()))
         assert back == policy
         assert is_above(back.t[1])
+
+    @pytest.mark.parametrize("t", ['{"ABOVE": 0.3}', '"0.5"', "0.5", "null"])
+    def test_thresholds_must_be_an_array(self, t):
+        # an object's keys would otherwise read as thresholds: {"ABOVE": 0.3} as (ABOVE,)
+        want = r"^p\.json: malformed policy \(thresholds must be a JSON array"
+        with pytest.raises(InputError, match=want):
+            read_policy(io.StringIO(f'{{"t": {t}}}'), "p.json")
 
 
 class TestApplyPolicy:
@@ -231,6 +241,77 @@ class TestLearnTopM:
             learn_topm_thresholds(TWO_ITEMS, SPEC_11, [1])
         with pytest.raises(ConfigError):
             learn_topm_thresholds(TWO_ITEMS, SPEC_11, [1, 0])
+
+
+def _direct_rank(n_train, n_stream, k, d, budget):
+    """The least m >= k whose coverage tail, enumerated term by term over
+    the hypergeometric law, fits the budget; max(k, n_train + 1) if none
+    up to n_train does."""
+    total = n_train + n_stream
+    for m in range(k, n_train + 1):
+        draws = k + m - 1
+        if draws > total:
+            break
+        # P(fewer than k of the top ``draws`` scores are the stream's)
+        tail = sum(
+            Fraction(
+                math.comb(n_stream, x) * math.comb(n_train, draws - x), math.comb(total, draws)
+            )
+            for x in range(k)
+            if 0 <= draws - x <= n_train
+        )
+        if d * tail <= Fraction(budget):
+            return m
+    return max(k, n_train + 1)
+
+
+BUDGETS = (0.5, 0.1, 0.01, 1e-4)
+
+
+class TestCoverageRank:
+    def test_equals_the_direct_enumeration(self):
+        f = coverage_rank.__wrapped__
+        for n_train in range(13):
+            for n_stream in range(13):
+                for k in range(1, 5):
+                    for d in (1, 2):
+                        for budget in BUDGETS:
+                            args = (n_train, n_stream, k, d, budget)
+                            assert f(*args) == _direct_rank(*args), args
+
+    def test_monotone_in_the_budget(self):
+        grid = [10.0**-e for e in range(1, 320, 7)] + [0.9, 0.5, 0.25]
+        for n, k, d in [(10, 2, 1), (1000, 3, 2), (10**4, 10, 1), (10**5, 5, 3)]:
+            ranks = [coverage_rank(n, n, k, d, b) for b in sorted(grid)]
+            assert ranks == sorted(ranks, reverse=True)
+
+    @pytest.mark.parametrize("n_train, n_stream, k", [(0, 50, 3), (0, 0, 1), (40, 2, 3), (7, 0, 2)])
+    def test_no_training_or_a_short_stream_keeps_every_owner(self, n_train, n_stream, k):
+        # the rank exceeds the training owners, so the threshold is 0
+        for budget in BUDGETS:
+            assert coverage_rank(n_train, n_stream, k, 2, budget) == max(k, n_train + 1)
+
+    def test_reference_points(self):
+        # the exact m barely moves with n: Hyp(2n, n, L) tends to Bin(L, 1/2)
+        assert coverage_rank(10**4, 10**4, 10, 1, 1e-3) == 29
+        assert coverage_rank(10**5, 10**5, 10, 1, 1e-3) == 29
+        assert coverage_rank(10**3, 10**3, 5, 1, 0.1) == 10
+        assert coverage_rank(10**6, 10**6, 10, 1, 1e-6) == 44
+
+    def test_a_subnormal_budget_is_quick(self):
+        start = time.perf_counter()
+        m = coverage_rank.__wrapped__(10**6, 10**6, 10, 3, 1e-310)
+        assert time.perf_counter() - start < 0.1
+        assert 10 < m < 10**6
+
+    @pytest.mark.parametrize(
+        "args",
+        [(-1, 5, 1, 1, 0.1), (5, -1, 1, 1, 0.1), (5, 5, 0, 1, 0.1), (5, 5, 1, 0, 0.1),
+         (5, 5, 1, 1, 0.0), (5, 5, 1, 1, 1.0), (5, 5, 1, 1, math.nan), (5.0, 5, 1, 1, 0.1)],
+    )
+    def test_argument_guards(self, args):
+        with pytest.raises(ConfigError):
+            coverage_rank(*args)
 
 
 class TestSlackFormulas:
