@@ -60,11 +60,12 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _read_file(path: str, reader):
-    """``reader(fh, path)`` on the opened file; a byte that is not UTF-8
-    becomes an ``InputError`` naming the file and line."""
+def _read_file(path: str, reader, mode: str = "r"):
+    """``reader(fh, path)`` on the file opened in ``mode``, UTF-8 text or
+    "rb" for an instance; a byte that is not UTF-8 becomes an
+    ``InputError`` naming the file and line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
             return reader(fh, path)
     except UnicodeDecodeError as exc:
         # every reader takes the file in one read, so the offset counts from its start
@@ -98,7 +99,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = _read_file(args.in_path, read_instance)
+    inst = _read_file(args.in_path, read_instance, "rb")
     spec = _read_file(args.spec, read_constraint_spec)
     sol = optimal_matching(inst, spec)
     _emit_json(sol.to_json_obj(), args.out)
@@ -107,7 +108,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
-    inst = _read_file(args.in_path, read_instance)
+    inst = _read_file(args.in_path, read_instance, "rb")
     spec = _read_file(args.spec, read_constraint_spec)
     if args.warmup is not None:
         warmup = args.warmup
@@ -130,7 +131,7 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    train = _read_file(args.in_path, read_instance)
+    train = _read_file(args.in_path, read_instance, "rb")
     spec = _read_file(args.spec, read_constraint_spec)
     if args.method == "net":
         stream_n = args.stream_n if args.stream_n is not None else max(train.n, 1)
@@ -157,7 +158,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    inst = _read_file(args.in_path, read_instance)
+    inst = _read_file(args.in_path, read_instance, "rb")
     policy = _read_file(args.policy, read_policy)
     spec = _read_file(args.spec, read_constraint_spec) if args.spec else None
     rules = spec or ConstraintSpec((1,) * policy.d)
@@ -175,8 +176,8 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    train = _read_file(args.train, read_instance)
-    stream = _read_file(args.in_path, read_instance)
+    train = _read_file(args.train, read_instance, "rb")
+    stream = _read_file(args.in_path, read_instance, "rb")
     spec = _read_file(args.spec, read_constraint_spec)
     result = run_pipeline(train, stream, spec, PipelineConfig(args.delta, args.c0))
     _emit_json(result.to_json_obj(), args.out)

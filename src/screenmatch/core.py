@@ -21,6 +21,7 @@ from numbers import Real
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DUMMY_ID_BASE",
@@ -575,33 +576,38 @@ def write_instance(inst: Instance, fh: IO[str]) -> None:
     property, value, ...) fields.  ``%.17g`` is ``format(v, ".17g")``.
     """
     rows, props, vals, _ = inst.entries()
-    order = np.lexsort((props, rows))
+    # lexsort is stable, so entries already in (row, property) order keep it
+    if not ((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (props[1:] >= props[:-1]))).all():
+        order = np.lexsort((props, rows))
+        rows, props, vals = rows[order], props[order], vals[order]
     counts = np.bincount(rows, minlength=inst.n)
     # in text order: each record's id, then its pairs' properties and values
     fields = np.empty(inst.n + 2 * len(rows), dtype=object)
     at_id = np.arange(inst.n) + 2 * (np.cumsum(counts) - counts)
-    at_pair = rows[order] + 1 + 2 * np.arange(len(rows))
+    at_pair = rows + 1 + 2 * np.arange(len(rows))
     fields[at_id] = inst.ids
-    fields[at_pair] = props[order]
-    fields[at_pair + 1] = vals[order]
+    fields[at_pair] = props
+    fields[at_pair + 1] = vals
     template = {
         c: '{"id": %d, "props": [' + ", ".join(["[%d, %.17g]"] * c) + "]}\n"
         for c in np.unique(counts).tolist()
     }
     text = "".join(map(template.__getitem__, counts.tolist())) % tuple(fields.tolist())
     # ".17g" round-trips every double, but JSON reads "-0" as the integer 0
-    fh.write(text.replace(", -0]", ", -0.0]"))
+    fh.write(text.replace(", -0]", ", -0.0]") if np.signbit(vals).any() else text)
 
 
 def _writer_form(atomic: bytes) -> re.Pattern:
-    """A file of records exactly as ``write_instance`` writes them.
+    """A file's bytes exactly as ``write_instance`` writes them.
 
-    Only literals on which numpy's parse and JSON's agree bit for bit get
-    through: ids and indices of at most 15 digits (exact as doubles), values
-    with no sign but the writer's "-0.0" (JSON reads "-0" as the integer 0)
-    and digit runs and exponents too short to overflow.  ``atomic=b"+"``
-    makes the quantifiers possessive (Python 3.11+), so the match never
-    backtracks; ``b""`` gives the same verdict, about five times slower.
+    The pattern exists so that such a file can be read in bulk: every
+    literal it admits reads the same through numpy's parse as through
+    ``json.loads``.  It takes ids and indices of at most 15 digits (exact
+    as doubles), values with no sign but the writer's "-0.0" (JSON reads
+    "-0" as the integer 0) and digit runs and exponents too short to
+    overflow.  ``atomic=b"+"`` makes the quantifiers possessive (Python
+    3.11+), so the match never backtracks; ``b""`` gives the same verdict,
+    about five times slower.
     """
     a = atomic
     int_ = rb"(?:0|[1-9][0-9]{0,14}%b)" % a
@@ -621,18 +627,20 @@ _NUMBER_BYTES = bytes(b if chr(b) in "0123456789.e+-" else 32 for b in range(256
 def _ids_are_positions(buf: np.ndarray, starts: np.ndarray, text: np.ndarray) -> bool:
     """Whether the digit run at ``starts[i]`` in ``buf`` spells i, for each
     i; the digits are blanked in ``text``.  Every id of one length is
-    checked at once, with the length its position gives."""
+    checked at once, through a window of that length over the bytes."""
     n = len(starts)
-    for width in range(1, len(str(max(n - 1, 0))) + 1):
+    if n == 0:  # a window wider than the buffer is refused
+        return True
+    for width in range(1, len(str(n - 1)) + 1):
         first = 10 ** (width - 1) if width > 1 else 0
         stop = min(n, 10**width)
-        at = starts[first:stop, None] + np.arange(width)
-        digits = buf[at] - ord("0")
-        if (digits >= 10).any() or (buf[at[:, -1] + 1] - ord("0") < 10).any():
+        at = starts[first:stop]
+        digits = sliding_window_view(buf, width)[at] - ord("0")
+        if (digits >= 10).any() or (buf[at + width] - ord("0") < 10).any():
             return False
         if ((digits @ 10 ** np.arange(width - 1, -1, -1)) != np.arange(first, stop)).any():
             return False
-        text[at] = ord(" ")
+        sliding_window_view(text, width, writeable=True)[at] = ord(" ")
     return True
 
 
@@ -652,17 +660,40 @@ def _take_integers(buf: np.ndarray, starts: np.ndarray, text: np.ndarray) -> np.
     return out
 
 
-def _read_writer_form(text: str) -> tuple | None:
-    """(n, entries, line numbers) of a file in the writer's form, parsed in
-    bulk with no object per record; None for any other file.
+def _parse_values(literals: np.ndarray) -> np.ndarray:
+    """The doubles that ``float()`` reads from the space-separated number
+    literals in the bytes ``literals``, which become read-only.
 
-    Ids and property indices are read from their digits (the form caps them
-    at 15, which int64 holds exactly), and their digits are blanked, so
-    numpy's float parse sees only the value literals.
+    Each literal is parsed once, at long-double width, and narrowed.  That
+    is exact, with one exception: every midpoint between two adjacent
+    doubles is a long double, so rounding to 64 bits can land on one but
+    never cross one.  A wide value w that lands on a midpoint is read again
+    with ``float()``; the test is 2(|w| - |x|) = ± the gap between |x| and
+    its neighbour on w's side, for the narrowed x.  Where ``np.longdouble``
+    is ``float64``, w = x and nothing is read again.  This assumes numpy's
+    long-double text parse rounds correctly, as glibc's ``strtold`` does.
     """
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
+    literals.flags.writeable = False
+    wide = np.fromstring(literals, dtype=np.longdouble, sep=" ")
+    vals = wide.astype(np.float64)
+    mag = np.abs(vals)
+    off = (np.abs(wide) - mag) * 2
+    tie = np.flatnonzero((off == np.spacing(mag)) | (off == -np.spacing(np.nextafter(mag, 0))))
+    if len(tie):
+        words = literals.tobytes().split()
+        vals[tie] = [float(words[i]) for i in tie.tolist()]
+    return vals
+
+
+def _read_writer_form(data: bytes) -> tuple | None:
+    """(n, entries, line numbers) of a file in the writer's form, parsed in
+    bulk on its bytes with no object per record; None for any other file.
+
+    ``data`` is the file's bytes, each line ended by LF.  Ids and property
+    indices are read from their digits (the form caps them at 15, which
+    int64 holds exactly), and their digits are blanked, so the float parse
+    sees only the value literals.
+    """
     if _WRITER_FORM.fullmatch(data) is None:
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -680,7 +711,7 @@ def _read_writer_form(text: str) -> tuple | None:
     if not ((props[1:] > props[:-1]) | (rows[1:] != rows[:-1])).all():
         return None
     # numpy reads a blank text as one number, -1
-    vals = np.fromstring(literals.tobytes(), sep=" ") if len(props) else np.empty(0)
+    vals = _parse_values(literals) if len(props) else np.empty(0)
     return n, (rows, props, vals, {}), np.arange(1, n + 1)
 
 
@@ -708,7 +739,7 @@ def _read_lines(text: str, source: str) -> tuple[int, tuple, np.ndarray]:
                 props.append(p)
                 vals.append(v)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise InputError(f"{source}:{lineno}: malformed item record ({exc})") from exc
+            raise InputError(f"{source}:{lineno}: malformed item record ({_why(exc)})") from exc
         if len(prop_pairs) > 1 and len({p for p, _ in prop_pairs}) != len(prop_pairs):
             raise InputError(f"{source}:{lineno}: item record lists a property more than once")
         if type(item_id) is not int:
@@ -728,16 +759,33 @@ def _read_lines(text: str, source: str) -> tuple[int, tuple, np.ndarray]:
     return n, entries, np.array(lines, dtype=np.int64)
 
 
-def read_instance(fh: IO[str], source: str = "<instance>") -> Instance:
+def _why(exc: Exception) -> str:
+    """The reason a JSON record was refused: a ``KeyError`` names its key."""
+    return f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
+def read_instance(fh: IO[bytes] | IO[str], source: str = "<instance>") -> Instance:
     """Parse a JSON Lines instance file; errors name the offending line.
 
-    The text is read whole.  A file in exactly the form ``write_instance``
-    writes is parsed in bulk: ids and property indices from their digits,
-    and only the values by numpy's float parse.  Any other file goes line
-    by line through ``json.loads``.  Both give the same instance.
+    ``fh`` is a binary handle, as the CLI opens instance files, or a text
+    one; either is read whole.  A file in exactly the form
+    ``write_instance`` writes is parsed in bulk on its bytes: ids and
+    property indices from their digits, and the values by one numpy parse
+    (``_parse_values``).  Any other file goes line by line through
+    ``json.loads``.  Both give the same instance.  Bytes are read as text
+    mode reads them: CRLF and a lone CR end a line, and a byte that is not
+    UTF-8 raises ``UnicodeDecodeError`` on the bytes as read.
     """
-    text = fh.read()
-    n, entries, lines = _read_writer_form(text) or _read_lines(text, source)
+    data = fh.read()
+    if isinstance(data, str):  # a text handle has ended its lines already
+        found = _read_writer_form(data.encode("ascii")) if data.isascii() else None
+        text = data
+    else:
+        ended = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+        found = _read_writer_form(ended)
+        # decoded as read, so a bad byte's offset counts in the file's own bytes
+        text = None if found else data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    n, entries, lines = found or _read_lines(text, source)
     inst = Instance.__new__(Instance)
     inst._init(np.arange(n), entries=entries, lines=lines, source=source)
     return inst
@@ -763,7 +811,7 @@ def _read_json(fh: IO[str], source: str, what: str, build):
     except ConfigError as exc:
         raise InputError(f"{source}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise InputError(f"{source}: malformed {what} ({exc})") from exc
+        raise InputError(f"{source}: malformed {what} ({_why(exc)})") from exc
 
 
 def read_constraint_spec(fh: IO[str], source: str = "<spec>") -> ConstraintSpec:

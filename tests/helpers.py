@@ -269,6 +269,38 @@ def format_value(v: float) -> str:
     return "-0.0" if text == "-0" else text
 
 
+def near_midpoint_literals(rng: np.random.Generator, count: int) -> list[str]:
+    """Literals of 17 to 20 significant digits, each within one unit of its
+    last digit of a midpoint between two adjacent doubles: positional where
+    the writer's form allows it, else with an exponent; a tenth of them
+    around subnormal doubles (and zero), half the rest in [2^-10, 2)."""
+    exps = np.where(rng.random(count) < 0.5, rng.integers(-10, 1, count), rng.integers(-60, 56, count))
+    xs = np.ldexp(rng.random(count) + 0.5, exps)
+    sub = rng.random(count) < 0.1
+    xs[sub] = np.floor(np.exp2(rng.random(sub.sum()) * 52) - 1) * 5e-324
+    out = []
+    for x, s, nudge, positional in zip(
+        xs.tolist(), rng.integers(17, 21, count).tolist(), rng.integers(-1, 2, count).tolist(),
+        (rng.random(count) < 0.5).tolist(),
+    ):
+        # with x = M 2^E, the midpoint above x is (2M + 1) 2^(E - 1)
+        e = max(math.frexp(x)[1] - 53, -1074) if x else -1074
+        odd = 2 * int(math.ldexp(x, -e)) + 1
+        digits = str(odd << (e - 1) if e > 0 else odd * 5 ** (1 - e))
+        head = str(int(digits[:s]) + nudge)
+        # the decimal point falls after `point` digits of head
+        point = len(digits) + min(e - 1, 0) + len(head) - s
+        if positional and 0 < point <= 17 and 0 < len(head) - point <= 20:
+            out.append(head[:point] + "." + head[point:])
+        elif positional and point <= 0 and len(head) - point <= 20:
+            out.append("0." + "0" * -point + head)
+        else:
+            e10 = point - 1
+            exp = "e-%02d" % -e10 if e10 < 0 else "e+%02d" % e10 if e10 else ""
+            out.append(head[0] + "." + head[1:] + exp)
+    return out
+
+
 def reference_write(inst: Instance, fh) -> None:
     """The instance writer one f-string at a time: one per pair, one per
     record.  ``write_instance`` must write these bytes."""

@@ -24,6 +24,7 @@ from screenmatch import (
     write_distribution_spec,
     write_policy,
 )
+import screenmatch.core as core
 from screenmatch.cli import DEFAULT_SEED, build_parser, run_cli
 
 
@@ -129,6 +130,32 @@ class TestGenSolve:
         captured = capsys.readouterr()
         json.loads(captured.out)
         assert "solve:" in captured.err
+
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_a_crlf_writer_file_takes_the_bulk_path(self, files, monkeypatch, capsys, newline):
+        tmp, dist, spec = files
+        lf, crlf = tmp / "lf.jsonl", tmp / "crlf.jsonl"
+        assert run(["gen", "--dist", dist, "--n", "40", "--out", str(lf)]) == 0
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", newline))
+        capsys.readouterr()
+        assert run(["solve", "--in", str(lf), "--spec", spec]) == 0
+        want = capsys.readouterr().out
+        per_line, read_lines = [], core._read_lines
+
+        def hooked(text, source):
+            per_line.append(source)
+            return read_lines(text, source)
+
+        monkeypatch.setattr(core, "_read_lines", hooked)
+        assert run(["solve", "--in", str(crlf), "--spec", spec]) == 0
+        assert capsys.readouterr().out == want
+        assert per_line == []
+        # the hook does see a file out of the writer's form
+        crlf.write_bytes(crlf.read_bytes().replace(b'{"id": 0,', b'{"id":0,'))
+        assert run(["solve", "--in", str(crlf), "--spec", spec]) == 0
+        assert capsys.readouterr().out == want
+        assert per_line == [str(crlf)]
 
 
 class TestGreedyCommand:
@@ -540,6 +567,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bad.jsonl:1001:" in err
         assert "Traceback" not in err
+
+    def test_a_bad_byte_after_a_lone_cr_names_its_line(self, files, tmp_path, capsys):
+        # lines are counted on the file's own LF bytes, as text mode's decoder counted them
+        _, _, spec = files
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(
+            b'{"id": 0, "props": [[0, 0.5]]}\r{"id": 1, "props": [[0, 0.25]]}\n'
+            b'{"id": 2, "props": [[0, 0.\xff]]}\n'
+        )
+        assert run(["solve", "--in", str(bad), "--spec", spec]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize(
+        "kind, text, what, key",
+        [
+            ("instance", '{"id": 0}', ":1: malformed item record", "props"),
+            ("spec", "{}", ": malformed constraint spec", "caps"),
+            ("dist", '{"d": 1}', ": malformed distribution spec", "kind"),
+            ("policy", "{}", ": malformed policy", "t"),
+        ],
+        ids=["instance", "spec", "dist", "policy"],
+    )
+    def test_a_missing_key_is_named(self, files, tmp_path, capsys, kind, text, what, key):
+        tmp, dist, spec = files
+        inst = tmp / "inst.jsonl"
+        assert run(["gen", "--dist", dist, "--n", "5", "--out", str(inst)]) == 0
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_text(text + "\n")
+        argv = {
+            "instance": ["solve", "--in", str(bad), "--spec", spec],
+            "spec": ["solve", "--in", str(inst), "--spec", str(bad)],
+            "dist": ["gen", "--dist", str(bad), "--n", "5"],
+            "policy": ["screen", "--in", str(inst), "--policy", str(bad)],
+        }[kind]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}{what} (missing key {key!r})\n"
 
     def test_non_utf8_spec_and_config_are_one_and_name_the_path(self, files, tmp_path, capsys):
         tmp, dist, _ = files

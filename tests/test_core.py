@@ -37,6 +37,7 @@ from helpers import (
     TIE_GRID,
     dummy_items,
     format_value,
+    near_midpoint_literals,
     rand_bad_items,
     rand_items,
     reference_overlap_values,
@@ -630,9 +631,9 @@ def bits(inst: Instance) -> tuple:
     return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays) + (odd, inst.source)
 
 
-def outcome(read, text: str):
+def outcome(read, text: str, handle=io.StringIO):
     try:
-        return bits(read(io.StringIO(text), "s.jsonl"))
+        return bits(read(handle(text), "s.jsonl"))
     except InputError as exc:
         return str(exc)
 
@@ -708,7 +709,7 @@ class TestReaderPaths:
         buf = io.StringIO()
         write_instance(sample_instance(dist, 1001, 3), buf)
         text = buf.getvalue()
-        assert core._read_writer_form(text) is not None
+        assert core._read_writer_form(text.encode()) is not None
         assert outcome(read_instance, text) == outcome(per_line, text)
         lines = text.split("\n")
         # an id one digit short or long, and a long one whose digits begin right
@@ -718,7 +719,7 @@ class TestReaderPaths:
             assert lines[right].startswith(head)
             edited = [*lines[:right], f'{{"id": {wrong}, ' + lines[right][len(head):], *lines[lineno:]]
             copy = "\n".join(edited)
-            assert core._read_writer_form(copy) is None
+            assert core._read_writer_form(copy.encode()) is None
             assert outcome(read_instance, copy) == outcome(per_line, copy) == (
                 f"s.jsonl:{lineno}: item id {wrong} does not equal its position {right}"
             )
@@ -736,8 +737,33 @@ class TestReaderPaths:
         inst = read_instance(io.StringIO(text))
         assert parsed == [len(inst.entries()[0])]
 
+    def test_values_read_as_float_reads_them(self, monkeypatch):
+        rng = np.random.default_rng(3217)
+        printed = np.ldexp(rng.random(20_000), rng.integers(-40, 1, 20_000))
+        literals = [
+            *near_midpoint_literals(rng, 100_000), *("%.17g" % v for v in printed.tolist()),
+            "0", "1", "-0.0", "0.0", "2.4703282292062328e-324",
+        ]
+        data = "".join(f'{{"id": {i}, "props": [[0, {v}]]}}\n' for i, v in enumerate(literals)).encode()
+        assert core._WRITER_FORM.fullmatch(data) is not None
+        monkeypatch.setattr(core.json, "loads", no_json)
+        want = np.array([float(v) for v in literals])
+        assert read_instance(io.BytesIO(data)).entries()[2].tobytes() == want.tobytes()
+        if np.finfo(np.longdouble).nmant > 52:
+            # the literals do reach the midpoints: narrowing alone misreads some
+            wide = np.fromstring(" ".join(literals), dtype=np.longdouble, sep=" ")
+            assert wide.astype(np.float64).tobytes() != want.tobytes()
+
+    def test_binary_and_text_handles_read_alike(self):
+        dist = DistributionSpec("overlap-bernoulli", 3, membership=(0.5, 0.4, 0.3))
+        buf = io.StringIO()
+        write_instance(sample_instance(dist, 1001, 8), buf)
+        for text in [*self.PERTURBED.values(), buf.getvalue()]:
+            as_bytes = outcome(read_instance, text, lambda t: io.BytesIO(t.encode()))
+            assert as_bytes == outcome(read_instance, text)
+
     def test_the_bulk_path_takes_what_it_can_and_no_more(self):
-        taken = {name for name, text in self.PERTURBED.items() if core._read_writer_form(text)}
+        taken = {name for name, text in self.PERTURBED.items() if core._read_writer_form(text.encode())}
         assert taken == {
             "minus zero float", "int value", "long int value", "15-digit property", "underflow",
             "subnormal", "empty props", "empty file",

@@ -81,18 +81,22 @@ class TestConfig:
 
 class TestSpecExamples:
     def test_exact_opt_identity_reduction(self):
-        # empty training set degrades the policy to all-zeros; with warmup 0
-        # the pipeline is plain greedy
+        # empty training set degrades the policy to all-zeros, so every item
+        # survives; the pass over them at warmup 0 is plain greedy
         rng = np.random.default_rng(15)
         stream = rand_instance(rng, 40, 2)
         spec = ConstraintSpec((2, 1))
         cfg = PipelineConfig(delta=0.01)
-        assert warmup_length(stream.n, spec.k, 0.01 / 3) == 0
         result = run_pipeline(Instance(()), stream, spec, cfg)
         assert result.policy.t == (0.0, 0.0)
+        assert result.retained_after_policy == stream.n
         plain = greedy_screen(stream, spec, 0)
         assert result.retained_final == len(plain.retained_ids)
         assert result.final_solution == plain.final_solution
+        # and it keeps every item of the survivors' optimum
+        best = optimal_matching(stream, spec)
+        assert set(best.real_ids()) <= set(plain.retained_ids)
+        assert result.final_solution == best
 
 
 class TestStructuralInvariants:
@@ -115,8 +119,7 @@ class TestStructuralInvariants:
             assert result.value_gap >= -1e-9
 
     def test_exact_opt_soundness_condition(self):
-        # top-k per property passes the policy + no optimum item in warmup
-        # => full-stream optimum recovered
+        # top-k per property passes the policy => full-stream optimum recovered
         rng = np.random.default_rng(77)
         dist = DistributionSpec("overlap-bernoulli", 2, membership=(0.7, 0.7))
         spec = ConstraintSpec((2, 1))
@@ -128,10 +131,6 @@ class TestStructuralInvariants:
             stream = sample_instance(dist, 100, derive_seed(60, "stream", t))
             cfg = PipelineConfig(0.1)
             result = run_pipeline(train, stream, spec, cfg)
-            warmup = warmup_length(stream.n, spec.k, 0.1 / 3)
-            full = optimal_matching(stream.items, spec)
-            if any(iid < warmup for iid in full.real_ids()):
-                continue
             top_pass = True
             for p in range(spec.d):
                 owners = sorted(
