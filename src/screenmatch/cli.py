@@ -61,15 +61,15 @@ def _open_out(path: str | None):
 
 
 def _read_file(path: str, reader, mode: str = "r"):
-    """``reader(fh, path)`` on the file opened in ``mode``, UTF-8 text or
-    "rb" for an instance; a byte that is not UTF-8 becomes an
-    ``InputError`` naming the file and line."""
+    """``reader(fh, path)`` on the file opened in ``mode``, UTF-8 text or "rb"
+    for an instance; a byte that is not UTF-8 becomes an ``InputError`` naming
+    the file and the line its reader numbers (instance bytes come LF-ended)."""
     try:
         with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
             return reader(fh, path)
     except UnicodeDecodeError as exc:
-        # every reader takes the file in one read, so the offset counts from its start
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        # the one read through the bad byte, split where text mode ends lines; the byte's is last
+        line = len(exc.object[: exc.start + 1].splitlines())
         raise InputError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
 
 

@@ -66,9 +66,9 @@ class InputError(ValueError):
 
 
 def _check_count(value: int, name: str, least: int = 0) -> None:
-    """Refuse a count that is not an int of at least ``least`` (0 or 1),
-    naming it: a size, a seed, a trial or worker count, or its flag."""
-    if not isinstance(value, int) or value < least:
+    """Refuse a count that is not an int (a bool or numpy integer is not) of at
+    least ``least`` (0 or 1), naming it: a size, a seed, a trial or worker count."""
+    if type(value) is not int or value < least:
         kind = "positive" if least else "nonnegative"
         raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
 
@@ -767,25 +767,21 @@ def _why(exc: Exception) -> str:
 def read_instance(fh: IO[bytes] | IO[str], source: str = "<instance>") -> Instance:
     """Parse a JSON Lines instance file; errors name the offending line.
 
-    ``fh`` is a binary handle, as the CLI opens instance files, or a text
-    one; either is read whole.  A file in exactly the form
-    ``write_instance`` writes is parsed in bulk on its bytes: ids and
-    property indices from their digits, and the values by one numpy parse
-    (``_parse_values``).  Any other file goes line by line through
-    ``json.loads``.  Both give the same instance.  Bytes are read as text
-    mode reads them: CRLF and a lone CR end a line, and a byte that is not
-    UTF-8 raises ``UnicodeDecodeError`` on the bytes as read.
+    ``fh``, binary as the CLI opens it or text, is read whole; a string reads
+    as its UTF-8 bytes (``surrogateescape`` gives back escaped bytes).  CRLF
+    and a lone CR end a line, as in text mode, and become LF on the bytes.
+    A file in exactly the form ``write_instance`` writes is parsed in bulk
+    on them (``_read_writer_form``); any other is decoded and read line by
+    line through ``json.loads``, to the same instance.  A byte that is not
+    UTF-8 raises ``UnicodeDecodeError`` on the LF-ended bytes, so the LFs
+    before it count the line this reader numbers.
     """
     data = fh.read()
-    if isinstance(data, str):  # a text handle has ended its lines already
-        found = _read_writer_form(data.encode("ascii")) if data.isascii() else None
-        text = data
-    else:
-        ended = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
-        found = _read_writer_form(ended)
-        # decoded as read, so a bad byte's offset counts in the file's own bytes
-        text = None if found else data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    n, entries, lines = found or _read_lines(text, source)
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogateescape")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    n, entries, lines = _read_writer_form(data) or _read_lines(data.decode("utf-8"), source)
     inst = Instance.__new__(Instance)
     inst._init(np.arange(n), entries=entries, lines=lines, source=source)
     return inst

@@ -61,7 +61,7 @@ from .core import (
     ConfigError, ConstraintSpec, InputError, Instance, _check_count, require_valid,
     validate_instance,
 )
-from .matching import Held, Solution, _fill, _path_step, _solve_assignment, _weights
+from .matching import Held, Solution, _fill, _path_step, _shift, _solve_assignment, _weights
 from .thresholds import _clears
 
 __all__ = ["TraceStep", "GreedyResult", "Arrivals", "warmup_length", "greedy_screen"]
@@ -142,8 +142,7 @@ def screen_entries(
     kept: list[int] = []
     # overlap streams: the optimum M, its real items per property, and its potentials
     held = Held(spec.d)
-    # B = 2^(shift - 1074) exceeds the id terms of k + 1 items
-    shift = 1074 + ((spec.k + 1) * (int(positions.max(initial=0)) + 2)).bit_length()
+    shift = _shift(spec.k, int(positions.max(initial=0)))
     # a value below its property's low fails the exact check below: below the
     # floor on overlap streams, below the heap's minimum on single-property ones
     lows = [-math.inf] * spec.d if single else _floors(held.reach, shift)
@@ -203,7 +202,7 @@ def greedy_screen(
         # ids are positions; a rejected arrival left the optimum as it was, so
         # each kept one enters again and ``held`` is the optimum it entered
         held, running = Held(spec.d), 0.0
-        shift = 1074 + ((spec.k + 1) * (stream.n + 1)).bit_length()
+        shift = _shift(spec.k, stream.n - 1)
         rows = dict(zip(kept, values[kept].tolist()))
         for i in range(stream.n):
             if i in rows:

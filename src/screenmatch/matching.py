@@ -123,6 +123,11 @@ def _fill(held: Sequence[Sequence[tuple[int, float]]], caps: tuple[int, ...]) ->
     return _finish(chosen)
 
 
+def _shift(k: int, top_id: int) -> int:
+    """``_weights``' shift, 1074 + log2 B: B exceeds the id terms of k + 1 ids to ``top_id``."""
+    return 1074 + ((k + 1) * (top_id + 2)).bit_length()
+
+
 def _weights(item_id: int, row: list[float], shift: int) -> list[int | None]:
     """The exact weight W(y, p) = value * 2^1074 * B + (id + 1) of the (id,
     row) item y at each property p, None where y lacks p; ``shift`` is
@@ -217,8 +222,7 @@ def _solve_assignment(
     The unique optimum does not depend on the order of insertion."""
     d, m = spec.d, len(ids)
     bits = d.bit_length()
-    # B = 2^(shift - 1074) exceeds the id terms of k + 1 items
-    shift = 1074 + ((spec.k + 1) * (max(ids, default=0) + 2)).bit_length()
+    shift = _shift(spec.k, max(ids, default=0))
     pool = []
     for rank, (item_id, row) in enumerate(zip(ids, rows)):
         low = bits * (m - 1 - rank)

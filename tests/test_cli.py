@@ -569,15 +569,32 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_a_bad_byte_after_a_lone_cr_names_its_line(self, files, tmp_path, capsys):
-        # lines are counted on the file's own LF bytes, as text mode's decoder counted them
+        # a lone CR ends a line, so the third record is line 3 whether its
+        # fault is a bad byte or bad JSON
         _, _, spec = files
-        bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(
-            b'{"id": 0, "props": [[0, 0.5]]}\r{"id": 1, "props": [[0, 0.25]]}\n'
-            b'{"id": 2, "props": [[0, 0.\xff]]}\n'
-        )
+        head = b'{"id": 0, "props": [[0, 0.5]]}\r{"id": 1, "props": [[0, 0.25]]}\n'
+        bad, broken = tmp_path / "bad.jsonl", tmp_path / "broken.jsonl"
+        bad.write_bytes(head + b'{"id": 2, "props": [[0, 0.\xff]]}\n')
+        broken.write_bytes(head + b'{"id": 2, "props": [[0, 0.]]}\n')
         assert run(["solve", "--in", str(bad), "--spec", spec]) == 1
-        assert capsys.readouterr().err == f"error: {bad}:2: not UTF-8 text (invalid start byte)\n"
+        assert capsys.readouterr().err == f"error: {bad}:3: not UTF-8 text (invalid start byte)\n"
+        assert run(["solve", "--in", str(broken), "--spec", spec]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {broken}:3: malformed item record")
+
+    @pytest.mark.parametrize(
+        "fault, found",
+        [(b'"\xff"', ":3: not UTF-8 text"), (b"", ": malformed constraint spec (Expecting value: line 3")],
+        ids=["bad byte", "bad json"],
+    )
+    def test_a_json_file_counts_lone_crs_as_text_mode_does(self, files, tmp_path, capsys, fault, found):
+        tmp, dist, _ = files
+        inst = tmp / "inst.jsonl"
+        assert run(["gen", "--dist", dist, "--n", "5", "--out", str(inst)]) == 0
+        spec = tmp_path / "crspec.json"
+        spec.write_bytes(b'{"caps":\r[1],\r"x": ' + fault + b"}")
+        capsys.readouterr()
+        assert run(["solve", "--in", str(inst), "--spec", str(spec)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec}{found}")
 
     @pytest.mark.parametrize(
         "kind, text, what, key",

@@ -27,7 +27,7 @@ import screenmatch.greedy as greedy
 import screenmatch.matching as matching
 import screenmatch.pipeline as pipeline
 from screenmatch.greedy import Arrivals, screen_entries
-from screenmatch.matching import Held, _path_step, _weights
+from screenmatch.matching import Held, _path_step, _shift, _weights
 
 from helpers import (
     SPECIAL_VALUES, TIE_GRID, rand_instance, rand_items, reference_assignment, reference_screen,
@@ -192,7 +192,8 @@ class TestInvariants:
     def test_overlap_solves_see_at_most_k_plus_one_items(self, monkeypatch):
         # mc_multi's overlap shape; gate_passes counts the contenders of a top-k
         # heap gate, each step sees the optimum's real items and the arrival, and
-        # the floors let through to a path step only arrivals that it keeps
+        # the floors let through to a path step only arrivals that it keeps; the
+        # pass solves once, at its end, over M's at most k items
         solves = []
         real = greedy._path_step
 
@@ -201,21 +202,21 @@ class TestInvariants:
             return real(held, arrival, caps)
 
         full_solves = []
-        real_full = matching._solve_assignment
+        real_full = greedy._solve_assignment
 
         def counting_full(ids, rows, spec):
             full_solves.append(len(ids))
             return real_full(ids, rows, spec)
 
         monkeypatch.setattr(greedy, "_path_step", counting)
-        monkeypatch.setattr(matching, "_solve_assignment", counting_full)
+        monkeypatch.setattr(greedy, "_solve_assignment", counting_full)
         dist = DistributionSpec("overlap-bernoulli", 3, (0.5, 0.4, 0.3))
         spec = ConstraintSpec((2, 2, 2))
         inst = sample_instance(dist, 1000, 31)
         k = spec.k
         warmup = warmup_length(1000, k, 0.1)
         values = inst.columns(3)
-        kept, _ = screen_entries(Arrivals(inst.ids, values), spec, warmup)
+        kept, best = screen_entries(Arrivals(inst.ids, values), spec, warmup)
         kept_ids = set(inst.ids[kept].tolist())
         heaps = [[] for _ in range(3)]
         gate_passes = 0
@@ -231,7 +232,8 @@ class TestInvariants:
         assert max(solves) <= k + 1
         assert len(solves) == sum(i >= warmup for i in kept)
         assert len(solves) <= gate_passes
-        assert full_solves == []
+        assert full_solves == [len(best.real_ids())]
+        assert 0 < full_solves[0] <= k
 
     def test_prefix_consistency(self):
         # the optimum over all first i items must equal the one the greedy
@@ -455,7 +457,7 @@ def path_steps_match_full_solves(values: np.ndarray, spec: ConstraintSpec, warmu
     check each keep decision and each new optimum against the Hungarian
     reference over the optimum's items plus the arrival.  Returns the final
     optimum's number of real items."""
-    shift = 1074 + ((spec.k + 1) * (len(values) + 1)).bit_length()
+    shift = _shift(spec.k, len(values) - 1)
     held = Held(spec.d)
     for i, row in enumerate(values.tolist()):
         if i < warmup:
@@ -623,7 +625,7 @@ class TestPotentials:
         rows = [row for row in rows if any(v == v for v in row)]
         spec, d, n = ConstraintSpec(tuple(caps)), len(caps), len(rows)
         # as screen_entries sets it for positions 0..n-1
-        shift = 1074 + ((spec.k + 1) * (n + 1)).bit_length()
+        shift = _shift(spec.k, n - 1)
         held = Held(d)
         for i, row in enumerate(rows):
             for p, floor in enumerate(greedy._floors(held.reach, shift)):
