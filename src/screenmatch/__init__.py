@@ -42,12 +42,10 @@ from .thresholds import (
     learn_topm_thresholds,
     quantile_policy_net,
     read_policy,
-    retention_slack,
     screen_with_policy,
-    value_slack,
     write_policy,
 )
-from .pipeline import PipelineConfig, PipelineResult, run_pipeline
+from .pipeline import PipelineResult, run_pipeline
 from .experiments import (
     Aggregates,
     ConcentrationStats,
@@ -76,7 +74,6 @@ __all__ = [
     "Instance",
     "Item",
     "NetSizeError",
-    "PipelineConfig",
     "PipelineResult",
     "RetentionStats",
     "Solution",
@@ -101,14 +98,12 @@ __all__ = [
     "read_distribution_spec",
     "read_instance",
     "read_policy",
-    "retention_slack",
     "run_pipeline",
     "run_trials",
     "sample_instance",
     "screen_with_policy",
     "validate_instance",
     "validate_items",
-    "value_slack",
     "warmup_length",
     "write_constraint_spec",
     "write_distribution_spec",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from dataclasses import asdict
 
@@ -31,7 +32,7 @@ from .core import (
 )
 from .greedy import greedy_screen, warmup_length
 from .matching import optimal_matching
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import run_pipeline
 from .thresholds import (
     learn_optimal_thresholds,
     learn_topm_thresholds,
@@ -110,12 +111,7 @@ def _cmd_solve(args) -> int:
 def _cmd_greedy(args) -> int:
     inst = _read_file(args.in_path, read_instance, "rb")
     spec = _read_file(args.spec, read_constraint_spec)
-    if args.warmup is not None:
-        warmup = args.warmup
-    elif args.delta is not None:
-        warmup = warmup_length(inst.n, spec.k, args.delta)
-    else:
-        warmup = 0
+    warmup = args.warmup if args.delta is None else warmup_length(inst.n, spec.k, args.delta)
     res = greedy_screen(inst, spec, warmup, trace=args.trace)
     obj = {
         "warmup": warmup,
@@ -179,7 +175,8 @@ def _cmd_pipeline(args) -> int:
     train = _read_file(args.train, read_instance, "rb")
     stream = _read_file(args.in_path, read_instance, "rb")
     spec = _read_file(args.spec, read_constraint_spec)
-    result = run_pipeline(train, stream, spec, PipelineConfig(args.delta, args.c0))
+    exp._check_c0(args.c0)
+    result = run_pipeline(train, stream, spec, args.delta)
     _emit_json(result.to_json_obj(), args.out)
     _eprint(
         f"pipeline: retained {result.retained_final} (policy pass {result.retained_after_policy}),"
@@ -327,6 +324,7 @@ def _add_common(p, *, seed=True, workers=False):
         p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
 
 
+@functools.cache  # built once per process: every caller only reads it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="screenmatch",
@@ -349,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("greedy", help="online greedy screening over an instance file")
     _add_in(p)
     p.add_argument("--spec", required=True)
-    p.add_argument("--delta", type=float, default=None, help="failure budget; warmup=floor(dn/k)")
-    p.add_argument("--warmup", type=int, default=None, help="explicit warmup override")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--delta", type=float, default=None, help="failure budget; warmup=floor(dn/k)")
+    how.add_argument("--warmup", type=int, default=0, help="explicit warmup (default 0)")
     p.add_argument("--trace", action="store_true", help="emit per-arrival decisions")
     _add_common(p, seed=False)
     p.set_defaults(fn=_cmd_greedy)

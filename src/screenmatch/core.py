@@ -100,7 +100,7 @@ class ConstraintSpec:
     def __post_init__(self) -> None:
         if len(self.caps) == 0:
             raise ConfigError("caps must list at least one property")
-        if any((not isinstance(c, int)) or c < 1 for c in self.caps):
+        if any(type(c) is not int or c < 1 for c in self.caps):
             raise ConfigError(f"caps must be positive integers, got {self.caps}")
 
     @property

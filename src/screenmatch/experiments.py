@@ -45,11 +45,8 @@ from .core import (
 )
 from .greedy import Arrivals, screen_entries, warmup_length
 from .matching import _reaches_optimum, _solve, optimal_matching
-from .pipeline import PipelineConfig, run_pipeline
-from .thresholds import (
-    ThresholdsPolicy, _check_c0, _check_width, _clears, _retention_scale, screen_with_policy,
-    value_slack,
-)
+from .pipeline import run_pipeline
+from .thresholds import ThresholdsPolicy, _check_width, _clears, screen_with_policy
 
 __all__ = [
     "ALGORITHMS",
@@ -127,13 +124,23 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm {self.algorithm!r} takes no fixed policy")
 
 
+def _check_c0(c0: float) -> None:
+    """``c0`` shapes no run: the pipeline's rank is exact, so no slack is
+    fitted.  It is still accepted and checked (nonnegative and finite),
+    because callers that predate the exact rank pass it."""
+    if not (c0 >= 0.0):
+        raise ConfigError(f"c0 must be nonnegative, got {c0!r}")
+    if c0 == math.inf:
+        raise ConfigError(f"c0 must be finite, got {c0!r}")
+
+
 def _check_run(dist: DistributionSpec, spec: ConstraintSpec, n: int, trials: int) -> None:
     """The rule every experiment's run shares, checked before anything is
     sampled: at least one trial, streams of at least k items, and a
     distribution of the spec's d, since every experiment samples for the
     spec it solves."""
     _check_count(trials, "trials", 1)
-    if not isinstance(n, int) or n < spec.k:
+    if type(n) is not int or n < spec.k:
         raise ConfigError(f"n must be an integer >= k={spec.k}, got {n!r}")
     if dist.d != spec.d:
         raise ConfigError(f"distribution has d={dist.d} but spec has {spec.d} properties")
@@ -179,7 +186,7 @@ def _one_trial(cfg: ExperimentConfig, t: int) -> TrialRecord:
     if cfg.algorithm == "pipeline-exact-opt":
         train = sample_instance(cfg.dist, cfg.n, derive_seed(cfg.seed, "train", t))
         stream = sample_instance(cfg.dist, cfg.n, stream_seed)
-        result = run_pipeline(train, stream, cfg.spec, PipelineConfig(cfg.delta, cfg.c0))
+        result = run_pipeline(train, stream, cfg.spec, cfg.delta)
         return TrialRecord(
             t,
             result.retained_final,
@@ -569,8 +576,9 @@ def convergence_experiment(
     dev_count, dev_prop, dev_val, zero_counts, zero_vals = np.ascontiguousarray(rows.T)
 
     k, d = spec.k, spec.d
-    count_unit = _retention_scale(k, d, n, 0.05)
-    value_unit = value_slack(k, d, 0.05)
+    # each fitted c0 is a p95 deviation over its slack's unit at delta = 0.05
+    count_unit = math.sqrt(k * (math.log(max(d, 2)) * math.log(n / k) + math.log(1 / 0.05)))
+    value_unit = math.sqrt(k * (d * math.log(max(k, 2)) + math.log(1 / 0.05)))
     count_dev, value_dev = _quantiles(dev_count), _quantiles(dev_val)
     has_zero = zero_idx >= 0
     return ConvergenceStats(

@@ -193,7 +193,7 @@ def greedy_screen(
     exceeds the stream length.
     """
     require_valid(validate_instance(stream, spec), "stream")
-    if not isinstance(warmup, int) or warmup < 0 or warmup > stream.n:
+    if type(warmup) is not int or warmup < 0 or warmup > stream.n:
         raise InputError(f"warmup must lie in 0..{stream.n}, got {warmup!r}")
     values = stream.columns(spec.d)
     kept, final = screen_entries(Arrivals(stream.ids, values), spec, warmup)

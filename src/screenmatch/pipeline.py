@@ -16,33 +16,9 @@ from dataclasses import dataclass
 from .core import ConfigError, ConstraintSpec, Instance, require_valid, validate_instance
 from .greedy import Arrivals, screen_entries
 from .matching import Solution, _reaches_optimum, _solve
-from .thresholds import (
-    ThresholdsPolicy,
-    _check_c0,
-    coverage_rank,
-    learn_topm_thresholds,
-    screen_with_policy,
-)
+from .thresholds import ThresholdsPolicy, coverage_rank, learn_topm_thresholds, screen_with_policy
 
-__all__ = ["PipelineConfig", "PipelineResult", "run_pipeline"]
-
-
-@dataclass(frozen=True, slots=True)
-class PipelineConfig:
-    """The failure budget, which ``run_pipeline`` spends whole on coverage.
-
-    ``c0`` shapes nothing: the rank is exact, so no slack is fitted.  It is
-    still accepted and checked (nonnegative and finite), because callers
-    that predate the exact rank pass it.
-    """
-
-    delta: float
-    c0: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.delta < 1.0):
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta!r}")
-        _check_c0(self.c0)
+__all__ = ["PipelineResult", "run_pipeline"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +46,7 @@ def run_pipeline(
     train: Instance,
     stream: Instance,
     spec: ConstraintSpec,
-    cfg: PipelineConfig,
+    delta: float,
 ) -> PipelineResult:
     """Learn on ``train``, screen ``stream``, and compare against the
     full-stream optimum (diagnostic, computed offline).
@@ -79,11 +55,12 @@ def run_pipeline(
     check.  ``train`` is checked by the learner.  A trial's sampled train
     and stream are valid by construction, so neither check costs it a pass.
 
-    With m = ``coverage_rank(train.n, stream.n, k, d, cfg.delta)``, the
+    ``delta``, the failure budget, must lie in (0, 1); it is spent whole on
+    coverage.  With m = ``coverage_rank(train.n, stream.n, k, d, delta)``, the
     policy takes each property's m-th largest training value, and the pass
     over its survivors has warmup 0.  When train and stream are drawn
     i.i.d. from one distribution, the result is optimal with probability
-    at least 1 - ``cfg.delta``:
+    at least 1 - ``delta``:
 
     1. Per property p, score each item by its value at p, or -1 if it
        lacks p.  The training and stream scores are exchangeable, so with
@@ -107,9 +84,11 @@ def run_pipeline(
        so every owner survives, and step 1 needs a real m-th value only
        where one exists.
     """
+    if not (0.0 < delta < 1.0):
+        raise ConfigError(f"delta must lie in (0, 1), got {delta!r}")
     require_valid(validate_instance(stream, spec), "stream")
 
-    m = coverage_rank(train.n, stream.n, spec.k, spec.d, cfg.delta)
+    m = coverage_rank(train.n, stream.n, spec.k, spec.d, delta)
     policy = learn_topm_thresholds(train, spec, [m] * spec.d)
     survivors, _ = screen_with_policy(policy, stream)
     entries = Arrivals(survivors.ids, survivors.columns(spec.d))

@@ -38,8 +38,6 @@ __all__ = [
     "learn_optimal_thresholds",
     "learn_topm_thresholds",
     "coverage_rank",
-    "retention_slack",
-    "value_slack",
     "quantile_policy_net",
     "read_policy",
     "write_policy",
@@ -164,7 +162,7 @@ def learn_topm_thresholds(
     possessing p, or 0 when fewer than m[p] such items exist."""
     if len(m) != spec.d:
         raise ConfigError(f"m must have {spec.d} entries, got {len(m)}")
-    if any((not isinstance(x, int)) or x < 1 for x in m):
+    if any(type(x) is not int or x < 1 for x in m):
         raise ConfigError(f"m entries must be positive integers, got {tuple(m)}")
     require_valid(validate_items(train, spec), "train")
     out = []
@@ -221,51 +219,6 @@ def coverage_rank(n_train: int, n_stream: int, k: int, d: int, budget: float) ->
         mid = (miss + hit) // 2
         miss, hit = (mid, hit) if misses(mid) else (miss, mid)
     return hit
-
-
-def _check_slack_args(k: int, d: int, delta: float, c0: float) -> None:
-    _check_count(k, "k", 1)
-    _check_count(d, "d", 1)
-    if not (0.0 < delta <= 1.0):
-        raise ConfigError(f"delta must lie in (0, 1], got {delta!r}")
-    _check_c0(c0)
-
-
-def _check_c0(c0: float) -> None:
-    if not (c0 >= 0.0):
-        raise ConfigError(f"c0 must be nonnegative, got {c0!r}")
-    if c0 == math.inf:
-        raise ConfigError(f"c0 must be finite, got {c0!r}")
-
-
-def retention_slack(k: int, d: int, n: int, delta: float, c0: float = 1.0) -> int:
-    """How many extra items per property to keep so that, with probability
-    at least 1 - delta, per-property retention counts concentrate across a
-    sample of size n: ceil(c0 * sqrt(k * (ln(max(d,2)) * ln(n/k) + ln(1/delta))))."""
-    _check_slack_args(k, d, delta, c0)
-    if not isinstance(n, int) or n <= k:
-        raise ConfigError(f"n must be an integer above k={k}, got {n!r}")
-    scale = _retention_scale(k, d, n, delta, c0)
-    if not math.isfinite(scale):
-        raise ConfigError(f"retention slack for c0={c0!r} is not finite")
-    return math.ceil(scale)
-
-
-def _retention_scale(k: int, d: int, n: int, delta: float, c0: float = 1.0) -> float:
-    """``retention_slack`` before rounding up, unchecked; needs n >= k."""
-    return c0 * math.sqrt(k * (math.log(max(d, 2)) * math.log(n / k) + _log_inverse(delta)))
-
-
-def _log_inverse(delta: float) -> float:
-    """ln(1/delta); -ln(delta), a bit off at times, only where 1/delta overflows."""
-    inverse = 1 / delta
-    return math.log(inverse) if inverse < math.inf else -math.log(delta)
-
-
-def value_slack(k: int, d: int, delta: float, c0: float = 1.0) -> float:
-    """Additive value-error scale: c0 * sqrt(k * (d * ln(max(k,2)) + ln(1/delta)))."""
-    _check_slack_args(k, d, delta, c0)
-    return c0 * math.sqrt(k * (d * math.log(max(k, 2)) + _log_inverse(delta)))
 
 
 def quantile_policy_net(

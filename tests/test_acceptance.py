@@ -33,7 +33,6 @@ from screenmatch import (
     warmup_length,
 )
 from screenmatch.cli import run_cli
-from screenmatch.pipeline import PipelineConfig
 
 from helpers import TIE_GRID, brute_force_matching, rand_items, rand_spec
 

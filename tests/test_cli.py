@@ -45,6 +45,11 @@ def run(argv):
 
 # sha256 of the pipeline output on the seeded files of test_pipeline_runs_the_training_set_screen
 PIPELINE_SHA256 = "6a75c2c3c7c97dd77ab7602cf5c94d34a24663fed1fb322842cf19f8015314e3"
+# sha256 of the converge output of each seeded run of test_converge_output_is_pinned
+CONVERGE_SHA256 = {
+    "disjoint-d1": "1fb6491e26ac56cb6817631c024faa0c2917d98e4e571ea0de8de3de2fe688ba",
+    "overlap-d2": "6623bdd60b6d63a59f8b070ef6719e16dc5bae4bf1f14f9eedfeca5bd6079348",
+}
 
 
 class TestGenSolve:
@@ -169,7 +174,7 @@ class TestGreedyCommand:
         assert payload["warmup"] == 8  # floor(0.5 * 50 / 3)
         assert payload["retained"] == len(payload["retained_ids"])
 
-    def test_warmup_flag_wins_over_delta(self, files, capsys):
+    def test_warmup_and_delta_exclude_each_other(self, files, capsys):
         tmp, dist, spec = files
         out = tmp / "c.jsonl"
         run(["gen", "--dist", dist, "--n", "50", "--out", str(out)])
@@ -177,8 +182,11 @@ class TestGreedyCommand:
         argv = ["greedy", "--in", str(out), "--spec", spec, "--warmup", "3"]
         assert run(argv) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert run(argv + ["--delta", "0.5"]) == 0
-        assert json.loads(capsys.readouterr().out) == payload
+        # given both, neither is dropped in silence, an out-of-range delta included
+        for delta in ("0.5", "7"):
+            assert run(argv + ["--delta", delta]) == 2
+            err = capsys.readouterr().err
+            assert "argument --delta: not allowed with argument --warmup" in err
         with open(out) as fh:
             ref = greedy_screen(read_instance(fh), ConstraintSpec((3,)), 3)
         assert payload["warmup"] == 3 and payload["retained_ids"] == list(ref.retained_ids)
@@ -517,6 +525,25 @@ class TestExperimentCommands:
         assert payload["net_size"] >= 2
         header = (tmp / "agg.csv").read_text().splitlines()[0]
         assert header.startswith("scenario,n,k,d,delta")
+
+    @pytest.mark.parametrize(
+        "name, dist, caps, argv",
+        [
+            ("disjoint-d1", {"kind": "disjoint-properties-uniform", "d": 1}, [2],
+             ["--n", "40", "--trials", "8", "--seed", "5", "--train-n", "40"]),
+            ("overlap-d2", {"kind": "overlap-bernoulli", "d": 2, "membership": [0.6, 0.5]}, [2, 1],
+             ["--n", "30", "--trials", "6", "--seed", "9", "--train-n", "12"]),
+        ],
+        ids=["disjoint-d1", "overlap-d2"],
+    )
+    def test_converge_output_is_pinned(self, tmp_path, name, dist, caps, argv):
+        # the bytes, fitted c0s included: at d = 1 the count unit's ln(max(d, 2)) is ln 2
+        dist_path, spec_path, out = tmp_path / "dist.json", tmp_path / "spec.json", tmp_path / "o.json"
+        dist_path.write_text(json.dumps(dist) + "\n")
+        spec_path.write_text(json.dumps({"caps": caps}) + "\n")
+        argv = ["converge", "--dist", str(dist_path), "--spec", str(spec_path), *argv]
+        assert run(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CONVERGE_SHA256[name]
 
     def test_converge_on_no_training_items_nets_the_all_zero_policy(self, files, capsys):
         _, dist, spec = files
@@ -873,6 +900,16 @@ class TestExitCodes:
         out = tmp / "c.jsonl"
         run(["gen", "--dist", dist, "--n", "10", "--out", str(out)])
         assert run(["greedy", "--in", str(out), "--spec", spec, "--delta", "7"]) == 1
+
+    def test_pipeline_refuses_a_delta_outside_the_open_interval(self, files, capsys):
+        tmp, dist, spec = files
+        stream = tmp / "s.jsonl"
+        run(["gen", "--dist", dist, "--n", "20", "--out", str(stream)])
+        argv = ["pipeline", "--train", str(stream), "--in", str(stream), "--spec", spec]
+        capsys.readouterr()
+        for delta in ("0", "1", "-0.5"):
+            assert run(argv + ["--delta", delta]) == 1
+            assert capsys.readouterr().err == f"error: delta must lie in (0, 1), got {float(delta)!r}\n"
 
     @pytest.mark.parametrize("c0", ["inf", "1e308"])
     @pytest.mark.parametrize("command", ["pipeline", "trials"])

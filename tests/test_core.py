@@ -56,9 +56,9 @@ class TestConstraintSpec:
         with pytest.raises(ConfigError):
             ConstraintSpec(())
 
-    @pytest.mark.parametrize("caps", [(0,), (-1, 2), (1.5,)])
+    @pytest.mark.parametrize("caps", [(0,), (-1, 2), (1.5,), (True, 2)])
     def test_rejects_bad_caps(self, caps):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^caps must be positive integers, got "):
             ConstraintSpec(caps)
 
 

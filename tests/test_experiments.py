@@ -20,7 +20,6 @@ from screenmatch import (
     DistributionSpec,
     Instance,
     Item,
-    PipelineConfig,
     ThresholdsPolicy,
     concentration_experiment,
     convergence_experiment,
@@ -534,7 +533,7 @@ class TestRunTrials:
             call()
             assert sizes == [50]
         sizes.clear()
-        run_pipeline(train, stream, spec, PipelineConfig(0.1))
+        run_pipeline(train, stream, spec, 0.1)
         assert sorted(sizes) == [40, 50]
 
     @pytest.mark.parametrize(
@@ -670,6 +669,11 @@ class TestConcentration:
     def test_n_below_k_is_refused(self):
         with pytest.raises(ConfigError, match=r"^n must be an integer >= k=3, got 2$"):
             concentration_experiment(D1, ConstraintSpec((3,)), 2, 5, 1)
+        # a bool is no size, though Python counts True as 1
+        with pytest.raises(ConfigError, match=r"^n must be an integer >= k=1, got True$"):
+            concentration_experiment(D1, ConstraintSpec((1,)), True, 5, 1)
+        with pytest.raises(ConfigError, match=r"^n must be an integer >= k=1, got True$"):
+            greedy_cfg(spec=ConstraintSpec((1,)), n=True)
 
 
 class TestConvergence:

@@ -13,7 +13,6 @@ from screenmatch import (
     InputError,
     Instance,
     Item,
-    PipelineConfig,
     derive_seed,
     exact_solution_value,
     greedy_screen,
@@ -153,6 +152,9 @@ class TestErrors:
     def test_warmup_beyond_stream(self):
         with pytest.raises(InputError):
             greedy_screen(stream_of([0.5]), ConstraintSpec((1,)), 2)
+        # a bool is no warmup, though Python counts True as 1
+        with pytest.raises(InputError, match=r"^warmup must lie in 0\.\.1, got True$"):
+            greedy_screen(stream_of([0.5]), ConstraintSpec((1,)), True)
 
 
 class TestInvariants:
@@ -333,7 +335,7 @@ class TestFinalOptimum:
             res = greedy_screen(stream, spec, warmup)
             kept = stream.take(list(res.retained_ids))
             assert res.final_solution == optimal_matching(kept, spec)
-            result = run_pipeline(train, stream, spec, PipelineConfig(0.5))
+            result = run_pipeline(train, stream, spec, 0.5)
             positions, kept = screened.pop()
             assert result.final_solution == optimal_matching(kept, spec)
             # survivors past a dropped arrival have ids above their indices

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -11,7 +10,6 @@ from screenmatch import (
     DistributionSpec,
     Instance,
     Item,
-    PipelineConfig,
     coverage_rank,
     derive_seed,
     greedy_screen,
@@ -31,23 +29,15 @@ SPEC_11 = ConstraintSpec((1, 1))
 
 
 class TestConfig:
-    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
     def test_delta_open_interval(self, delta):
-        with pytest.raises(ConfigError):
-            PipelineConfig(delta)
-
-    def test_fields_are_delta_and_c0(self):
-        # the whole budget buys the coverage rank, so no field weights it
-        assert [f.name for f in dataclasses.fields(PipelineConfig)] == ["delta", "c0"]
-        with pytest.raises(TypeError):
-            PipelineConfig(0.1, delta_split=(0.5, 0.25, 0.25))
-
-    def test_negative_c0(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(0.1, c0=-1.0)
+        # refused first, before the stream (here of the wrong width) is checked
+        bad_stream = Instance((Item(0, {2: 0.5}),))
+        with pytest.raises(ConfigError, match=rf"^delta must lie in \(0, 1\), got {delta!r}$"):
+            run_pipeline(TWO_ITEMS, bad_stream, SPEC_11, delta)
 
     def test_policy_takes_the_coverage_rank_and_the_pass_warmup_0(self, monkeypatch):
-        # the whole delta buys the rank, and c0 shapes nothing
+        # the whole delta buys the rank
         dist = DistributionSpec("overlap-bernoulli", 2, (0.6, 0.5))
         spec, n, delta = ConstraintSpec((2, 1)), 2000, 0.9
         train, stream = (sample_instance(dist, n, seed) for seed in (31, 32))
@@ -61,18 +51,14 @@ class TestConfig:
             return out
 
         monkeypatch.setattr("screenmatch.pipeline.screen_entries", keeping)
-        results = [
-            run_pipeline(train, stream, spec, PipelineConfig(delta, c0)) for c0 in (0.0, 1e308)
-        ]
-        assert results[0] == results[1]
-        result = results[0]
+        result = run_pipeline(train, stream, spec, delta)
         policy = learn_topm_thresholds(train, spec, [m] * spec.d)
         assert result.policy == policy
         survivors, _ = screen_with_policy(policy, stream)
         kept, final = screen_entries(
             Arrivals(survivors.ids, survivors.columns(spec.d)), spec, 0
         )
-        (entries, used, seen), _ = passes
+        ((entries, used, seen),) = passes
         assert used == 0
         assert np.array_equal(entries.pos, survivors.ids)
         assert seen == kept and result.retained_final == len(kept)
@@ -86,8 +72,7 @@ class TestSpecExamples:
         rng = np.random.default_rng(15)
         stream = rand_instance(rng, 40, 2)
         spec = ConstraintSpec((2, 1))
-        cfg = PipelineConfig(delta=0.01)
-        result = run_pipeline(Instance(()), stream, spec, cfg)
+        result = run_pipeline(Instance(()), stream, spec, 0.01)
         assert result.policy.t == (0.0, 0.0)
         assert result.retained_after_policy == stream.n
         plain = greedy_screen(stream, spec, 0)
@@ -107,7 +92,7 @@ class TestStructuralInvariants:
         for t in range(10):
             train = sample_instance(dist, 150, derive_seed(50, "train", t))
             stream = sample_instance(dist, 150, derive_seed(50, "stream", t))
-            result = run_pipeline(train, stream, spec, PipelineConfig(0.1))
+            result = run_pipeline(train, stream, spec, 0.1)
             thr = result.policy.t
             passing = {
                 item.id for item in stream if any(v >= thr[p] for p, v in item.props.items())
@@ -129,8 +114,7 @@ class TestStructuralInvariants:
             t += 1
             train = sample_instance(dist, 100, derive_seed(60, "train", t))
             stream = sample_instance(dist, 100, derive_seed(60, "stream", t))
-            cfg = PipelineConfig(0.1)
-            result = run_pipeline(train, stream, spec, cfg)
+            result = run_pipeline(train, stream, spec, 0.1)
             top_pass = True
             for p in range(spec.d):
                 owners = sorted(
@@ -152,12 +136,10 @@ class TestStructuralInvariants:
         train = rand_instance(rng, 80, 1)
         stream = rand_instance(rng, 80, 1)
         spec = ConstraintSpec((4,))
-        cfg = PipelineConfig(0.05)
-        assert run_pipeline(train, stream, spec, cfg) == run_pipeline(train, stream, spec, cfg)
+        assert run_pipeline(train, stream, spec, 0.05) == run_pipeline(train, stream, spec, 0.05)
 
     def test_result_serializes(self):
-        cfg = PipelineConfig(0.2)
-        result = run_pipeline(TWO_ITEMS, TWO_ITEMS, SPEC_11, cfg)
+        result = run_pipeline(TWO_ITEMS, TWO_ITEMS, SPEC_11, 0.2)
         obj = result.to_json_obj()
         text = json.dumps(obj, sort_keys=True)
         back = json.loads(text)
@@ -173,14 +155,13 @@ class TestStatistical:
         dist = DistributionSpec("single-property-uniform", 1)
         spec = ConstraintSpec((5,))
         n, delta, trials = 2000, 0.05, 300
-        cfg = PipelineConfig(delta)
         successes = 0
         pipeline_retained = []
         greedy_retained = []
         for t in range(trials):
             train = sample_instance(dist, n, derive_seed(404, "train", t))
             stream = sample_instance(dist, n, derive_seed(404, "stream", t))
-            result = run_pipeline(train, stream, spec, cfg)
+            result = run_pipeline(train, stream, spec, delta)
             successes += result.optimal_vs_fullstream
             pipeline_retained.append(result.retained_final)
             plain = greedy_screen(stream, spec, warmup_length(n, spec.k, delta))
@@ -204,12 +185,12 @@ def test_trial_fails_exactly_when_an_optimal_item_is_screened_out(shape):
     # coverage is the pipeline's only failure source
     dist, caps = COVERAGE_SHAPES[shape]
     spec = ConstraintSpec(caps)
-    n, cfg = 200, PipelineConfig(0.5)
+    n, delta = 200, 0.5
     failures = 0
     for t in range(300):
         train = sample_instance(dist, n, derive_seed(505, f"{shape}-train", t))
         stream = sample_instance(dist, n, derive_seed(505, f"{shape}-stream", t))
-        result = run_pipeline(train, stream, spec, cfg)
+        result = run_pipeline(train, stream, spec, delta)
         survivors, _ = screen_with_policy(result.policy, stream)
         full = optimal_matching(stream, spec)
         covered = set(full.real_ids()) <= set(survivors.ids.tolist())

@@ -23,10 +23,8 @@ from screenmatch import (
     optimal_matching,
     quantile_policy_net,
     read_policy,
-    retention_slack,
     sample_instance,
     screen_with_policy,
-    value_slack,
     write_policy,
 )
 
@@ -241,6 +239,9 @@ class TestLearnTopM:
             learn_topm_thresholds(TWO_ITEMS, SPEC_11, [1])
         with pytest.raises(ConfigError):
             learn_topm_thresholds(TWO_ITEMS, SPEC_11, [1, 0])
+        # a bool is no rank, though Python counts True as 1
+        with pytest.raises(ConfigError, match=r"^m entries must be positive integers, got \(True, 1\)$"):
+            learn_topm_thresholds(TWO_ITEMS, SPEC_11, [True, 1])
 
 
 def _direct_rank(n_train, n_stream, k, d, budget):
@@ -312,42 +313,6 @@ class TestCoverageRank:
     def test_argument_guards(self, args):
         with pytest.raises(ConfigError):
             coverage_rank(*args)
-
-
-class TestSlackFormulas:
-    def test_retention_slack_reference_points(self):
-        assert retention_slack(100, 2, 10**4, 0.01, 1.0) == 28
-        assert retention_slack(100, 2, 10**4, 1.0, 1.0) == 18
-        assert retention_slack(5, 1, 2000, 0.05, 0.0) == 0
-
-    def test_value_slack_reference_points(self):
-        assert value_slack(100, 1, 0.01, 1.0) == pytest.approx(30.348542587702926)
-        assert value_slack(1, 1, 1.0, 1.0) == pytest.approx(math.sqrt(math.log(2)))
-        assert value_slack(7, 3, 0.5, 0.0) == 0.0
-        # ln(1/0.1), whose last bit -ln(0.1) misses, and so does this slack
-        assert value_slack(1, 2, 0.1) == math.sqrt(2 * math.log(2) + math.log(1 / 0.1))
-        assert value_slack(1, 2, 0.1) != math.sqrt(2 * math.log(2) - math.log(0.1))
-
-    def test_a_subnormal_delta_gets_a_finite_retention_slack(self):
-        # 1/delta overflows below 2^-1024, where -ln(delta) stands in for ln(1/delta)
-        assert retention_slack(10, 1, 10000, 5e-309) == 85
-
-    def test_a_subnormal_delta_gets_a_finite_value_slack(self):
-        assert value_slack(10, 1, 1e-320) == math.sqrt(10 * (math.log(10) - math.log(1e-320)))
-
-    def test_argument_guards(self):
-        with pytest.raises(ConfigError, match=r"^k must be a positive integer, got 0$"):
-            retention_slack(0, 1, 10, 0.1)
-        with pytest.raises(ConfigError):
-            retention_slack(5, 1, 5, 0.1)
-        with pytest.raises(ConfigError):
-            retention_slack(5, 1, 10, 0.0)
-        with pytest.raises(ConfigError):
-            value_slack(5, 1, 0.1, -1.0)
-        with pytest.raises(ConfigError, match=r"^d must be a positive integer, got 0$"):
-            retention_slack(5, 0, 10, 0.1)
-        with pytest.raises(ConfigError, match=r"^d must be a positive integer, got 0$"):
-            value_slack(5, 0, 0.1)
 
 
 class TestQuantileNet:
